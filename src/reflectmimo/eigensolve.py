@@ -1,87 +1,27 @@
-"""Hermitian eigendecomposition via cyclic complex Jacobi rotations.
+"""Validated Hermitian eigendecomposition on top of LAPACK.
 
-Each rotation factors the pivot's phase into a diagonal unitary and then
-applies a real Jacobi rotation, annihilating one off-diagonal pair per step.
-Off-diagonal mass is non-increasing and the sweep converges quadratically,
-so a handful of sweeps suffices for the small channel Grams handled here.
+``numpy.linalg.eigh`` reads only one triangle of its input and returns
+ascending values; this wrapper rejects inputs that are not Hermitian, so a
+wrong matrix cannot pass silently, and returns values in descending order.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-_SKIP = 1e-300  # pivots below this are numeric zeros; rotating would divide by 0
 
-
-def _rotation(app: float, aqq: float, apq: complex) -> tuple[float, float, complex]:
-    """Cosine, sine, and pivot phase annihilating the (p, q) entry."""
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (aqq - app) / (2.0 * mag)
-    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-    c = 1.0 / math.hypot(1.0, t)
-    return c, t * c, phase
-
-
-def _off_norm(a: np.ndarray) -> float:
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.linalg.norm(a[mask]))
-
-
-def jacobi_eigh(matrix: np.ndarray, *, tol: float = 1e-13,
-                max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and matching eigenvector columns.
 
-    ``matrix`` must be Hermitian to about sqrt(machine) relative accuracy;
-    it is symmetrized exactly before sweeping so round-off asymmetry from
-    forming Gram products cannot leak into the rotations.
+    ``matrix`` must be Hermitian to about sqrt(machine) relative accuracy,
+    which admits the round-off asymmetry of a computed Gram product.
     """
-    a = np.asarray(matrix, dtype=complex)
+    a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         msg = f"expected a square matrix, got shape {a.shape}"
         raise ValueError(msg)
-    n = a.shape[0]
     scale = np.linalg.norm(a)
     if scale > 0.0 and np.linalg.norm(a - a.conj().T) > 1e-8 * scale:
         raise ValueError("matrix is not Hermitian")
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.diagonal().copy(), v
-
-    threshold = tol * max(scale, 1.0)
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= _SKIP:
-                    continue
-                c, s, phase = _rotation(a[p, p].real, a[q, q].real, apq)
-                s_conj = s * np.conj(phase)
-                c_conj = c * np.conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s_conj * col_q
-                a[:, q] = s * col_p + c_conj * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s_conj * vec_q
-                v[:, q] = s * vec_p + c_conj * vec_q
-    else:
-        raise RuntimeError(f"Jacobi sweep did not converge in {max_sweeps} sweeps")
-
-    values = a.diagonal().real.copy()
-    order = np.argsort(values)[::-1]
-    return values[order], v[:, order]
+    values, vectors = np.linalg.eigh(a)
+    return values[::-1], vectors[:, ::-1]

@@ -1,14 +1,15 @@
 """Uniform linear arrays, channel matrices sampled from the impulse
 response, and their normalized eigenvalue spectra.
 
-Matrix assembly exploits the lag structure: entries sharing the same
-receiver-minus-source offset are synthesized once, so parallel N-antenna
-arrays cost at most 2N - 1 quadrature evaluations instead of N^2.
+Matrix assembly exploits the isotropy of the surface: the response depends
+only on the pair of planes and the transverse distance between receiver and
+source, so entries sharing both are synthesized once, and every distance on
+one pair of planes shares one set of spectral coefficients.  Parallel
+N-antenna arrays with equal spacings cost N evaluations instead of N^2.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,17 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import optimal_stream_count
-from .eigensolve import jacobi_eigh
+from .eigensolve import hermitian_eigh
 from .quadrature import (
     QuadratureSpec,
     SpatialLag,
     UnderResolvedWarning,
-    estimate_nodes,
+    _required_nodes,
     synthesize_impulse,
 )
-from .spectrum import FieldComponent, SceneConfig, oscillation_span
+from .spectrum import FieldComponent, SceneConfig
 
-_LAG_QUANTUM = 1e-12  # m; offsets equal up to float noise share one evaluation
+_LAG_QUANTUM = 1e-12  # m; samples equal up to float noise share one evaluation
 
 SELF_SUM = "self_sum"
 RELATIVE = "relative"
@@ -99,19 +100,9 @@ class EigenSpectrum:
         return 10.0 * np.log10(np.maximum(self.values, 1e-300))
 
 
-def _lag_key(dx: float, dy: float, r_z: float, s_z: float) -> tuple[int, int, int, int]:
-    return (
-        round(dx / _LAG_QUANTUM),
-        round(dy / _LAG_QUANTUM),
-        round(r_z / _LAG_QUANTUM),
-        round(s_z / _LAG_QUANTUM),
-    )
-
-
 def build_channel_matrix(scene: SceneConfig, tx: ArrayLayout, rx: ArrayLayout,
                          component: FieldComponent,
                          spec: QuadratureSpec | None = None, *,
-                         method: str = "auto",
                          include_evanescent_tail: bool = True) -> ChannelMatrix:
     """Sample the impulse response at every transmit/receive antenna pair.
 
@@ -122,46 +113,31 @@ def build_channel_matrix(scene: SceneConfig, tx: ArrayLayout, rx: ArrayLayout,
     """
     tx_pos = tx.positions
     rx_pos = rx.positions
-    lags: dict[tuple[int, int, int, int], SpatialLag] = {}
-    index_of: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for m in range(rx.count):
-        for n in range(tx.count):
-            delta = rx_pos[m] - tx_pos[n]
-            key = _lag_key(delta[0], delta[1], rx_pos[m][2], tx_pos[n][2])
-            index_of[m, n] = key
-            if key not in lags:
-                lags[key] = SpatialLag(
-                    x=float(delta[0]), y=float(delta[1]),
-                    receiver_z=float(rx_pos[m][2]), source_z=float(tx_pos[n][2]),
-                )
+    shape = (rx.count, tx.count)
+    delta = rx_pos[:, None, :2] - tx_pos[None, :, :2]
+    samples = np.stack([
+        np.broadcast_to(rx_pos[:, None, 2], shape),
+        np.broadcast_to(tx_pos[None, :, 2], shape),
+        np.hypot(delta[..., 0], delta[..., 1]),
+    ], axis=-1).reshape(-1, 3)
+    keys = np.rint(samples / _LAG_QUANTUM).astype(np.int64)
+    _, first, index_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z)
+            for r_z, s_z, rho in samples[first].tolist()]
 
-    needed = QuadratureSpec(n_alpha=2, n_beta=4)
-    for lag in lags.values():
-        probe = dataclasses.replace(scene, receiver_z=lag.receiver_z, source_z=lag.source_z)
-        budget = estimate_nodes(probe, lag.transverse, oscillation_span(probe, component))
-        needed = QuadratureSpec(
-            n_alpha=max(needed.n_alpha, budget.n_alpha),
-            n_beta=max(needed.n_beta, budget.n_beta),
-        )
+    needed = _required_nodes(scene, component, lags)
     if spec is None:
         spec = needed
-    effective_alpha = 64 * -(-spec.n_alpha // 64)
-    under_resolved = effective_alpha < needed.n_alpha or (
-        method == "generic" and spec.n_beta < needed.n_beta
-    )
+    under_resolved = 64 * -(-spec.n_alpha // 64) < needed.n_alpha
 
-    values: dict[tuple[int, int, int, int], complex] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
-        for key, lag in lags.items():
-            values[key] = synthesize_impulse(
-                scene, component, lag, spec, method=method,
-                include_evanescent_tail=include_evanescent_tail,
-            )
+        values = synthesize_impulse(
+            scene, component, lags, spec,
+            include_evanescent_tail=include_evanescent_tail,
+        )
 
-    entries = np.empty((rx.count, tx.count), dtype=complex)
-    for (m, n), key in index_of.items():
-        entries[m, n] = values[key]
+    entries = values[index_of].reshape(shape)
     if not np.all(np.isfinite(entries.view(float))):
         raise RuntimeError("channel matrix contains non-finite entries")
     if under_resolved:
@@ -187,7 +163,7 @@ def raw_eigenvalues(channel: ChannelMatrix | np.ndarray) -> np.ndarray:
     """Descending eigenvalues of the receive-side Gram matrix H H*."""
     entries = _entries_of(channel)
     gram = entries @ entries.conj().T
-    values, _ = jacobi_eigh(gram)
+    values, _ = hermitian_eigh(gram)
     return np.maximum(values, 0.0)
 
 

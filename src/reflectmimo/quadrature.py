@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +37,7 @@ OVERSAMPLING = 6
 _PANEL = 64  # nodes per Gauss-Legendre panel; spectral for ~10 periods/panel
 _TAIL_CUTOFF = 36.0  # e^{-36} ~ 2e-16: truncation point of the decaying tail
 _CHUNK_SCALAR_BUDGET = 2_000_000  # complex exponentials per azimuthal block
+_BESSEL_BLOCK_SCALARS = 1 << 17  # Bessel factors per row block of a lag batch
 
 
 class UnderResolvedWarning(UserWarning):
@@ -152,12 +154,46 @@ def estimate_nodes(scene: SceneConfig, max_lag: float, dz_total: float) -> Quadr
     return QuadratureSpec(n_alpha=n_alpha, n_beta=n_beta)
 
 
-def _scene_for(scene: SceneConfig, lag: SpatialLag) -> SceneConfig:
-    r_z = scene.receiver_z if lag.receiver_z is None else lag.receiver_z
-    s_z = scene.source_z if lag.source_z is None else lag.source_z
-    if r_z == scene.receiver_z and s_z == scene.source_z:
+def _planes_of(scene: SceneConfig, lag: SpatialLag) -> tuple[float, float]:
+    """The lag's (receiver_z, source_z), defaulting to the scene's planes."""
+    return (scene.receiver_z if lag.receiver_z is None else lag.receiver_z,
+            scene.source_z if lag.source_z is None else lag.source_z)
+
+
+def _plane_groups(scene: SceneConfig,
+                  lags: list[SpatialLag]) -> dict[tuple[float, float], list[int]]:
+    """Positions of the lags on each pair of planes, in order of first
+    appearance."""
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, lag in enumerate(lags):
+        groups.setdefault(_planes_of(scene, lag), []).append(i)
+    return groups
+
+
+def _on_planes(scene: SceneConfig, planes: tuple[float, float]) -> SceneConfig:
+    if planes == (scene.receiver_z, scene.source_z):
         return scene
-    return dataclasses.replace(scene, receiver_z=r_z, source_z=s_z)
+    return dataclasses.replace(scene, receiver_z=planes[0], source_z=planes[1])
+
+
+def _plane_budget(scene: SceneConfig, component: FieldComponent,
+                  max_lag: float) -> QuadratureSpec:
+    """Oscillation budget on the scene's own planes, after validating them."""
+    spectrum.validate_component(scene, component)
+    return estimate_nodes(scene, max_lag, spectrum.oscillation_span(scene, component))
+
+
+def _required_nodes(scene: SceneConfig, component: FieldComponent,
+                    lags: list[SpatialLag]) -> QuadratureSpec:
+    """Node counts resolving every lag: the largest oscillation budget over
+    their pairs of planes."""
+    budgets = [
+        _plane_budget(_on_planes(scene, planes), component,
+                      max(lags[i].transverse for i in indices))
+        for planes, indices in _plane_groups(scene, lags).items()
+    ]
+    return QuadratureSpec(n_alpha=max(b.n_alpha for b in budgets),
+                          n_beta=max(b.n_beta for b in budgets))
 
 
 def _azimuthal_sum(coeff: np.ndarray, krho: np.ndarray, x: float, y: float,
@@ -174,46 +210,97 @@ def _azimuthal_sum(coeff: np.ndarray, krho: np.ndarray, x: float, y: float,
     return total * (2.0 * math.pi / n_beta)
 
 
-def _disk_part(scene: SceneConfig, component: FieldComponent, lag: SpatialLag,
-               n_alpha: int, n_beta: int, use_bessel: bool) -> complex:
+def _bessel_sum(coeff: np.ndarray, krho: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_i coeff_i J0(krho_i rho_j) for every rho_j, in bounded row blocks."""
+    rows = max(1, _BESSEL_BLOCK_SCALARS // krho.size)
+    if rho.size > rows:
+        return np.concatenate([_bessel_sum(coeff, krho, rho[start:start + rows])
+                               for start in range(0, rho.size, rows)])
+    return np.dot(j0(rho[:, None] * krho), coeff)
+
+
+def _disk_rule(scene: SceneConfig, component: FieldComponent,
+               n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and transverse wavenumbers of the propagating-disk rule.
+
+    Coefficients carry the 1/(2 pi) of the Bessel reduction, here and in
+    :func:`_tail_rule`, so a lag costs a single dot product."""
     kappa1 = scene.medium.kappa1
     alpha, w_alpha = _composite_rule(_panels_for(n_alpha), 0.0, 0.5 * math.pi)
     sin_a = np.sin(alpha)
-    k1z = kappa1 * np.cos(alpha)
-    krho = kappa1 * sin_a
-    factor = spectrum.propagating_factor(scene, component, k1z)
-    coeff = w_alpha * (kappa1 * FREE_SPACE_IMPEDANCE / 2.0) * kappa1 * sin_a * factor
-    if use_bessel:
-        return complex((coeff @ j0(krho * lag.transverse)) / (2.0 * math.pi))
-    return _azimuthal_sum(coeff, krho, lag.x, lag.y, n_beta) / (2.0 * math.pi) ** 2
+    factor = spectrum.propagating_factor(scene, component, kappa1 * np.cos(alpha))
+    scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+    coeff = w_alpha * scale * kappa1 * sin_a * factor
+    return coeff, kappa1 * sin_a
 
 
-def _tail_part(scene: SceneConfig, component: FieldComponent, lag: SpatialLag,
-               n_beta_hint: int, use_bessel: bool) -> complex:
+def _tail_rule(scene: SceneConfig, component: FieldComponent,
+               max_lag: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Coefficients, transverse wavenumbers and largest wavenumber of the
+    branch-cut rule, resolved for transverse lags up to ``max_lag``."""
     kappa1 = scene.medium.kappa1
     z_decay = spectrum.decay_distance(scene, component)
     gamma_max = _TAIL_CUTOFF / z_decay
     krho_max = math.hypot(kappa1, gamma_max)
     # The integrand decays like e^{-gamma z_decay} and oscillates through the
     # Bessel factor; budget nodes for both.
-    periods = lag.transverse * (krho_max - kappa1) / (2.0 * math.pi)
+    periods = max_lag * (krho_max - kappa1) / (2.0 * math.pi)
     n_tail = 48 + int(math.ceil(8.0 * periods))
     u, w_u = _composite_rule(_panels_for(n_tail), 0.0, _TAIL_CUTOFF)
     gamma = u / z_decay
     factor = spectrum.evanescent_factor(scene, component, gamma)
-    coeff = (w_u / z_decay) * (kappa1 * FREE_SPACE_IMPEDANCE / 2.0) * (-1j) * factor
-    krho = np.hypot(kappa1, gamma)
-    if use_bessel:
-        return complex((coeff @ j0(krho * lag.transverse)) / (2.0 * math.pi))
-    n_beta = max(n_beta_hint, _alias_safe_beta(krho_max * lag.transverse))
-    return _azimuthal_sum(coeff, krho, lag.x, lag.y, n_beta) / (2.0 * math.pi) ** 2
+    scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+    coeff = (w_u / z_decay) * scale * (-1j) * factor
+    return coeff, np.hypot(kappa1, gamma), krho_max
+
+
+def _lag_sum(coeff: np.ndarray, krho: np.ndarray, lags: list[SpatialLag],
+             rho: np.ndarray, n_beta: int | None = None,
+             krho_max: float = 0.0) -> np.ndarray:
+    """One rule applied to every lag: the exact Bessel reduction, or with
+    ``n_beta`` the two-dimensional rule with at least that many azimuth
+    nodes, raised to the alias-safe count for wavenumbers up to ``krho_max``."""
+    if n_beta is None:
+        return _bessel_sum(coeff, krho, rho)
+    return np.array([
+        _azimuthal_sum(coeff, krho, lag.x, lag.y,
+                       max(n_beta, _alias_safe_beta(krho_max * lag.transverse)))
+        for lag in lags
+    ]) / (2.0 * math.pi)
+
+
+def _synthesize_on_planes(scene: SceneConfig, component: FieldComponent,
+                          lags: list[SpatialLag], spec: QuadratureSpec,
+                          n_beta: int | None,
+                          include_evanescent_tail: bool) -> np.ndarray:
+    """Every lag on the scene's own planes from one set of nodes and
+    coefficients; the branch-cut rule is sized for the largest lag."""
+    transverse = [lag.transverse for lag in lags]
+    max_rho = max(transverse)
+    needed = _plane_budget(scene, component, max_rho)
+    effective_alpha = _panels_for(spec.n_alpha) * _PANEL
+    if effective_alpha < needed.n_alpha or (n_beta is not None and n_beta < needed.n_beta):
+        warnings.warn(
+            f"node counts (n_alpha={effective_alpha}, n_beta={spec.n_beta}) below "
+            f"the oscillation budget (n_alpha={needed.n_alpha}, "
+            f"n_beta={needed.n_beta})",
+            UnderResolvedWarning,
+            stacklevel=3,
+        )
+    rho = np.array(transverse)
+    coeff, krho = _disk_rule(scene, component, spec.n_alpha)
+    value = _lag_sum(coeff, krho, lags, rho, n_beta)
+    if include_evanescent_tail:
+        coeff, krho, krho_max = _tail_rule(scene, component, max_rho)
+        value += _lag_sum(coeff, krho, lags, rho, n_beta, krho_max)
+    return value
 
 
 def synthesize_impulse(scene: SceneConfig, component: FieldComponent,
-                       lag: SpatialLag, spec: QuadratureSpec, *,
-                       method: str = "auto",
-                       include_evanescent_tail: bool = True) -> complex:
-    """Spatial impulse response at one receiver/source sample pair.
+                       lag: SpatialLag | Sequence[SpatialLag], spec: QuadratureSpec,
+                       *, method: str = "auto",
+                       include_evanescent_tail: bool = True) -> complex | np.ndarray:
+    """Spatial impulse response at one or many receiver/source sample pairs.
 
     Parameters
     ----------
@@ -221,7 +308,11 @@ def synthesize_impulse(scene: SceneConfig, component: FieldComponent,
         Geometry and which additive field term to synthesize.
     lag:
         Transverse receiver-minus-source offsets, with optional plane
-        overrides.
+        overrides: one :class:`SpatialLag` (a complex is returned) or a
+        sequence of them (an array is returned, in the same order).  Lags
+        on the same pair of planes share one set of nodes and
+        coefficients; the branch-cut rule is sized for the largest
+        transverse lag of the pair.
     spec:
         Node counts for the disk rule; counts below the oscillation budget
         trigger :class:`UnderResolvedWarning` but still evaluate.
@@ -237,26 +328,19 @@ def synthesize_impulse(scene: SceneConfig, component: FieldComponent,
     if method not in ("auto", "bessel", "generic"):
         msg = f"method must be 'auto', 'bessel', or 'generic', got {method!r}"
         raise ValueError(msg)
-    scene = _scene_for(scene, lag)
-    spectrum.validate_component(scene, component)
-    use_bessel = method in ("auto", "bessel")
-    needed = estimate_nodes(scene, lag.transverse,
-                            spectrum.oscillation_span(scene, component))
-    effective_alpha = _panels_for(spec.n_alpha) * _PANEL
-    if effective_alpha < needed.n_alpha or (
-        not use_bessel and spec.n_beta < needed.n_beta
-    ):
-        warnings.warn(
-            f"node counts (n_alpha={effective_alpha}, n_beta={spec.n_beta}) below "
-            f"the oscillation budget (n_alpha={needed.n_alpha}, "
-            f"n_beta={needed.n_beta})",
-            UnderResolvedWarning,
-            stacklevel=2,
+    n_beta = None if method in ("auto", "bessel") else spec.n_beta
+    if isinstance(lag, SpatialLag):
+        plane_scene = _on_planes(scene, _planes_of(scene, lag))
+        return complex(_synthesize_on_planes(plane_scene, component, [lag], spec,
+                                             n_beta, include_evanescent_tail)[0])
+    lags = list(lag)
+    values = np.empty(len(lags), dtype=complex)
+    for planes, indices in _plane_groups(scene, lags).items():
+        values[indices] = _synthesize_on_planes(
+            _on_planes(scene, planes), component, [lags[i] for i in indices], spec,
+            n_beta, include_evanescent_tail,
         )
-    value = _disk_part(scene, component, lag, spec.n_alpha, spec.n_beta, use_bessel)
-    if include_evanescent_tail:
-        value += _tail_part(scene, component, lag, spec.n_beta, use_bessel)
-    return value
+    return values
 
 
 def convergence_study(scene: SceneConfig, component: FieldComponent,
@@ -272,9 +356,7 @@ def convergence_study(scene: SceneConfig, component: FieldComponent,
     starting counts are always evaluated, so the trace has at least one row
     even under a tiny ``max_nodes`` cap.
     """
-    scene = _scene_for(scene, lag)
-    budget = estimate_nodes(scene, lag.transverse,
-                            spectrum.oscillation_span(scene, component))
+    budget = _required_nodes(scene, component, [lag])
     n_alpha = max(_PANEL, _panels_for(max(2, budget.n_alpha // 4)) * _PANEL)
     n_beta = budget.n_beta
     rows: list[ConvergenceRow] = []

@@ -150,24 +150,6 @@ def kappa_z(kappa: float, kx, ky):
     return float(out) if scalar else out
 
 
-@dataclass(frozen=True)
-class WavenumberSample:
-    """One in-disk transverse sample with its longitudinal components."""
-
-    kx: float
-    ky: float
-    k1z: float
-    k2z: float | None
-
-    @classmethod
-    def from_medium(cls, medium: Medium, kx: float, ky: float) -> "WavenumberSample":
-        k1z = kappa_z(medium.kappa1, kx, ky)
-        k2z = None
-        if not medium.material.is_conductor:
-            k2z = kappa_z(medium.kappa2, kx, ky)
-        return cls(kx, ky, k1z, k2z)
-
-
 def _kz_pair(scene: SceneConfig, k1z):
     """Far-side longitudinal wavenumber matching real in-disk k1z samples."""
     medium = scene.medium

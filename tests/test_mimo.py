@@ -10,13 +10,14 @@ from reflectmimo import (
     FieldComponent,
     QuadratureSpec,
     SceneConfig,
+    SpatialLag,
     UnderResolvedWarning,
     build_channel_matrix,
     eigen_spectrum,
-    jacobi_eigh,
     raw_eigenvalues,
     spacing_rayleigh,
     spacing_snr,
+    synthesize_impulse,
 )
 
 RANGE = 2.0
@@ -91,7 +92,7 @@ class TestChannelAssembly:
             scene, tx, rx, FieldComponent.REFLECTION_ONLY
         )
         assert channel.entries.shape == (8, 8)
-        assert channel.distinct_evaluations == 15
+        assert channel.distinct_evaluations == 8
         assert not channel.under_resolved
 
     def test_conductor_reflection_mirrors_direct_channel(
@@ -127,6 +128,51 @@ class TestChannelAssembly:
         assert channel.under_resolved
 
 
+def _per_entry(channel):
+    """Channel entries from one scalar synthesis per antenna pair."""
+    tx_pos, rx_pos = channel.tx.positions, channel.rx.positions
+    entries = np.empty(channel.entries.shape, dtype=complex)
+    for m, r in enumerate(rx_pos):
+        for n, t in enumerate(tx_pos):
+            lag = SpatialLag(x=r[0] - t[0], y=r[1] - t[1],
+                             receiver_z=r[2], source_z=t[2])
+            entries[m, n] = synthesize_impulse(
+                channel.scene, channel.component, lag, channel.spec,
+            )
+    return entries
+
+
+class TestDistanceKeying:
+    """Entries keyed on (planes, transverse distance) against one scalar
+    synthesis per entry, on layouts where that keying could go wrong."""
+
+    @pytest.fixture
+    def scene(self, conductor_medium):
+        return SceneConfig(
+            medium=conductor_medium, surface_z=SURFACE, source_z=0.0, receiver_z=RANGE
+        )
+
+    @pytest.mark.parametrize("tx, rx", [
+        (ArrayLayout(4, 0.07, center=(0.02, -0.05, 0.0), axis=(0.0, 1.0, 0.0)),
+         ArrayLayout(4, 0.07, center=(-0.03, 0.11, RANGE), axis=(0.0, 1.0, 0.0))),
+        (ArrayLayout(3, 0.05, center=(0.0, 0.0, 0.0)),
+         ArrayLayout(5, 0.08, center=(0.01, 0.0, RANGE))),
+        (ArrayLayout(4, 0.06, center=(0.0, 0.0, 0.0), axis=(0.6, 0.0, 0.8)),
+         ArrayLayout(3, 0.09, center=(0.02, 0.0, RANGE), axis=(0.0, 0.8, -0.6))),
+    ], ids=["y_axis_offset", "unequal_counts", "tilted_planes"])
+    def test_matches_per_entry_synthesis(self, scene, tx, rx):
+        channel = build_channel_matrix(scene, tx, rx, FieldComponent.REFLECTION_ONLY)
+        expected = _per_entry(channel)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(channel.entries - expected)) <= 1e-12 * scale
+
+    def test_tilted_arrays_span_several_plane_pairs(self, scene):
+        tx = ArrayLayout(4, 0.06, axis=(0.6, 0.0, 0.8))
+        rx = ArrayLayout(3, 0.09, center=(0.0, 0.0, RANGE), axis=(0.0, 0.8, -0.6))
+        channel = build_channel_matrix(scene, tx, rx, FieldComponent.REFLECTION_ONLY)
+        assert channel.distinct_evaluations == 12
+
+
 class TestEigenSpectrum:
     def test_self_sum_total(self, pc_reflection_channel):
         spectrum = eigen_spectrum(pc_reflection_channel)
@@ -153,14 +199,35 @@ class TestEigenSpectrum:
         rng = np.random.default_rng(9)
         h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         raw = raw_eigenvalues(h)
-        reference = np.linalg.eigvalsh(h @ h.conj().T)[::-1]
+        reference = np.linalg.svd(h, compute_uv=False) ** 2
         assert np.max(np.abs(raw - reference)) <= 1e-9 * reference[0]
 
-    def test_raw_agrees_with_jacobi(self):
-        rng = np.random.default_rng(13)
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        values, _ = jacobi_eigh(h @ h.conj().T)
-        assert np.allclose(raw_eigenvalues(h), np.maximum(values, 0.0))
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 7), (7, 3)],
+                             ids=["square", "wide", "tall"])
+    def test_raw_descending_nonnegative_and_sums_to_power(self, shape):
+        rng = np.random.default_rng(17)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        raw = raw_eigenvalues(h)
+        assert raw.shape == (shape[0],)
+        assert np.all(np.diff(raw) <= 0.0)
+        assert np.all(raw >= 0.0)
+        power = np.linalg.norm(h, "fro") ** 2
+        assert float(raw.sum()) == pytest.approx(power, rel=1e-12)
+
+    def test_raw_clamps_round_off_below_zero(self):
+        h = np.outer([1.0, 1e-3, 2.0], [3.0, -1.0, 0.5]).astype(complex)
+        raw = raw_eigenvalues(h)
+        assert np.all(raw >= 0.0)
+        assert raw[-1] == 0.0  # LAPACK returns about -1e-14 for this rank-one Gram
+        assert raw[0] == pytest.approx(np.linalg.norm(h, "fro") ** 2, rel=1e-12)
+        assert np.all(raw[1:] <= 1e-12 * raw[0])
+
+    def test_raw_single_entry(self):
+        assert raw_eigenvalues(np.array([[3.0 - 4.0j]])) == pytest.approx([25.0])
+
+    def test_raw_real_symmetric_input(self):
+        h = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert np.allclose(raw_eigenvalues(h), [9.0, 1.0], rtol=1e-14)
 
     def test_relative_mode_reuses_scale(self):
         rng = np.random.default_rng(21)

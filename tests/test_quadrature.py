@@ -21,6 +21,7 @@ from reflectmimo import (
     oscillation_span,
     synthesize_impulse,
 )
+from reflectmimo.quadrature import _required_nodes
 
 FREQUENCY = 57.5e9
 
@@ -207,6 +208,70 @@ class TestMethodsAndTail:
                 scene, FieldComponent.LOS_ONLY, SpatialLag(0.0),
                 QuadratureSpec(n_alpha=64), method="simpson",
             )
+
+
+class TestLagBatches:
+    @pytest.fixture
+    def scene(self, conductor_medium):
+        return SceneConfig(
+            medium=conductor_medium, surface_z=1.2, source_z=0.0, receiver_z=0.6
+        )
+
+    def test_sequence_equals_scalar_calls(self, scene):
+        lags = [
+            SpatialLag(0.21, 0.13),
+            SpatialLag(0.0),
+            SpatialLag(-0.4, receiver_z=0.7),
+            SpatialLag(0.05, -0.3, receiver_z=0.7, source_z=0.1),
+            SpatialLag(0.21, 0.13),
+        ]
+        component = FieldComponent.LOS_PLUS_REFLECTION
+        spec = _auto_spec(scene, component, SpatialLag(0.5))
+        batch = synthesize_impulse(scene, component, lags, spec)
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(lags),)
+        scalar = np.array([synthesize_impulse(scene, component, lag, spec) for lag in lags])
+        assert np.max(np.abs(batch - scalar)) <= 1e-12 * np.max(np.abs(scalar))
+        assert batch[0] == batch[-1]
+
+    def test_required_nodes_is_the_largest_plane_budget(self, scene):
+        component = FieldComponent.REFLECTION_ONLY
+        lags = [SpatialLag(0.4), SpatialLag(0.1, receiver_z=0.2), SpatialLag(0.0)]
+        lower = SceneConfig(medium=scene.medium, surface_z=1.2, source_z=0.0,
+                            receiver_z=0.2)
+        budgets = [_auto_spec(scene, component, SpatialLag(0.4)),
+                   _auto_spec(lower, component, SpatialLag(0.1))]
+        needed = _required_nodes(scene, component, lags)
+        assert needed.n_alpha == max(b.n_alpha for b in budgets)
+        assert needed.n_beta == max(b.n_beta for b in budgets)
+
+    def test_single_lag_returns_a_complex(self, scene):
+        lag = SpatialLag(0.1)
+        spec = _auto_spec(scene, FieldComponent.REFLECTION_ONLY, lag)
+        value = synthesize_impulse(scene, FieldComponent.REFLECTION_ONLY, lag, spec)
+        assert type(value) is complex
+        batch = synthesize_impulse(scene, FieldComponent.REFLECTION_ONLY, [lag], spec)
+        assert batch.shape == (1,)
+
+    def test_generic_sequence_equals_bessel(self, scene):
+        lags = [SpatialLag(0.21, 0.13), SpatialLag(0.1, receiver_z=0.7)]
+        component = FieldComponent.REFLECTION_ONLY
+        spec = _auto_spec(scene, component, SpatialLag(0.25))
+        fast = synthesize_impulse(scene, component, lags, spec)
+        slow = synthesize_impulse(scene, component, lags, spec, method="generic")
+        assert np.allclose(slow, fast, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x", [0.07, 0.33])
+    def test_mirror_and_swap_symmetry(self, scene, x):
+        """h(x, 0) = h(-x, 0) = h(0, x): the response depends on the
+        transverse distance only, which matrix assembly relies on.  The
+        two-dimensional rule checks it without assuming the Bessel form."""
+        component = FieldComponent.REFLECTION_ONLY
+        spec = _auto_spec(scene, component, SpatialLag(x))
+        lags = [SpatialLag(x, 0.0), SpatialLag(-x, 0.0), SpatialLag(0.0, x)]
+        fast = synthesize_impulse(scene, component, lags, spec)
+        assert fast[0] == fast[1] == fast[2]
+        slow = synthesize_impulse(scene, component, lags, spec, method="generic")
+        assert np.allclose(slow, fast[0], rtol=1e-12, atol=0.0)
 
 
 class TestWarningsAndOverrides:
