@@ -49,7 +49,6 @@ class ExperimentConfig:
     spacing_rule: str = "default"
     normalization: str = "RelativeToLOS"
     n_alpha: int | None = None
-    n_beta: int | None = None
 
     @property
     def frequency_hz(self) -> float:
@@ -63,7 +62,7 @@ class ExperimentConfig:
     def quadrature(self) -> QuadratureSpec | None:
         if self.n_alpha is None:
             return None
-        return QuadratureSpec(n_alpha=self.n_alpha, n_beta=self.n_beta or 4)
+        return QuadratureSpec(n_alpha=self.n_alpha)
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` listing every violated constraint."""
@@ -101,8 +100,6 @@ class ExperimentConfig:
             )
         if self.n_alpha is not None and self.n_alpha < 2:
             problems.append(f"n_alpha must be >= 2, got {self.n_alpha}")
-        if self.n_beta is not None and self.n_beta < 4:
-            problems.append(f"n_beta must be >= 4, got {self.n_beta}")
         if not problems:
             # Scene guards (surface clearance) depend on the wavelength, so
             # they can only run once the scalar fields are sane.
@@ -138,7 +135,7 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-_INT_KEYS = ("antennas", "n_alpha", "n_beta")
+_INT_KEYS = ("antennas", "n_alpha")
 _FLOAT_KEYS = ("frequency_ghz", "d1_m", "range_m")
 _KNOWN_KEYS = _INT_KEYS + _FLOAT_KEYS + (
     "materials", "snr_grid_db", "spacing_rule", "normalization",
@@ -197,8 +194,6 @@ def config_to_text(config: ExperimentConfig) -> str:
     ]
     if config.n_alpha is not None:
         lines.append(f"n_alpha = {config.n_alpha}")
-    if config.n_beta is not None:
-        lines.append(f"n_beta = {config.n_beta}")
     return "\n".join(lines) + "\n"
 
 

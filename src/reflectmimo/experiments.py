@@ -31,7 +31,7 @@ from .mimo import (
     spacing_rayleigh,
     spacing_snr,
 )
-from .quadrature import SpatialLag, estimate_nodes, synthesize_impulse
+from .quadrature import QuadratureSpec, SpatialLag, estimate_nodes, synthesize_impulse
 from .spectrum import FieldComponent, SceneConfig, oscillation_span
 
 EXPERIMENT_NAMES = (
@@ -77,7 +77,7 @@ class _Context:
         self.config = config
         self.vacuum_medium = Medium(config.frequency_hz, VACUUM)
         self.wavelength = self.vacuum_medium.wavelength
-        self.node_counts: dict[str, list[int]] = {}
+        self.node_counts: dict[str, int] = {}
         self._channels: dict[tuple[str, int], ChannelMatrix] = {}
         self._los_scales: dict[int, float] = {}
 
@@ -121,11 +121,9 @@ class _Context:
             )
         return eigen_spectrum(channel, SELF_SUM)
 
-    def record_nodes(self, label: str, channel: ChannelMatrix) -> None:
-        current = [channel.spec.n_alpha, channel.spec.n_beta]
-        previous = self.node_counts.get(label)
-        if previous is None or current[0] > previous[0]:
-            self.node_counts[label] = current
+    def record_nodes(self, label: str, spec: QuadratureSpec) -> None:
+        """Keep the largest ``n_alpha`` used under ``label``."""
+        self.node_counts[label] = max(spec.n_alpha, self.node_counts.get(label, 0))
 
 
 def _reflected_rule(context: _Context, default_rule: str) -> str:
@@ -160,13 +158,13 @@ def _eigen_table(context: _Context, los_rule: str, reflected_rule: str) -> Resul
     rows: list[tuple] = []
     d_los = _spacing_of(context, los_rule, None)
     channel = context.channel("los", d_los)
-    context.record_nodes(f"los@{los_rule}", channel)
+    context.record_nodes(f"los@{los_rule}", channel.spec)
     spectrum = eigen_spectrum(channel, SELF_SUM)
     for index, value in enumerate(spectrum.values, start=1):
         rows.append(("los", los_rule, index, float(value), _db(float(value))))
     d_ref = _spacing_of(context, reflected_rule, None)
     for name in context.config.materials:
-        context.record_nodes(f"{name}@{reflected_rule}", context.channel(name, d_ref))
+        context.record_nodes(f"{name}@{reflected_rule}", context.channel(name, d_ref).spec)
         spectrum = context.reflected_spectrum(name, d_ref)
         for index, value in enumerate(spectrum.values, start=1):
             rows.append((name, reflected_rule, index, float(value), _db(float(value))))
@@ -186,14 +184,14 @@ def _capacity_table(context: _Context, los_rule: str, reflected_rule: str) -> Re
         snr = 10.0 ** (snr_db / 10.0)
         d = _spacing_of(context, los_rule, snr)
         channel = context.channel("los", d)
-        context.record_nodes(f"los@{los_rule}", channel)
+        context.record_nodes(f"los@{los_rule}", channel.spec)
         capacity = _capacity_of(eigen_spectrum(channel, SELF_SUM), snr)
         rows.append(("los", los_rule, snr_db, capacity))
     for name in cfg.materials:
         for snr_db in cfg.snr_grid_db:
             snr = 10.0 ** (snr_db / 10.0)
             d = _spacing_of(context, reflected_rule, snr)
-            context.record_nodes(f"{name}@{reflected_rule}", context.channel(name, d))
+            context.record_nodes(f"{name}@{reflected_rule}", context.channel(name, d).spec)
             capacity = _capacity_of(context.reflected_spectrum(name, d), snr)
             rows.append((name, reflected_rule, snr_db, capacity))
     for snr_db in cfg.snr_grid_db:
@@ -251,13 +249,6 @@ def _run_impulse_validate(context: _Context) -> list[ResultTable]:
     medium = context.vacuum_medium
     spans, lags = _validation_grid(context)
     quadrature = context.config.quadrature
-
-    def record(label: str, spec) -> None:
-        current = [spec.n_alpha, spec.n_beta]
-        previous = context.node_counts.get(label)
-        if previous is None or current[0] > previous[0]:
-            context.node_counts[label] = current
-
     los_rows: list[tuple] = []
     for dz in spans:
         scene = SceneConfig(
@@ -268,7 +259,7 @@ def _run_impulse_validate(context: _Context) -> list[ResultTable]:
             spec = quadrature or estimate_nodes(
                 scene, lag_x, oscillation_span(scene, FieldComponent.LOS_ONLY),
             )
-            record("validation_los", spec)
+            context.record_nodes("validation_los", spec)
             value = synthesize_impulse(scene, FieldComponent.LOS_ONLY, lag, spec)
             reference = los_impulse(medium, (lag_x, 0.0, dz), (0.0, 0.0, 0.0))
             los_rows.append((dz, lag_x, abs(value - reference) / abs(reference)))
@@ -286,7 +277,7 @@ def _run_impulse_validate(context: _Context) -> list[ResultTable]:
             spec = quadrature or estimate_nodes(
                 scene, lag_x, oscillation_span(scene, FieldComponent.REFLECTION_ONLY),
             )
-            record("validation_image", spec)
+            context.record_nodes("validation_image", spec)
             value = synthesize_impulse(
                 scene, FieldComponent.REFLECTION_ONLY, lag, spec,
             )

@@ -22,6 +22,7 @@ from .quadrature import (
     QuadratureSpec,
     SpatialLag,
     UnderResolvedWarning,
+    _nodes_used,
     _required_nodes,
     synthesize_impulse,
 )
@@ -128,7 +129,7 @@ def build_channel_matrix(scene: SceneConfig, tx: ArrayLayout, rx: ArrayLayout,
     needed = _required_nodes(scene, component, lags)
     if spec is None:
         spec = needed
-    under_resolved = 64 * -(-spec.n_alpha // 64) < needed.n_alpha
+    under_resolved = _nodes_used(spec.n_alpha) < needed.n_alpha
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)

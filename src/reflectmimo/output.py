@@ -14,7 +14,7 @@ from .experiments import ResultSet, ResultTable
 from .mimo import ChannelMatrix
 from .quadrature import ConvergenceStudy
 
-_CONVERGENCE_COLUMNS = ("n_alpha", "n_beta", "re", "im", "delta")
+_CONVERGENCE_COLUMNS = ("n_alpha", "re", "im", "delta")
 
 
 def _cell(value: object) -> str:
@@ -78,7 +78,7 @@ def write_convergence_csv(study: ConvergenceStudy, path: str | Path) -> Path:
     for row in study.rows:
         delta = "" if row.delta is None else repr(row.delta)
         lines.append(
-            f"{row.n_alpha},{row.n_beta},{row.value.real!r},{row.value.imag!r},{delta}"
+            f"{row.n_alpha},{row.value.real!r},{row.value.imag!r},{delta}"
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
@@ -112,7 +112,7 @@ def channel_matrix_to_json(channel: ChannelMatrix) -> dict:
         "component": channel.component.name,
         "tx": _layout_to_json(channel.tx),
         "rx": _layout_to_json(channel.rx),
-        "quadrature": {"n_alpha": channel.spec.n_alpha, "n_beta": channel.spec.n_beta},
+        "quadrature": {"n_alpha": channel.spec.n_alpha},
         "under_resolved": channel.under_resolved,
         "distinct_evaluations": channel.distinct_evaluations,
         "entries_re": channel.entries.real.tolist(),

@@ -130,26 +130,6 @@ def validate_component(scene: SceneConfig, component: FieldComponent) -> None:
         raise SceneError([msg])
 
 
-def kappa_z(kappa: float, kx, ky):
-    """Longitudinal wavenumber sqrt(kappa^2 - kx^2 - ky^2) for in-disk samples.
-
-    Raises ValueError when the sample leaves the propagating disk of the
-    given total wavenumber.
-    """
-    if not kappa > 0.0:
-        msg = f"kappa must be positive, got {kappa!r}"
-        raise ValueError(msg)
-    scalar = np.isscalar(kx) and np.isscalar(ky)
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    rho_sq = kx * kx + ky * ky
-    if np.any(rho_sq > kappa * kappa * (1.0 + 1e-12)):
-        msg = "sample outside the propagating disk (evanescent region unsupported)"
-        raise ValueError(msg)
-    out = np.sqrt(np.maximum(kappa * kappa - rho_sq, 0.0))
-    return float(out) if scalar else out
-
-
 def _kz_pair(scene: SceneConfig, k1z):
     """Far-side longitudinal wavenumber matching real in-disk k1z samples."""
     medium = scene.medium

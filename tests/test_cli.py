@@ -101,7 +101,7 @@ class TestConverge:
         out = capsys.readouterr().out
         assert "converged" in out
         lines = (tmp_path / "convergence.csv").read_text().splitlines()
-        assert lines[0] == "n_alpha,n_beta,re,im,delta"
+        assert lines[0] == "n_alpha,re,im,delta"
         assert len(lines) >= 3
         assert lines[1].endswith(",")
         final_delta = float(lines[-1].rsplit(",", 1)[1])

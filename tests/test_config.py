@@ -33,10 +33,8 @@ class TestDefaults:
         assert config.quadrature is None
 
     def test_explicit_quadrature(self):
-        config = ExperimentConfig(n_alpha=128, n_beta=8)
+        config = ExperimentConfig(n_alpha=128)
         assert config.quadrature.n_alpha == 128
-        assert config.quadrature.n_beta == 8
-        assert ExperimentConfig(n_alpha=128).quadrature.n_beta == 4
 
 
 class TestRoundTrip:
@@ -55,7 +53,6 @@ class TestRoundTrip:
             spacing_rule="rayleigh_De",
             normalization="SelfSum",
             n_alpha=4096,
-            n_beta=64,
         )
         assert parse_config(config_to_text(config)) == config
 
@@ -98,6 +95,12 @@ class TestParsing:
         assert violations[0].startswith("line 1:")
         assert violations[1].startswith("line 2:")
         assert violations[2].startswith("line 3:")
+
+    def test_azimuth_node_key_rejected(self):
+        """The azimuthal integral is an exact Bessel factor, so there is no
+        azimuth node count to configure."""
+        with pytest.raises(ConfigError, match="unknown key 'n_beta'"):
+            parse_config("n_beta = 8\n")
 
     def test_bad_snr_range(self):
         with pytest.raises(ConfigError, match="step"):

@@ -1,5 +1,7 @@
 """Tests for channel-matrix assembly and eigenvalue normalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,23 @@ class TestDistanceKeying:
         rx = ArrayLayout(3, 0.09, center=(0.0, 0.0, RANGE), axis=(0.0, 0.8, -0.6))
         channel = build_channel_matrix(scene, tx, rx, FieldComponent.REFLECTION_ONLY)
         assert channel.distinct_evaluations == 12
+
+    @pytest.mark.parametrize("dx, dy", [(0.37, 0.0), (-1.25, 0.8)])
+    def test_common_transverse_shift_leaves_entries_unchanged(self, scene, dx, dy):
+        """The surface is an infinite plane, so moving both arrays by the
+        same transverse offset changes no entry."""
+        tx = ArrayLayout(4, 0.07, center=(0.02, -0.05, 0.0), axis=(0.0, 1.0, 0.0))
+        rx = ArrayLayout(5, 0.08, center=(-0.03, 0.11, RANGE), axis=(0.6, 0.8, 0.0))
+
+        def shifted(layout):
+            x, y, z = layout.center
+            return dataclasses.replace(layout, center=(x + dx, y + dy, z))
+
+        component = FieldComponent.REFLECTION_ONLY
+        here = build_channel_matrix(scene, tx, rx, component)
+        moved = build_channel_matrix(scene, shifted(tx), shifted(rx), component)
+        scale = np.max(np.abs(here.entries))
+        assert np.max(np.abs(moved.entries - here.entries)) <= 1e-12 * scale
 
 
 class TestEigenSpectrum:

@@ -1,5 +1,7 @@
 """Tests for the disk + branch-cut synthesis of the spatial impulse response."""
 
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -21,13 +23,36 @@ from reflectmimo import (
     oscillation_span,
     synthesize_impulse,
 )
-from reflectmimo.quadrature import _required_nodes
+from reflectmimo.quadrature import _disk_rule, _required_nodes, _tail_rule
 
 FREQUENCY = 57.5e9
 
 
 def _auto_spec(scene, component, lag):
     return estimate_nodes(scene, lag.transverse, oscillation_span(scene, component))
+
+
+def _trapezoid_synthesis(scene, component, lags, spec):
+    """Reference for the Bessel reduction that does not assume it.
+
+    Applies the disk and branch-cut coefficients to the n-point periodic
+    trapezoid in azimuth, (1/n) sum_j e^{i k_rho (x cos b_j + y sin b_j)},
+    instead of J0(k_rho |lag|).  n passes the order/argument transition
+    z + O(z^{1/3}) of the largest phase swing z = k_rho |lag|, so the
+    trapezoid's aliased Bessel terms fall below round-off.  The lags lie
+    on the scene's planes; the branch-cut rule is sized for the largest.
+    """
+    rho_max = max(lag.transverse for lag in lags)
+    values = np.zeros(len(lags), dtype=complex)
+    for coeff, krho in (_disk_rule(scene, component, spec.n_alpha),
+                        _tail_rule(scene, component, rho_max)):
+        z = float(krho.max()) * rho_max
+        n = int(math.ceil(z + 16.0 * z ** (1.0 / 3.0) + 16.0))
+        beta = 2.0 * math.pi * np.arange(n) / n
+        for i, lag in enumerate(lags):
+            phase = np.outer(krho, lag.x * np.cos(beta) + lag.y * np.sin(beta))
+            values[i] += coeff @ np.exp(1j * phase).mean(axis=1)
+    return values
 
 
 def _los_scene(medium, dz=1.0):
@@ -38,11 +63,9 @@ def _los_scene(medium, dz=1.0):
 
 class TestSpecAndLag:
     def test_spec_bounds(self):
-        QuadratureSpec(n_alpha=2, n_beta=4)
+        QuadratureSpec(n_alpha=2)
         with pytest.raises(ValueError, match="n_alpha"):
             QuadratureSpec(n_alpha=1)
-        with pytest.raises(ValueError, match="n_beta"):
-            QuadratureSpec(n_alpha=8, n_beta=3)
 
     def test_lag_transverse(self):
         assert SpatialLag(3.0, 4.0).transverse == pytest.approx(5.0)
@@ -53,14 +76,14 @@ class TestEstimateNodes:
     def test_frozen_small_case(self, vacuum_medium):
         scene = _los_scene(vacuum_medium, dz=10.0 * vacuum_medium.wavelength)
         spec = estimate_nodes(scene, 0.0, 10.0 * vacuum_medium.wavelength)
-        assert (spec.n_alpha, spec.n_beta) == (60, 4)
+        assert spec == QuadratureSpec(n_alpha=60)
 
     def test_frozen_room_scale_case(self, vacuum_medium):
         scene = SceneConfig(
             medium=vacuum_medium, surface_z=21.0, source_z=0.0, receiver_z=20.0
         )
         spec = estimate_nodes(scene, 0.6, 20.6)
-        assert (spec.n_alpha, spec.n_beta) == (24397, 883)
+        assert spec == QuadratureSpec(n_alpha=24397)
 
     def test_scales_linearly_in_span(self, vacuum_medium):
         scene = _los_scene(vacuum_medium)
@@ -165,25 +188,18 @@ class TestMethodsAndTail:
             medium=conductor_medium, surface_z=1.2, source_z=0.0, receiver_z=0.6
         )
         lag = SpatialLag(0.21, 0.13)
-        spec = _auto_spec(scene, FieldComponent.LOS_PLUS_REFLECTION, lag)
-        fast = synthesize_impulse(
-            scene, FieldComponent.LOS_PLUS_REFLECTION, lag, spec, method="bessel"
-        )
-        slow = synthesize_impulse(
-            scene, FieldComponent.LOS_PLUS_REFLECTION, lag, spec, method="generic"
-        )
+        component = FieldComponent.LOS_PLUS_REFLECTION
+        spec = _auto_spec(scene, component, lag)
+        fast = synthesize_impulse(scene, component, lag, spec)
+        slow = _trapezoid_synthesis(scene, component, [lag], spec)[0]
         assert slow == pytest.approx(fast, rel=1e-12)
 
     def test_generic_rotation_invariance(self, vacuum_medium):
         scene = _los_scene(vacuum_medium)
         spec = _auto_spec(scene, FieldComponent.LOS_ONLY, SpatialLag(0.5))
-        a = synthesize_impulse(
-            scene, FieldComponent.LOS_ONLY, SpatialLag(0.3, 0.4), spec,
-            method="generic",
-        )
-        b = synthesize_impulse(
-            scene, FieldComponent.LOS_ONLY, SpatialLag(0.5, 0.0), spec,
-            method="generic",
+        a, b = _trapezoid_synthesis(
+            scene, FieldComponent.LOS_ONLY,
+            [SpatialLag(0.3, 0.4), SpatialLag(0.5, 0.0)], spec,
         )
         assert a == pytest.approx(b, rel=1e-12)
 
@@ -200,14 +216,6 @@ class TestMethodsAndTail:
         assert abs(disk_only - expected) / abs(expected) > 0.1
         assert abs(completed - expected) / abs(expected) < 1e-8
         assert disk_only != completed
-
-    def test_invalid_method_rejected(self, vacuum_medium):
-        scene = _los_scene(vacuum_medium)
-        with pytest.raises(ValueError, match="method"):
-            synthesize_impulse(
-                scene, FieldComponent.LOS_ONLY, SpatialLag(0.0),
-                QuadratureSpec(n_alpha=64), method="simpson",
-            )
 
 
 class TestLagBatches:
@@ -242,7 +250,6 @@ class TestLagBatches:
                    _auto_spec(lower, component, SpatialLag(0.1))]
         needed = _required_nodes(scene, component, lags)
         assert needed.n_alpha == max(b.n_alpha for b in budgets)
-        assert needed.n_beta == max(b.n_beta for b in budgets)
 
     def test_single_lag_returns_a_complex(self, scene):
         lag = SpatialLag(0.1)
@@ -257,20 +264,22 @@ class TestLagBatches:
         component = FieldComponent.REFLECTION_ONLY
         spec = _auto_spec(scene, component, SpatialLag(0.25))
         fast = synthesize_impulse(scene, component, lags, spec)
-        slow = synthesize_impulse(scene, component, lags, spec, method="generic")
+        raised = dataclasses.replace(scene, receiver_z=0.7)
+        slow = [_trapezoid_synthesis(scene, component, [lags[0]], spec)[0],
+                _trapezoid_synthesis(raised, component, [SpatialLag(0.1)], spec)[0]]
         assert np.allclose(slow, fast, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("x", [0.07, 0.33])
     def test_mirror_and_swap_symmetry(self, scene, x):
         """h(x, 0) = h(-x, 0) = h(0, x): the response depends on the
         transverse distance only, which matrix assembly relies on.  The
-        two-dimensional rule checks it without assuming the Bessel form."""
+        azimuthal trapezoid checks it without assuming the Bessel form."""
         component = FieldComponent.REFLECTION_ONLY
         spec = _auto_spec(scene, component, SpatialLag(x))
         lags = [SpatialLag(x, 0.0), SpatialLag(-x, 0.0), SpatialLag(0.0, x)]
         fast = synthesize_impulse(scene, component, lags, spec)
         assert fast[0] == fast[1] == fast[2]
-        slow = synthesize_impulse(scene, component, lags, spec, method="generic")
+        slow = _trapezoid_synthesis(scene, component, lags, spec)
         assert np.allclose(slow, fast[0], rtol=1e-12, atol=0.0)
 
 

@@ -20,7 +20,6 @@ from reflectmimo.materials import FREE_SPACE_IMPEDANCE
 from reflectmimo.spectrum import (
     decay_distance,
     evanescent_factor,
-    kappa_z,
     oscillation_span,
     propagating_factor,
 )
@@ -105,18 +104,6 @@ class TestComponentValidation:
                 _scene(receiver_z=-0.05, radius=0.1),
                 FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION,
             )
-
-
-class TestKappaZ:
-    def test_center_and_rim(self, vacuum_medium):
-        kappa = vacuum_medium.kappa1
-        assert kappa_z(kappa, 0.0, 0.0) == pytest.approx(kappa)
-        assert kappa_z(kappa, kappa, 0.0) == pytest.approx(0.0, abs=1e-9)
-
-    def test_outside_disk_rejected(self, vacuum_medium):
-        kappa = vacuum_medium.kappa1
-        with pytest.raises(ValueError):
-            kappa_z(kappa, 1.01 * kappa, 0.0)
 
 
 class TestPropagatingFactor:
