@@ -26,6 +26,7 @@ from .mimo import (
     ArrayLayout,
     ChannelMatrix,
     EigenSpectrum,
+    build_channel_matrices,
     build_channel_matrix,
     eigen_spectrum,
     spacing_rayleigh,
@@ -70,7 +71,8 @@ class ResultSet:
 
 class _Context:
     """Per-run caches: channel matrices and reference scales are keyed by
-    material and spacing so SNR sweeps reuse work across grid points."""
+    material and spacing so SNR sweeps reuse work across grid points, and
+    all materials at one spacing share one synthesis."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         config.validate()
@@ -90,20 +92,28 @@ class _Context:
         )
 
     def channel(self, material_name: str, spacing: float) -> ChannelMatrix:
-        key = (material_name, round(spacing / 1e-15))
+        """The channel at ``spacing``; a miss on a reflecting material builds
+        every configured material at that spacing in one batch."""
+        spacing_key = round(spacing / 1e-15)
+        key = (material_name, spacing_key)
         if key not in self._channels:
-            if material_name == "los":
-                scene = self.scene(VACUUM)
-                component = FieldComponent.LOS_ONLY
-            else:
-                scene = self.scene(material_by_name(material_name))
-                component = FieldComponent.REFLECTION_ONLY
             n = self.config.antennas
             tx = ArrayLayout.along_x(n, spacing, 0.0)
             rx = ArrayLayout.along_x(n, spacing, self.config.range_m)
-            self._channels[key] = build_channel_matrix(
-                scene, tx, rx, component, self.config.quadrature,
-            )
+            if material_name == "los":
+                self._channels[key] = build_channel_matrix(
+                    self.scene(VACUUM), tx, rx, FieldComponent.LOS_ONLY,
+                    self.config.quadrature,
+                )
+            else:
+                names = list(dict.fromkeys((*self.config.materials, material_name)))
+                scenes = [self.scene(material_by_name(name)) for name in names]
+                channels = build_channel_matrices(
+                    scenes, tx, rx, FieldComponent.REFLECTION_ONLY,
+                    self.config.quadrature,
+                )
+                for name, channel in zip(names, channels):
+                    self._channels[(name, spacing_key)] = channel
         return self._channels[key]
 
     def los_scale(self, spacing: float) -> float:

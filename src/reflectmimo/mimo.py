@@ -6,12 +6,16 @@ only on the pair of planes and the transverse distance between receiver and
 source, so entries sharing both are synthesized once, and every distance on
 one pair of planes shares one set of spectral coefficients.  Parallel
 N-antenna arrays with equal spacings cost N evaluations instead of N^2.
+The material enters only through those coefficients, so the matrices of
+several surface materials on one geometry share one Bessel matrix
+(:func:`build_channel_matrices`).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +26,7 @@ from .quadrature import (
     QuadratureSpec,
     SpatialLag,
     UnderResolvedWarning,
+    _material_batch,
     _nodes_used,
     _required_nodes,
     synthesize_impulse,
@@ -112,6 +117,27 @@ def build_channel_matrix(scene: SceneConfig, tx: ArrayLayout, rx: ArrayLayout,
     still evaluates, but the matrix is flagged and a single
     :class:`UnderResolvedWarning` is emitted for the whole assembly.
     """
+    return _assemble([scene], tx, rx, component, spec, include_evanescent_tail)[0]
+
+
+def build_channel_matrices(scenes: Sequence[SceneConfig], tx: ArrayLayout,
+                           rx: ArrayLayout, component: FieldComponent,
+                           spec: QuadratureSpec | None = None, *,
+                           include_evanescent_tail: bool = True) -> list[ChannelMatrix]:
+    """One channel matrix per scene, from a single synthesis.
+
+    The scenes may differ only in their surface material, so every matrix
+    shares the lags, the nodes and the Bessel factors; only the spectral
+    coefficients differ.  Node counts and the under-resolution flag follow
+    :func:`build_channel_matrix`, taken over all scenes.
+    """
+    return _assemble(scenes, tx, rx, component, spec, include_evanescent_tail)
+
+
+def _assemble(scenes: Sequence[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
+              component: FieldComponent, spec: QuadratureSpec | None,
+              include_evanescent_tail: bool) -> list[ChannelMatrix]:
+    scenes = _material_batch(scenes)
     tx_pos = tx.positions
     rx_pos = rx.positions
     shape = (rx.count, tx.count)
@@ -126,7 +152,9 @@ def build_channel_matrix(scene: SceneConfig, tx: ArrayLayout, rx: ArrayLayout,
     lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z)
             for r_z, s_z, rho in samples[first].tolist()]
 
-    needed = _required_nodes(scene, component, lags)
+    needed = QuadratureSpec(
+        n_alpha=max(_required_nodes(scene, component, lags).n_alpha for scene in scenes),
+    )
     if spec is None:
         spec = needed
     under_resolved = _nodes_used(spec.n_alpha) < needed.n_alpha
@@ -134,25 +162,27 @@ def build_channel_matrix(scene: SceneConfig, tx: ArrayLayout, rx: ArrayLayout,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
         values = synthesize_impulse(
-            scene, component, lags, spec,
+            scenes, component, lags, spec,
             include_evanescent_tail=include_evanescent_tail,
         )
 
-    entries = values[index_of].reshape(shape)
-    if not np.all(np.isfinite(entries.view(float))):
+    if not np.all(np.isfinite(values)):
         raise RuntimeError("channel matrix contains non-finite entries")
     if under_resolved:
         warnings.warn(
             f"matrix assembled with node counts below the oscillation budget "
             f"(requested n_alpha={spec.n_alpha}, needed {needed.n_alpha})",
             UnderResolvedWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return ChannelMatrix(
-        entries=entries, tx=tx, rx=rx, component=component, scene=scene,
-        spec=spec, under_resolved=under_resolved,
-        distinct_evaluations=len(lags),
-    )
+    return [
+        ChannelMatrix(
+            entries=row[index_of].reshape(shape), tx=tx, rx=rx, component=component,
+            scene=scene, spec=spec, under_resolved=under_resolved,
+            distinct_evaluations=len(lags),
+        )
+        for scene, row in zip(scenes, values)
+    ]
 
 
 def _entries_of(channel: ChannelMatrix | np.ndarray) -> np.ndarray:

@@ -13,6 +13,11 @@ outside the disk cancels it.  The synthesis therefore completes the rule
 with a small integral along the branch cut kappa_1z = i*gamma, where every
 term decays like e^{-gamma Z}.  The completion is on by default and can be
 disabled to inspect the raw disk-limited value.
+
+The surface material enters only through the Fresnel coefficient inside the
+spectral coefficients: scenes that differ only in their material share the
+nodes, the transverse wavenumbers and the Bessel factors, so they are
+synthesized together, one coefficient column per scene.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +41,8 @@ OVERSAMPLING = 6
 
 _PANEL = 64  # nodes per Gauss-Legendre panel; spectral for ~10 periods/panel
 _TAIL_CUTOFF = 36.0  # e^{-36} ~ 2e-16: truncation point of the decaying tail
-_BESSEL_BLOCK_SCALARS = 1 << 17  # Bessel factors per row block of a lag batch
+_BESSEL_BLOCK_SCALARS = 1 << 17  # Bessel factors per (node block x lags) matrix
+_CACHED_PANELS = 128  # longest rule, in panels, kept for reuse across calls
 
 
 class UnderResolvedWarning(UserWarning):
@@ -100,16 +106,39 @@ def _base_panel() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=128)
-def _composite_rule(panels: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights with ``panels`` panels on [lo, hi]."""
+def _panel_blocks(panels: int, hi: float,
+                  step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Composite Gauss-Legendre nodes/weights with ``panels`` equal panels
+    on [0, hi], ``step`` panels at a time."""
     x, w = _base_panel()
-    edges = np.linspace(lo, hi, panels + 1)
+    edges = np.linspace(0.0, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    for start in range(0, panels, step):
+        h = half[start:start + step, None]
+        yield (mid[start:start + step, None] + h * x).ravel(), (h * w).ravel()
+
+
+@lru_cache(maxsize=2 * _CACHED_PANELS)
+def _short_rule(panels: int, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """A whole rule of at most ``_CACHED_PANELS`` panels.  With the two
+    intervals in use the cache holds every such rule, each at most
+    128 KiB of nodes and weights."""
+    return next(_panel_blocks(panels, hi, panels))
+
+
+def _composite_blocks(n_nodes: int, hi: float,
+                      block_nodes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Composite Gauss-Legendre nodes/weights on [0, hi] with the panels
+    ``n_nodes`` asks for, in blocks of whole panels holding at most
+    ``block_nodes`` nodes (at least one panel).  Short one-block rules,
+    the branch-cut rule above all, recur across calls and are cached;
+    longer ones are built block by block and never held."""
+    panels = _panels_for(n_nodes)
+    step = max(1, block_nodes // _PANEL)
+    if panels <= min(step, _CACHED_PANELS):
+        return iter((_short_rule(panels, hi),))
+    return _panel_blocks(panels, hi, step)
 
 
 def _panels_for(n_nodes: int) -> int:
@@ -181,111 +210,160 @@ def _required_nodes(scene: SceneConfig, component: FieldComponent,
     return QuadratureSpec(n_alpha=max(b.n_alpha for b in budgets))
 
 
-def _bessel_sum(coeff: np.ndarray, krho: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_i coeff_i J0(krho_i rho_j) for every rho_j, in bounded row blocks."""
-    rows = max(1, _BESSEL_BLOCK_SCALARS // krho.size)
-    if rho.size > rows:
-        return np.concatenate([_bessel_sum(coeff, krho, rho[start:start + rows])
-                               for start in range(0, rho.size, rows)])
-    return np.dot(j0(rho[:, None] * krho), coeff)
+def _material_batch(scene: SceneConfig | Sequence[SceneConfig]) -> list[SceneConfig]:
+    """The scenes of one synthesis: a single scene, or several that differ
+    only in the surface material and so share every node and lag."""
+    if isinstance(scene, SceneConfig):
+        return [scene]
+    scenes = list(scene)
+    if not scenes:
+        raise ValueError("need at least one scene")
+    first = scenes[0]
+    for other in scenes[1:]:
+        medium = dataclasses.replace(other.medium, material=first.medium.material)
+        if dataclasses.replace(other, medium=medium) != first:
+            msg = (
+                f"scenes of one synthesis may differ only in their material: "
+                f"{other!r} differs from {first!r}"
+            )
+            raise ValueError(msg)
+    return scenes
 
 
-def _disk_rule(scene: SceneConfig, component: FieldComponent,
-               n_alpha: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and transverse wavenumbers of the propagating-disk rule.
+def _disk_rule(scenes: list[SceneConfig], component: FieldComponent, n_alpha: int,
+               block_nodes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Transverse wavenumbers and (node x scene) coefficients of the
+    propagating-disk rule, block by block.
 
     Coefficients carry the 1/(2 pi) of the Bessel reduction, here and in
     :func:`_tail_rule`, so a lag costs a single dot product."""
-    kappa1 = scene.medium.kappa1
-    alpha, w_alpha = _composite_rule(_panels_for(n_alpha), 0.0, 0.5 * math.pi)
-    sin_a = np.sin(alpha)
-    factor = spectrum.propagating_factor(scene, component, kappa1 * np.cos(alpha))
+    for alpha, w_alpha in _composite_blocks(n_alpha, 0.5 * math.pi, block_nodes):
+        yield _disk_terms(scenes, component, alpha, w_alpha)
+
+
+def _disk_terms(scenes: list[SceneConfig], component: FieldComponent,
+                alpha: np.ndarray, w_alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block of :func:`_disk_rule`, at polar angles ``alpha``."""
+    kappa1 = scenes[0].medium.kappa1
     scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
-    coeff = w_alpha * scale * kappa1 * sin_a * factor
-    return coeff, kappa1 * sin_a
+    sin_a = np.sin(alpha)
+    k1z = kappa1 * np.cos(alpha)
+    coeffs = np.stack([spectrum.propagating_factor(scene, component, k1z)
+                       for scene in scenes], axis=1)
+    coeffs *= (w_alpha * scale * kappa1 * sin_a)[:, None]
+    return kappa1 * sin_a, coeffs
 
 
-def _tail_rule(scene: SceneConfig, component: FieldComponent,
-               max_lag: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and transverse wavenumbers of the branch-cut rule,
-    resolved for transverse lags up to ``max_lag``."""
-    kappa1 = scene.medium.kappa1
-    z_decay = spectrum.decay_distance(scene, component)
+def _tail_rule(scenes: list[SceneConfig], component: FieldComponent, max_lag: float,
+               block_nodes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Transverse wavenumbers and (node x scene) coefficients of the
+    branch-cut rule, resolved for transverse lags up to ``max_lag``, block
+    by block."""
+    kappa1 = scenes[0].medium.kappa1
+    z_decay = spectrum.decay_distance(scenes[0], component)
     gamma_max = _TAIL_CUTOFF / z_decay
     krho_max = math.hypot(kappa1, gamma_max)
     # The integrand decays like e^{-gamma z_decay} and oscillates through the
     # Bessel factor; budget nodes for both.
     periods = max_lag * (krho_max - kappa1) / (2.0 * math.pi)
     n_tail = 48 + int(math.ceil(8.0 * periods))
-    u, w_u = _composite_rule(_panels_for(n_tail), 0.0, _TAIL_CUTOFF)
-    gamma = u / z_decay
-    factor = spectrum.evanescent_factor(scene, component, gamma)
+    for u, w_u in _composite_blocks(n_tail, _TAIL_CUTOFF, block_nodes):
+        yield _tail_terms(scenes, component, z_decay, u, w_u)
+
+
+def _tail_terms(scenes: list[SceneConfig], component: FieldComponent, z_decay: float,
+                u: np.ndarray, w_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block of :func:`_tail_rule`, at scaled decay rates ``u``."""
+    kappa1 = scenes[0].medium.kappa1
     scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
-    coeff = (w_u / z_decay) * scale * (-1j) * factor
-    return coeff, np.hypot(kappa1, gamma)
+    gamma = u / z_decay
+    coeffs = np.stack([spectrum.evanescent_factor(scene, component, gamma)
+                       for scene in scenes], axis=1)
+    coeffs *= ((w_u / z_decay) * scale * (-1j))[:, None]
+    return np.hypot(kappa1, gamma), coeffs
 
 
-def _synthesize_on_planes(scene: SceneConfig, component: FieldComponent,
+def _bessel_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+                rho: np.ndarray) -> np.ndarray:
+    """sum_i coeff_ik J0(krho_i rho_j) for every lag j and scene k, as a
+    (lag x scene) array: each node block's Bessel matrix is evaluated once
+    for all scenes.  The Bessel matrix is real, so it multiplies the real
+    and imaginary parts of the coefficients as one real matrix product."""
+    return sum((j0(rho[:, None] * krho) @ coeffs.view(float)).view(complex)
+               for krho, coeffs in blocks)
+
+
+def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
                           lags: list[SpatialLag], spec: QuadratureSpec,
                           include_evanescent_tail: bool) -> np.ndarray:
-    """Every lag on the scene's own planes from one set of nodes and
-    coefficients; the branch-cut rule is sized for the largest lag."""
-    transverse = [lag.transverse for lag in lags]
-    max_rho = max(transverse)
-    needed = _plane_budget(scene, component, max_rho)
+    """Every lag of every scene on the scenes' shared planes, as a
+    (scene x lag) array; the branch-cut rule is sized for the largest lag.
+    Node blocks hold at most ``_BESSEL_BLOCK_SCALARS`` Bessel factors (but
+    at least one panel), so no full-length per-scene coefficient vector is
+    ever built."""
+    rho = np.array([lag.transverse for lag in lags])
+    max_rho = float(rho.max())
+    needed = max(_plane_budget(scene, component, max_rho).n_alpha for scene in scenes)
     used = _nodes_used(spec.n_alpha)
-    if used < needed.n_alpha:
+    if used < needed:
         warnings.warn(
             f"node count n_alpha={used} below the oscillation budget "
-            f"n_alpha={needed.n_alpha}",
+            f"n_alpha={needed}",
             UnderResolvedWarning,
             stacklevel=3,
         )
-    rho = np.array(transverse)
-    coeff, krho = _disk_rule(scene, component, spec.n_alpha)
-    value = _bessel_sum(coeff, krho, rho)
+    block_nodes = max(_PANEL, _BESSEL_BLOCK_SCALARS // rho.size)
+    value = _bessel_sum(_disk_rule(scenes, component, spec.n_alpha, block_nodes), rho)
     if include_evanescent_tail:
-        coeff, krho = _tail_rule(scene, component, max_rho)
-        value += _bessel_sum(coeff, krho, rho)
-    return value
+        value += _bessel_sum(_tail_rule(scenes, component, max_rho, block_nodes), rho)
+    return value.T
 
 
-def synthesize_impulse(scene: SceneConfig, component: FieldComponent,
+def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: FieldComponent,
                        lag: SpatialLag | Sequence[SpatialLag], spec: QuadratureSpec,
                        *, include_evanescent_tail: bool = True) -> complex | np.ndarray:
     """Spatial impulse response at one or many receiver/source sample pairs.
 
     Parameters
     ----------
-    scene, component:
-        Geometry and which additive field term to synthesize.
+    scene:
+        Geometry: one :class:`SceneConfig`, or a sequence of scenes that
+        differ only in ``medium.material`` (anything else raises
+        ``ValueError``).  A sequence adds a leading scene axis to the
+        result.  The material enters only through the spectral
+        coefficients, so every scene shares one Bessel matrix per block of
+        nodes.
+    component:
+        Which additive field term to synthesize.
     lag:
         Transverse receiver-minus-source offsets, with optional plane
-        overrides: one :class:`SpatialLag` (a complex is returned) or a
-        sequence of them (an array is returned, in the same order).  Lags
-        on the same pair of planes share one set of nodes and
+        overrides: one :class:`SpatialLag` or a sequence of them (a lag
+        axis, in the same order).  One scene and one lag return a complex.
+        Lags on the same pair of planes share one set of nodes and
         coefficients; the branch-cut rule is sized for the largest
         transverse lag of the pair.
     spec:
         Node count for the disk rule; counts below the oscillation budget
-        trigger :class:`UnderResolvedWarning` but still evaluate.
+        of any scene trigger :class:`UnderResolvedWarning` but still
+        evaluate.
     include_evanescent_tail:
         When True (default) the branch-cut completion is added so the
         synthesis converges to the physical field; when False the raw
         disk-limited integral is returned.
     """
-    if isinstance(lag, SpatialLag):
-        plane_scene = _on_planes(scene, _planes_of(scene, lag))
-        return complex(_synthesize_on_planes(plane_scene, component, [lag], spec,
-                                             include_evanescent_tail)[0])
-    lags = list(lag)
-    values = np.empty(len(lags), dtype=complex)
-    for planes, indices in _plane_groups(scene, lags).items():
-        values[indices] = _synthesize_on_planes(
-            _on_planes(scene, planes), component, [lags[i] for i in indices], spec,
-            include_evanescent_tail,
+    scenes = _material_batch(scene)
+    lags = [lag] if isinstance(lag, SpatialLag) else list(lag)
+    values = np.empty((len(scenes), len(lags)), dtype=complex)
+    for planes, indices in _plane_groups(scenes[0], lags).items():
+        values[:, indices] = _synthesize_on_planes(
+            [_on_planes(s, planes) for s in scenes], component,
+            [lags[i] for i in indices], spec, include_evanescent_tail,
         )
-    return values
+    if isinstance(lag, SpatialLag):
+        values = values[:, 0]
+    if isinstance(scene, SceneConfig):
+        values = values[0]
+    return complex(values) if values.ndim == 0 else values
 
 
 def convergence_study(scene: SceneConfig, component: FieldComponent,

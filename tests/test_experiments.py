@@ -13,6 +13,7 @@ from reflectmimo import (
     parse_config,
     run_named,
 )
+from reflectmimo import quadrature
 
 SMALL = ExperimentConfig(
     d1_m=1.0,
@@ -228,3 +229,24 @@ class TestConfigHandling:
     def test_missing_table_lookup(self, fig2):
         with pytest.raises(KeyError):
             fig2.table("capacity")
+
+
+def test_one_bessel_matrix_per_spacing(monkeypatch):
+    """Every reflecting material at one spacing shares one Bessel matrix:
+    fig4 evaluates the same J0 arguments with four materials as with one."""
+    sizes: list[int] = []
+    bessel = quadrature.j0
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return bessel(x)
+
+    monkeypatch.setattr(quadrature, "j0", counted)
+    run_named("fig4", ExperimentConfig(materials=("concrete",)))
+    one_material = list(sizes)
+    sizes.clear()
+    config = ExperimentConfig()
+    run_named("fig4", config)
+    assert len(config.materials) == 4
+    assert sum(one_material) > 0
+    assert sizes == one_material

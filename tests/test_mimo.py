@@ -9,13 +9,17 @@ from reflectmimo import (
     RELATIVE,
     SELF_SUM,
     ArrayLayout,
+    ExperimentConfig,
     FieldComponent,
+    Medium,
     QuadratureSpec,
     SceneConfig,
     SpatialLag,
     UnderResolvedWarning,
+    build_channel_matrices,
     build_channel_matrix,
     eigen_spectrum,
+    material_by_name,
     raw_eigenvalues,
     spacing_rayleigh,
     spacing_snr,
@@ -190,6 +194,64 @@ class TestDistanceKeying:
         moved = build_channel_matrix(scene, shifted(tx), shifted(rx), component)
         scale = np.max(np.abs(here.entries))
         assert np.max(np.abs(moved.entries - here.entries)) <= 1e-12 * scale
+
+
+class TestMaterialBatch:
+    """All materials of one geometry from a single synthesis, against one
+    build per material."""
+
+    @pytest.fixture
+    def scenes(self, conductor_medium):
+        return [
+            SceneConfig(medium=Medium(conductor_medium.frequency, material_by_name(name)),
+                        surface_z=SURFACE, source_z=0.0, receiver_z=RANGE)
+            for name in ExperimentConfig().materials
+        ]
+
+    @pytest.mark.parametrize("tx, rx", [
+        (ArrayLayout.along_x(8, 0.1, 0.0), ArrayLayout.along_x(8, 0.1, RANGE)),
+        (ArrayLayout(4, 0.06, center=(0.0, 0.0, 0.0), axis=(0.6, 0.0, 0.8)),
+         ArrayLayout(3, 0.09, center=(0.02, 0.0, RANGE), axis=(0.0, 0.8, -0.6))),
+    ], ids=["parallel_ulas", "tilted_planes"])
+    def test_batch_equals_one_build_per_material(self, scenes, tx, rx):
+        component = FieldComponent.REFLECTION_ONLY
+        batch = build_channel_matrices(scenes, tx, rx, component)
+        assert len(batch) == len(scenes) == 4
+        for scene, channel in zip(scenes, batch):
+            single = build_channel_matrix(scene, tx, rx, component)
+            assert channel.scene == scene
+            assert channel.spec == single.spec
+            assert channel.distinct_evaluations == single.distinct_evaluations
+            assert not channel.under_resolved
+            scale = np.max(np.abs(single.entries))
+            assert np.max(np.abs(channel.entries - single.entries)) <= 1e-12 * scale
+
+    def test_single_scene_is_build_channel_matrix(self, scenes):
+        tx = ArrayLayout.along_x(5, 0.1, 0.0)
+        rx = ArrayLayout.along_x(5, 0.1, RANGE)
+        component = FieldComponent.REFLECTION_ONLY
+        (batch,) = build_channel_matrices(scenes[1:2], tx, rx, component)
+        single = build_channel_matrix(scenes[1], tx, rx, component)
+        assert np.array_equal(batch.entries, single.entries)
+        assert (batch.spec, batch.under_resolved, batch.distinct_evaluations) == (
+            single.spec, single.under_resolved, single.distinct_evaluations)
+
+    def test_under_resolved_batch_flags_every_matrix(self, scenes):
+        tx = ArrayLayout.along_x(4, 0.1, 0.0)
+        rx = ArrayLayout.along_x(4, 0.1, RANGE)
+        with pytest.warns(UnderResolvedWarning):
+            batch = build_channel_matrices(
+                scenes, tx, rx, FieldComponent.REFLECTION_ONLY, QuadratureSpec(n_alpha=64),
+            )
+        assert all(channel.under_resolved for channel in batch)
+
+    def test_geometry_mismatch_rejected(self, scenes):
+        tx = ArrayLayout.along_x(4, 0.1, 0.0)
+        rx = ArrayLayout.along_x(4, 0.1, RANGE)
+        moved = dataclasses.replace(scenes[1], surface_z=SURFACE + 0.5)
+        with pytest.raises(ValueError, match="differ only in their material"):
+            build_channel_matrices([scenes[0], moved], tx, rx,
+                                   FieldComponent.REFLECTION_ONLY)
 
 
 class TestEigenSpectrum:

@@ -9,6 +9,11 @@ import pytest
 
 from reflectmimo import (
     CONCRETE,
+    FLOOR_BOARD,
+    PERFECT_CONDUCTOR,
+    PLASTER_BOARD,
+    VACUUM,
+    ExperimentConfig,
     FieldComponent,
     Medium,
     QuadratureSpec,
@@ -20,12 +25,14 @@ from reflectmimo import (
     estimate_nodes,
     fresnel_reflection,
     los_impulse,
+    material_by_name,
     oscillation_span,
     synthesize_impulse,
 )
 from reflectmimo.quadrature import _disk_rule, _required_nodes, _tail_rule
 
 FREQUENCY = 57.5e9
+_ORACLE_BLOCK = 1 << 14  # nodes per block of the rules fed to the trapezoid oracle
 
 
 def _auto_spec(scene, component, lag):
@@ -40,12 +47,15 @@ def _trapezoid_synthesis(scene, component, lags, spec):
     instead of J0(k_rho |lag|).  n passes the order/argument transition
     z + O(z^{1/3}) of the largest phase swing z = k_rho |lag|, so the
     trapezoid's aliased Bessel terms fall below round-off.  The lags lie
-    on the scene's planes; the branch-cut rule is sized for the largest.
+    on the scene's planes; the branch-cut rule is sized for the largest,
+    and both rules are taken block by block.
     """
     rho_max = max(lag.transverse for lag in lags)
     values = np.zeros(len(lags), dtype=complex)
-    for coeff, krho in (_disk_rule(scene, component, spec.n_alpha),
-                        _tail_rule(scene, component, rho_max)):
+    blocks = (*_disk_rule([scene], component, spec.n_alpha, _ORACLE_BLOCK),
+              *_tail_rule([scene], component, rho_max, _ORACLE_BLOCK))
+    for krho, coeffs in blocks:
+        coeff = coeffs[:, 0]
         z = float(krho.max()) * rho_max
         n = int(math.ceil(z + 16.0 * z ** (1.0 / 3.0) + 16.0))
         beta = 2.0 * math.pi * np.arange(n) / n
@@ -365,3 +375,101 @@ class TestConvergenceStudy:
         assert len(study.rows) == 1
         assert not study.converged
         assert study.rows[0].delta is None
+
+
+class TestSceneBatches:
+    """Scenes that differ only in their material share one synthesis."""
+
+    @pytest.fixture
+    def scenes(self):
+        return [
+            SceneConfig(medium=Medium(FREQUENCY, material_by_name(name)),
+                        surface_z=1.2, source_z=0.0, receiver_z=0.6)
+            for name in ExperimentConfig().materials
+        ]
+
+    def test_sequence_equals_per_scene_calls(self, scenes):
+        lags = [
+            SpatialLag(0.21, 0.13),
+            SpatialLag(0.0),
+            SpatialLag(-0.4, receiver_z=0.7),
+            SpatialLag(0.05, -0.3, receiver_z=0.7, source_z=0.1),
+        ]
+        component = FieldComponent.REFLECTION_ONLY
+        spec = _auto_spec(scenes[0], component, SpatialLag(0.5))
+        batch = synthesize_impulse(scenes, component, lags, spec)
+        assert batch.shape == (len(scenes), len(lags))
+        for scene, row in zip(scenes, batch):
+            single = synthesize_impulse(scene, component, lags, spec)
+            assert np.max(np.abs(row - single)) <= 1e-12 * np.max(np.abs(single))
+        one_lag = synthesize_impulse(scenes, component, lags[0], spec)
+        assert one_lag.shape == (len(scenes),)
+        assert np.max(np.abs(one_lag - batch[:, 0])) <= 1e-12 * np.max(np.abs(one_lag))
+
+    def test_conductor_column_keeps_the_image_solution(self, scenes):
+        component = FieldComponent.REFLECTION_ONLY
+        lag = SpatialLag(0.3)
+        spec = _auto_spec(scenes[0], component, lag)
+        values = synthesize_impulse(scenes, component, lag, spec)
+        assert scenes[0].medium.material is PERFECT_CONDUCTOR
+        vacuum = Medium(FREQUENCY, VACUUM)
+        expected = -los_impulse(vacuum, (0.3, 0.0, 0.6), (0.0, 0.0, 2.4))
+        assert values[0] == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("change", [
+        {"frequency": 140e9},
+        {"surface_z": 1.3},
+        {"source_z": 0.1},
+        {"receiver_z": 0.7},
+        {"source_radius": 0.05},
+    ], ids=lambda change: next(iter(change)))
+    def test_scenes_differing_beyond_material_are_rejected(self, scenes, change):
+        other = scenes[1]
+        if "frequency" in change:
+            other = dataclasses.replace(
+                other, medium=Medium(change["frequency"], other.medium.material),
+            )
+        else:
+            other = dataclasses.replace(other, **change)
+        lag = SpatialLag(0.1)
+        spec = _auto_spec(scenes[0], FieldComponent.REFLECTION_ONLY, lag)
+        with pytest.raises(ValueError, match="differ only in their material"):
+            synthesize_impulse([scenes[0], other], FieldComponent.REFLECTION_ONLY,
+                               lag, spec)
+
+    def test_empty_scene_sequence_rejected(self, scenes):
+        lag = SpatialLag(0.1)
+        spec = _auto_spec(scenes[0], FieldComponent.REFLECTION_ONLY, lag)
+        with pytest.raises(ValueError, match="at least one scene"):
+            synthesize_impulse([], FieldComponent.REFLECTION_ONLY, lag, spec)
+
+
+class TestGeometricOpticsLimit:
+    """On the surface normal a dielectric reflects the conductor's image
+    wave scaled by -R(0), up to a stationary-phase correction of order
+    1/(kappa1 span) that fades as the reflected path grows."""
+
+    @staticmethod
+    def _error_and_bound(material, d1, receiver_z):
+        scene = SceneConfig(medium=Medium(FREQUENCY, material), surface_z=d1,
+                            source_z=0.0, receiver_z=receiver_z)
+        component = FieldComponent.REFLECTION_ONLY
+        lag = SpatialLag(0.0)
+        value = synthesize_impulse(scene, component, lag,
+                                   _auto_spec(scene, component, lag))
+        vacuum = Medium(FREQUENCY, VACUUM)
+        conductor = -los_impulse(vacuum, (0.0, 0.0, receiver_z), (0.0, 0.0, 2.0 * d1))
+        mu, n = material.permeability_ratio, material.refractive_index
+        r_normal = (mu - n) / (mu + n)
+        span = oscillation_span(scene, component)
+        return abs(value / conductor + r_normal), 1.0 / (scene.medium.kappa1 * span)
+
+    @pytest.mark.parametrize("material", [CONCRETE, FLOOR_BOARD, PLASTER_BOARD],
+                             ids=lambda material: material.name)
+    def test_dielectric_tends_to_the_scaled_image(self, material):
+        errors = []
+        for d1, receiver_z in ((1.0, 0.5), (15.0, 10.0)):
+            error, bound = self._error_and_bound(material, d1, receiver_z)
+            assert error <= bound
+            errors.append(error)
+        assert errors[1] < errors[0]
