@@ -254,39 +254,21 @@ def fresnel_transmission(medium: Medium, kx, ky):
     return float(out) if scalar else out
 
 
-def _continued_kz(medium: Medium, gamma):
-    """Longitudinal wavenumbers on the branch cut kappa_1z = i*gamma, gamma > 0.
+def far_side_kz(medium: Medium, k1z):
+    """Far-side longitudinal wavenumber kappa_2z matching kappa_1z samples.
 
-    The far-side root keeps Im kappa_2z >= 0 so continued fields decay.
+    Real in-disk samples give the real root; complex samples (the
+    analytically continued spectrum) give the root with Im kappa_2z >= 0,
+    so continued fields decay behind the surface.  A homogeneous far side
+    returns kappa_1z itself, so its reflection vanishes exactly.  ``None``
+    for the perfect conductor.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    k1z = 1j * gamma
     if medium.material.is_conductor:
-        return k1z, None
-    k2z_sq = medium.kappa2 ** 2 - medium.kappa1 ** 2 - gamma * gamma
-    k2z = np.sqrt(k2z_sq.astype(complex))
-    return k1z, k2z
-
-
-def _reflection_continued(medium: Medium, gamma):
-    """Reflection coefficient analytically continued to kappa_1z = i*gamma."""
-    mat = medium.material
-    gamma = np.asarray(gamma, dtype=float)
-    if mat.is_conductor:
-        return np.full(gamma.shape, -1.0 + 0.0j)
-    if mat.is_homogeneous:
-        return np.zeros(gamma.shape, dtype=complex)
-    k1z, k2z = _continued_kz(medium, gamma)
-    return np.asarray(reflection_from_kz(mat, k1z, k2z), dtype=complex)
-
-
-def _transmission_continued(medium: Medium, gamma):
-    """Transmission coefficient analytically continued to kappa_1z = i*gamma."""
-    mat = medium.material
-    gamma = np.asarray(gamma, dtype=float)
-    if mat.is_conductor:
-        return np.zeros(gamma.shape, dtype=complex)
-    if mat.is_homogeneous:
-        return np.ones(gamma.shape, dtype=complex)
-    k1z, k2z = _continued_kz(medium, gamma)
-    return np.asarray(transmission_from_kz(mat, k1z, k2z), dtype=complex)
+        return None
+    if medium.material.is_homogeneous:
+        return np.asarray(k1z)
+    k2z_sq = medium.kappa2 ** 2 - medium.kappa1 ** 2 + np.asarray(k1z) ** 2
+    if not np.iscomplexobj(k2z_sq):
+        return np.sqrt(np.maximum(k2z_sq, 0.0))
+    k2z = np.sqrt(k2z_sq)
+    return np.where(k2z.imag < 0.0, -k2z, k2z)

@@ -1,18 +1,31 @@
 """Spatial synthesis of the impulse response from its wavenumber spectrum.
 
-The transverse plane integral is taken in polar form over the propagating
-disk: kx = kappa1 sin(a) cos(b), ky = kappa1 sin(a) sin(b).  The polar
-Jacobian cancels the 1/kappa_1z edge singularity, leaving a smooth but
-highly oscillatory integrand handled by a composite Gauss-Legendre rule in
-the polar angle.  The surface coefficients depend only on the polar angle,
-so the azimuthal integral reduces exactly to a Bessel J0 factor.
+The transverse plane integral is taken in polar form: kx = kappa1 sin(a)
+cos(b), ky = kappa1 sin(a) sin(b).  The polar Jacobian cancels the
+1/kappa_1z edge singularity, leaving a smooth but oscillatory integrand
+handled by a composite Gauss-Legendre rule in the polar angle.  The surface
+coefficients depend only on the polar angle, so the azimuthal integral
+reduces exactly to a Bessel J0 factor.
 
-A sharp cutoff at the disk rim would leave a spurious, slowly decaying
-contribution of relative size O(1): the branch-point neighbourhood just
-outside the disk cancels it.  The synthesis therefore completes the rule
-with a small integral along the branch cut kappa_1z = i*gamma, where every
-term decays like e^{-gamma Z}.  The completion is on by default and can be
-disabled to inspect the raw disk-limited value.
+The polar angle runs along a Sommerfeld path in the complex a-plane.  The
+straight path is the real segment [0, pi/2] (the propagating disk), whose
+integrand oscillates through about kappa1 (span + lag) radians, completed
+by the branch cut a = pi/2 - i*b, where kappa_1z = i*gamma and every term
+decays like e^{-gamma z}.  A sharp cutoff at the disk rim would leave a
+spurious, slowly decaying contribution of relative size O(1): the
+branch-point neighbourhood just outside the disk cancels it.
+
+Where the real segment is electrically long, the path leaves the real axis
+instead at a panel edge a0 just past the specular angle atan(lag / z) and
+descends along a = a0 - i*b; the branch cut is the same leg at a0 = pi/2.
+There the spectral factor decays like e^{-z Im kappa_1z} faster than J0
+grows with Im k_rho, so the leg is short and smooth.  The integrand is
+analytic between the two paths, so both give the same value; the bent one
+costs the nodes of [0, a0] plus a panel or a few, nearly independent of
+electrical size.  The bend is taken only when the real nodes it saves
+outweigh the leg's complex Bessel evaluations, and depends only on the
+planes, the component and the node count.  Without the completion (the raw
+disk-limited value) the path stays on the real segment.
 
 The surface material enters only through the Fresnel coefficient inside the
 spectral coefficients: scenes that differ only in their material share the
@@ -30,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, roots_legendre
+from scipy.special import j0, jv, roots_legendre
 
 from . import spectrum
 from .materials import FREE_SPACE_IMPEDANCE
@@ -43,6 +56,10 @@ _PANEL = 64  # nodes per Gauss-Legendre panel; spectral for ~10 periods/panel
 _TAIL_CUTOFF = 36.0  # e^{-36} ~ 2e-16: truncation point of the decaying tail
 _BESSEL_BLOCK_SCALARS = 1 << 17  # Bessel factors per (node block x lags) matrix
 _CACHED_PANELS = 128  # longest rule, in panels, kept for reuse across calls
+_LEG_PHASE = 52.0  # kappa1 R sin^2(a0 - specular angle): a leg of about one panel
+_JV_COST = 15  # one complex-argument jv(0, .) costs about 15 real j0 evaluations
+_LEG_GROWTH = 600.0  # largest |Im(k_rho rho)| on the leg; complex jv overflows near 700
+_PANEL_DECAY = 12.0  # a panel on [0, 36] resolves e^{-rate u} up to about this rate
 
 
 class UnderResolvedWarning(UserWarning):
@@ -106,39 +123,40 @@ def _base_panel() -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_blocks(panels: int, hi: float,
-                  step: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Composite Gauss-Legendre nodes/weights with ``panels`` equal panels
-    on [0, hi], ``step`` panels at a time."""
+def _panel_blocks(panels: int, hi: float, step: int,
+                  first: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Composite Gauss-Legendre nodes/weights on the first ``first`` of
+    ``panels`` equal panels on [0, hi], ``step`` panels at a time."""
     x, w = _base_panel()
     edges = np.linspace(0.0, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    for start in range(0, panels, step):
-        h = half[start:start + step, None]
-        yield (mid[start:start + step, None] + h * x).ravel(), (h * w).ravel()
+    for start in range(0, first, step):
+        stop = min(start + step, first)
+        h = half[start:stop, None]
+        yield (mid[start:stop, None] + h * x).ravel(), (h * w).ravel()
 
 
 @lru_cache(maxsize=2 * _CACHED_PANELS)
-def _short_rule(panels: int, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """A whole rule of at most ``_CACHED_PANELS`` panels.  With the two
-    intervals in use the cache holds every such rule, each at most
-    128 KiB of nodes and weights."""
-    return next(_panel_blocks(panels, hi, panels))
+def _short_rule(panels: int, hi: float, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``first`` <= ``_CACHED_PANELS`` panels of a rule, each
+    entry at most 128 KiB of nodes and weights."""
+    return next(_panel_blocks(panels, hi, first, first))
 
 
-def _composite_blocks(n_nodes: int, hi: float,
-                      block_nodes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _composite_blocks(n_nodes: int, hi: float, block_nodes: int,
+                      first: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Composite Gauss-Legendre nodes/weights on [0, hi] with the panels
-    ``n_nodes`` asks for, in blocks of whole panels holding at most
-    ``block_nodes`` nodes (at least one panel).  Short one-block rules,
-    the branch-cut rule above all, recur across calls and are cached;
+    ``n_nodes`` asks for, or on the first ``first`` of them, in blocks of
+    whole panels holding at most ``block_nodes`` nodes (at least one
+    panel).  Short one-block rules recur across calls and are cached;
     longer ones are built block by block and never held."""
     panels = _panels_for(n_nodes)
+    first = panels if first is None else first
     step = max(1, block_nodes // _PANEL)
-    if panels <= min(step, _CACHED_PANELS):
-        return iter((_short_rule(panels, hi),))
-    return _panel_blocks(panels, hi, step)
+    if first <= min(step, _CACHED_PANELS):
+        return iter((_short_rule(panels, hi, first),))
+    return _panel_blocks(panels, hi, step, first)
 
 
 def _panels_for(n_nodes: int) -> int:
@@ -230,77 +248,158 @@ def _material_batch(scene: SceneConfig | Sequence[SceneConfig]) -> list[SceneCon
     return scenes
 
 
-def _disk_rule(scenes: list[SceneConfig], component: FieldComponent, n_alpha: int,
-               block_nodes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Transverse wavenumbers and (node x scene) coefficients of the
-    propagating-disk rule, block by block.
+@dataclass(frozen=True)
+class _Path:
+    """A synthesis path: the first ``panels`` panels of the disk rule, on
+    the real segment [0, angle], then the leg a = angle - i*b.  At
+    ``angle`` = pi/2 it is the straight path: the whole disk, then the
+    branch cut."""
 
-    Coefficients carry the 1/(2 pi) of the Bessel reduction, here and in
-    :func:`_tail_rule`, so a lag costs a single dot product."""
-    for alpha, w_alpha in _composite_blocks(n_alpha, 0.5 * math.pi, block_nodes):
-        yield _disk_terms(scenes, component, alpha, w_alpha)
+    panels: int
+    angle: float
+    depth: float  # z sin(a0) - rho_b cos(a0): decay scale of the leg
+    leg_nodes: int
 
-
-def _disk_terms(scenes: list[SceneConfig], component: FieldComponent,
-                alpha: np.ndarray, w_alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One block of :func:`_disk_rule`, at polar angles ``alpha``."""
-    kappa1 = scenes[0].medium.kappa1
-    scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
-    sin_a = np.sin(alpha)
-    k1z = kappa1 * np.cos(alpha)
-    coeffs = np.stack([spectrum.propagating_factor(scene, component, k1z)
-                       for scene in scenes], axis=1)
-    coeffs *= (w_alpha * scale * kappa1 * sin_a)[:, None]
-    return kappa1 * sin_a, coeffs
+    @property
+    def straight(self) -> bool:
+        return self.angle == 0.5 * math.pi
 
 
-def _tail_rule(scenes: list[SceneConfig], component: FieldComponent, max_lag: float,
-               block_nodes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Transverse wavenumbers and (node x scene) coefficients of the
-    branch-cut rule, resolved for transverse lags up to ``max_lag``, block
-    by block."""
+def _cos_sin(angle: float) -> tuple[float, float]:
+    """cos and sin of a polar angle, exact at pi/2."""
+    return (0.0, 1.0) if angle == 0.5 * math.pi else (math.cos(angle), math.sin(angle))
+
+
+def _leg_path(panels: int, angle: float, z_decay: float, span: float, rho_b: float,
+              kappa1: float) -> _Path:
+    """The path leaving the real axis at ``angle``, its leg sized for lags
+    up to ``rho_b``.  The leg decays like e^{-u}, u = kappa1 depth sinh(b),
+    and oscillates through the phases kappa1 (span cos a0 + rho_b sin a0)
+    (cosh b - 1); J0's decaying half falls off faster, like e^{-rate u}."""
+    cos_a, sin_a = _cos_sin(angle)
+    depth = z_decay * sin_a - rho_b * cos_a
+    sinh_max = _TAIL_CUTOFF / (kappa1 * depth)
+    cosh_less_one = sinh_max * sinh_max / (1.0 + math.sqrt(1.0 + sinh_max * sinh_max))
+    swing = kappa1 * cosh_less_one * (span * cos_a + rho_b * sin_a)
+    rate = (z_decay * sin_a + rho_b * cos_a) / depth
+    leg_nodes = max(48 + math.ceil(8.0 * swing / (2.0 * math.pi)),
+                    math.ceil(_PANEL * rate / _PANEL_DECAY))
+    return _Path(panels, angle, depth, leg_nodes)
+
+
+def _path(scenes: list[SceneConfig], component: FieldComponent, spec: QuadratureSpec,
+          max_rho: float, bend: bool = True) -> _Path:
+    """The synthesis path for lags up to ``max_rho``.
+
+    The leg is sized for rho_b, the larger of the largest lag and the
+    largest lag ``spec`` resolves, so resolved calls take the same path
+    whichever lags share them.  The bend lies delta = asin(sqrt(52 /
+    (kappa1 R))) past the specular angle atan(rho_b / z), R = hypot(z,
+    rho_b), rounded up to an edge of the disk rule's panels: there the
+    leg's phase swing, about 648 / 52 radians, fits one panel.  It lies
+    far enough past the specular angle that J0 grows by at most e^600 on
+    the leg, below the overflow of its complex evaluation.  The bend is
+    taken only when the real nodes it saves outweigh the leg's complex
+    Bessel evaluations; ``bend=False`` forces the straight path."""
     kappa1 = scenes[0].medium.kappa1
     z_decay = spectrum.decay_distance(scenes[0], component)
-    gamma_max = _TAIL_CUTOFF / z_decay
-    krho_max = math.hypot(kappa1, gamma_max)
-    # The integrand decays like e^{-gamma z_decay} and oscillates through the
-    # Bessel factor; budget nodes for both.
-    periods = max_lag * (krho_max - kappa1) / (2.0 * math.pi)
-    n_tail = 48 + int(math.ceil(8.0 * periods))
-    for u, w_u in _composite_blocks(n_tail, _TAIL_CUTOFF, block_nodes):
-        yield _tail_terms(scenes, component, z_decay, u, w_u)
+    span = max(spectrum.oscillation_span(scene, component) for scene in scenes)
+    rho_b = max(max_rho, 2.0 * math.pi * spec.n_alpha / (OVERSAMPLING * kappa1) - span)
+    panels = _panels_for(spec.n_alpha)
+    straight = _leg_path(panels, 0.5 * math.pi, z_decay, span, rho_b, kappa1)
+    sin_sq = _LEG_PHASE / (kappa1 * math.hypot(z_decay, rho_b))
+    if not bend or sin_sq >= 1.0:
+        return straight
+    a0 = max(math.atan2(rho_b, z_decay) + math.asin(math.sqrt(sin_sq)),
+             math.atan2(rho_b * (1.0 + _TAIL_CUTOFF / _LEG_GROWTH), z_decay))
+    first = math.ceil(a0 / (0.5 * math.pi) * panels)
+    if first >= panels:
+        return straight
+    angle = first * (0.5 * math.pi / panels)  # the panel edge, as np.linspace places it
+    bent = _leg_path(first, angle, z_decay, span, rho_b, kappa1)
+    bent_cost = first * _PANEL + _JV_COST * _nodes_used(bent.leg_nodes)
+    return bent if bent_cost < panels * _PANEL + _nodes_used(straight.leg_nodes) else straight
 
 
-def _tail_terms(scenes: list[SceneConfig], component: FieldComponent, z_decay: float,
-                u: np.ndarray, w_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One block of :func:`_tail_rule`, at scaled decay rates ``u``."""
+def _terms(scenes: list[SceneConfig], component: FieldComponent, k1z: np.ndarray,
+           krho: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transverse wavenumbers and (node x scene) coefficients of one block
+    of nodes at longitudinal wavenumbers ``k1z``.  ``weight`` holds the
+    quadrature weight, the path's Jacobian and the 1/(2 pi) of the Bessel
+    reduction, so a lag costs a single dot product."""
+    coeffs = np.stack([spectrum.propagating_factor(scene, component, k1z)
+                       for scene in scenes], axis=1)
+    coeffs *= weight[:, None]
+    return krho, coeffs
+
+
+def _disk_rule(scenes: list[SceneConfig], component: FieldComponent, n_alpha: int,
+               block_nodes: int,
+               panels: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The real segment, block by block: the disk rule of ``n_alpha``
+    nodes on [0, pi/2], or its first ``panels`` panels."""
     kappa1 = scenes[0].medium.kappa1
     scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
-    gamma = u / z_decay
-    coeffs = np.stack([spectrum.evanescent_factor(scene, component, gamma)
-                       for scene in scenes], axis=1)
-    coeffs *= ((w_u / z_decay) * scale * (-1j))[:, None]
-    return np.hypot(kappa1, gamma), coeffs
+    for alpha, w_alpha in _composite_blocks(n_alpha, 0.5 * math.pi, block_nodes, panels):
+        sin_a = np.sin(alpha)
+        yield _terms(scenes, component, kappa1 * np.cos(alpha), kappa1 * sin_a,
+                     w_alpha * scale * kappa1 * sin_a)
+
+
+def _leg_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
+              block_nodes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The leg a = a0 - i*b, in the decay variable u = kappa1 depth
+    sinh(b) on [0, 36], block by block.  On the straight path it is the
+    branch cut, where k1z = i*gamma and k_rho stays real; below pi/2 both
+    are complex."""
+    kappa1 = scenes[0].medium.kappa1
+    scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+    cos_a, sin_a = _cos_sin(path.angle)
+    for u, w_u in _composite_blocks(path.leg_nodes, _TAIL_CUTOFF, block_nodes):
+        sinh_b = u / (kappa1 * path.depth)
+        cosh_b = np.sqrt(1.0 + sinh_b * sinh_b)
+        k1z = kappa1 * (cos_a * cosh_b + 1j * sin_a * sinh_b)
+        krho = kappa1 * sin_a * cosh_b
+        if not path.straight:
+            krho = krho - 1j * kappa1 * cos_a * sinh_b
+        # kappa1 sin(a) da with da = -i db = -i du / (kappa1 depth cosh b)
+        weight = (w_u / (kappa1 * path.depth * cosh_b)) * scale * (-1j) * krho
+        yield _terms(scenes, component, k1z, krho, weight)
+
+
+def _path_rules(scenes: list[SceneConfig], component: FieldComponent, spec: QuadratureSpec,
+                max_rho: float, block_nodes: int, include_evanescent_tail: bool,
+                bend: bool = True) -> list[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The rules along the synthesis path of :func:`_path` for lags up to
+    ``max_rho``: the real segment, then the leg.  Without the completion,
+    only the whole disk."""
+    if not include_evanescent_tail:
+        return [_disk_rule(scenes, component, spec.n_alpha, block_nodes)]
+    path = _path(scenes, component, spec, max_rho, bend)
+    return [_disk_rule(scenes, component, spec.n_alpha, block_nodes, path.panels),
+            _leg_rule(scenes, component, path, block_nodes)]
 
 
 def _bessel_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
                 rho: np.ndarray) -> np.ndarray:
     """sum_i coeff_ik J0(krho_i rho_j) for every lag j and scene k, as a
     (lag x scene) array: each node block's Bessel matrix is evaluated once
-    for all scenes.  The Bessel matrix is real, so it multiplies the real
-    and imaginary parts of the coefficients as one real matrix product."""
-    return sum((j0(rho[:, None] * krho) @ coeffs.view(float)).view(complex)
+    for all scenes.  A real Bessel matrix multiplies the real and imaginary
+    parts of the coefficients as one real matrix product; the bent leg's
+    complex wavenumbers go through ``jv``."""
+    return sum((jv(0, rho[:, None] * krho) @ coeffs) if np.iscomplexobj(krho)
+               else (j0(rho[:, None] * krho) @ coeffs.view(float)).view(complex)
                for krho, coeffs in blocks)
 
 
 def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
                           lags: list[SpatialLag], spec: QuadratureSpec,
-                          include_evanescent_tail: bool) -> np.ndarray:
+                          include_evanescent_tail: bool, bend: bool = True) -> np.ndarray:
     """Every lag of every scene on the scenes' shared planes, as a
-    (scene x lag) array; the branch-cut rule is sized for the largest lag.
-    Node blocks hold at most ``_BESSEL_BLOCK_SCALARS`` Bessel factors (but
-    at least one panel), so no full-length per-scene coefficient vector is
-    ever built."""
+    (scene x lag) array, along the path of :func:`_path_rules`.  Node
+    blocks hold at most ``_BESSEL_BLOCK_SCALARS`` Bessel factors (but at
+    least one panel), so no full-length per-scene coefficient vector is
+    ever built.  ``bend=False`` forces the straight path."""
     rho = np.array([lag.transverse for lag in lags])
     max_rho = float(rho.max())
     needed = max(_plane_budget(scene, component, max_rho).n_alpha for scene in scenes)
@@ -313,10 +412,9 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
             stacklevel=3,
         )
     block_nodes = max(_PANEL, _BESSEL_BLOCK_SCALARS // rho.size)
-    value = _bessel_sum(_disk_rule(scenes, component, spec.n_alpha, block_nodes), rho)
-    if include_evanescent_tail:
-        value += _bessel_sum(_tail_rule(scenes, component, max_rho, block_nodes), rho)
-    return value.T
+    rules = _path_rules(scenes, component, spec, max_rho, block_nodes,
+                        include_evanescent_tail, bend)
+    return sum(_bessel_sum(rule, rho) for rule in rules).T
 
 
 def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: FieldComponent,
@@ -339,17 +437,23 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         Transverse receiver-minus-source offsets, with optional plane
         overrides: one :class:`SpatialLag` or a sequence of them (a lag
         axis, in the same order).  One scene and one lag return a complex.
-        Lags on the same pair of planes share one set of nodes and
-        coefficients; the branch-cut rule is sized for the largest
-        transverse lag of the pair.
+        Lags on the same pair of planes share one synthesis path, one set
+        of nodes and one coefficient vector.  Where the polar-angle
+        segment is electrically long, the path leaves the real axis a
+        little past the specular angle of the largest lag the node count
+        resolves (or of the largest lag of the pair, if larger) and
+        descends on a short leg of complex angles; otherwise it runs the
+        whole disk and the branch cut, sized for the largest lag.
     spec:
-        Node count for the disk rule; counts below the oscillation budget
-        of any scene trigger :class:`UnderResolvedWarning` but still
-        evaluate.
+        Node count of the disk rule over [0, pi/2]: it fixes the node
+        spacing, also on the real segment of a bent path.  Counts below
+        the oscillation budget of any scene trigger
+        :class:`UnderResolvedWarning` but still evaluate.
     include_evanescent_tail:
-        When True (default) the branch-cut completion is added so the
-        synthesis converges to the physical field; when False the raw
-        disk-limited integral is returned.
+        When True (default) the path is completed off the real axis, by
+        the bent leg or the branch cut, so the synthesis converges to the
+        physical field; when False the raw integral over the whole disk is
+        returned.
     """
     scenes = _material_batch(scene)
     lags = [lag] if isinstance(lag, SpatialLag) else list(lag)
@@ -373,7 +477,10 @@ def convergence_study(scene: SceneConfig, component: FieldComponent,
     """Double the disk-rule nodes until the value settles.
 
     Starts a factor of four below the oscillation budget so the trace shows
-    the under-resolved regime, then the spectral collapse.  Stops once the
+    the under-resolved regime, then the spectral collapse; a bent path can
+    be resolved already at the start.  Each doubling also raises the
+    largest lag the count resolves, which moves the bend toward pi/2 and
+    eventually straightens the path.  Stops once the
     successive relative change drops below ``rel_tol`` or the next doubling
     would exceed ``max_nodes`` (flagged via ``converged=False``).  The
     starting count is always evaluated, so the trace has at least one row

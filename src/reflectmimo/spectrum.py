@@ -18,8 +18,7 @@ import numpy as np
 from .materials import (
     FREE_SPACE_IMPEDANCE,
     Medium,
-    _reflection_continued,
-    _transmission_continued,
+    far_side_kz,
     reflection_from_kz,
     transmission_from_kz,
 )
@@ -130,20 +129,16 @@ def validate_component(scene: SceneConfig, component: FieldComponent) -> None:
         raise SceneError([msg])
 
 
-def _kz_pair(scene: SceneConfig, k1z):
-    """Far-side longitudinal wavenumber matching real in-disk k1z samples."""
-    medium = scene.medium
-    if medium.material.is_conductor:
-        return None
-    k2z_sq = medium.kappa2 ** 2 - medium.kappa1 ** 2 + np.asarray(k1z) ** 2
-    return np.sqrt(np.maximum(k2z_sq, 0.0))
-
-
 def propagating_factor(scene: SceneConfig, component: FieldComponent, k1z):
-    """Phase/coefficient product of the response at real k1z samples.
+    """Phase/coefficient product of the response at k1z samples.
 
     This is the full wavenumber response divided by the common prefactor
     (kappa1 eta1 / 2) / k1z, which the quadrature cancels analytically.
+    Real samples lie in the propagating disk.  Complex samples continue
+    the response analytically, with the far-side root Im k2z >= 0 (see
+    :func:`~reflectmimo.materials.far_side_kz`): on the branch cut
+    k1z = i*gamma and on the bent synthesis path every term decays for
+    valid geometry.
     """
     medium = scene.medium
     mat = medium.material
@@ -151,13 +146,12 @@ def propagating_factor(scene: SceneConfig, component: FieldComponent, k1z):
     k1z = np.asarray(k1z)
     if component is FieldComponent.LOS_ONLY:
         return np.exp(1j * k1z * (r_z - s_z))
+    k2z = far_side_kz(medium, k1z)
     if component is FieldComponent.TRANSMISSION:
-        k2z = _kz_pair(scene, k1z)
         if mat.is_conductor:
             return np.zeros(k1z.shape, dtype=complex)
         t = transmission_from_kz(mat, k1z, k2z)
         return t * np.exp(1j * (k1z * (d1 - s_z) + k2z * (r_z - d1)))
-    k2z = _kz_pair(scene, k1z)
     refl = reflection_from_kz(mat, k1z, k2z)
     reflected = refl * np.exp(-1j * k1z * (r_z + s_z - 2.0 * d1))
     if component is FieldComponent.REFLECTION_ONLY:
@@ -166,36 +160,6 @@ def propagating_factor(scene: SceneConfig, component: FieldComponent, k1z):
         return np.exp(1j * k1z * (r_z - s_z)) + reflected
     if component is FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION:
         return np.exp(-1j * k1z * (r_z - s_z)) + reflected
-    msg = f"unsupported component {component!r}"
-    raise ValueError(msg)
-
-
-def evanescent_factor(scene: SceneConfig, component: FieldComponent, gamma):
-    """Analytic continuation of :func:`propagating_factor` to k1z = i*gamma.
-
-    Every term decays exponentially in gamma for valid geometry, which is
-    what makes the branch-cut completion of the synthesis integrable.
-    """
-    medium = scene.medium
-    s_z, r_z, d1 = scene.source_z, scene.receiver_z, scene.surface_z
-    gamma = np.asarray(gamma, dtype=float)
-    if component is FieldComponent.LOS_ONLY:
-        return np.exp(-gamma * (r_z - s_z)) + 0.0j
-    if component is FieldComponent.TRANSMISSION:
-        if medium.material.is_conductor:
-            return np.zeros(gamma.shape, dtype=complex)
-        t = _transmission_continued(medium, gamma)
-        k2z_sq = medium.kappa2 ** 2 - medium.kappa1 ** 2 - gamma * gamma
-        k2z = np.sqrt(k2z_sq.astype(complex))
-        return t * np.exp(-gamma * (d1 - s_z)) * np.exp(1j * k2z * (r_z - d1))
-    refl = _reflection_continued(medium, gamma)
-    reflected = refl * np.exp(gamma * (r_z + s_z - 2.0 * d1))
-    if component is FieldComponent.REFLECTION_ONLY:
-        return reflected
-    if component is FieldComponent.LOS_PLUS_REFLECTION:
-        return np.exp(-gamma * (r_z - s_z)) + reflected
-    if component is FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION:
-        return np.exp(gamma * (r_z - s_z)) + reflected
     msg = f"unsupported component {component!r}"
     raise ValueError(msg)
 
@@ -221,7 +185,8 @@ def oscillation_span(scene: SceneConfig, component: FieldComponent) -> float:
 
 
 def decay_distance(scene: SceneConfig, component: FieldComponent) -> float:
-    """Slowest exponential decay scale of the branch-cut continuation."""
+    """Slowest exponential decay scale z of the continued response: every
+    term of :func:`propagating_factor` decays at least like e^{-z Im k1z}."""
     s_z, r_z, d1 = scene.source_z, scene.receiver_z, scene.surface_z
     if component is FieldComponent.LOS_ONLY:
         return r_z - s_z

