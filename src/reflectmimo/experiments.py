@@ -70,9 +70,9 @@ class ResultSet:
 
 
 class _Context:
-    """Per-run caches: channel matrices and reference scales are keyed by
-    material and spacing so SNR sweeps reuse work across grid points, and
-    all materials at one spacing share one synthesis."""
+    """Per-run caches: channel matrices and their eigenvalue spectra are
+    keyed by material and spacing so SNR sweeps reuse work across grid
+    points, and all materials at one spacing share one synthesis."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         config.validate()
@@ -81,7 +81,7 @@ class _Context:
         self.wavelength = self.vacuum_medium.wavelength
         self.node_counts: dict[str, int] = {}
         self._channels: dict[tuple[str, int], ChannelMatrix] = {}
-        self._los_scales: dict[int, float] = {}
+        self._spectra: dict[tuple[str, int, str], EigenSpectrum] = {}
 
     def scene(self, material: Material) -> SceneConfig:
         return SceneConfig(
@@ -116,20 +116,21 @@ class _Context:
                     self._channels[(name, spacing_key)] = channel
         return self._channels[key]
 
-    def los_scale(self, spacing: float) -> float:
-        key = round(spacing / 1e-15)
-        if key not in self._los_scales:
-            spectrum = eigen_spectrum(self.channel("los", spacing), SELF_SUM)
-            self._los_scales[key] = spectrum.scale
-        return self._los_scales[key]
+    def spectrum(self, material_name: str, spacing: float,
+                 normalization: str = SELF_SUM) -> EigenSpectrum:
+        """The channel's eigenvalue spectrum, one eigensolve per channel
+        and normalization; ``relative`` takes the LOS self-sum scale."""
+        key = (material_name, round(spacing / 1e-15), normalization)
+        if key not in self._spectra:
+            scale = self.spectrum("los", spacing).scale if normalization == RELATIVE else None
+            self._spectra[key] = eigen_spectrum(
+                self.channel(material_name, spacing), normalization, reference_scale=scale,
+            )
+        return self._spectra[key]
 
     def reflected_spectrum(self, material_name: str, spacing: float) -> EigenSpectrum:
-        channel = self.channel(material_name, spacing)
-        if self.config.normalization == "RelativeToLOS":
-            return eigen_spectrum(
-                channel, RELATIVE, reference_scale=self.los_scale(spacing),
-            )
-        return eigen_spectrum(channel, SELF_SUM)
+        relative = self.config.normalization == "RelativeToLOS"
+        return self.spectrum(material_name, spacing, RELATIVE if relative else SELF_SUM)
 
     def record_nodes(self, label: str, spec: QuadratureSpec) -> None:
         """Keep the largest ``n_alpha`` used under ``label``."""
@@ -167,9 +168,8 @@ def _db(value: float) -> float:
 def _eigen_table(context: _Context, los_rule: str, reflected_rule: str) -> ResultTable:
     rows: list[tuple] = []
     d_los = _spacing_of(context, los_rule, None)
-    channel = context.channel("los", d_los)
-    context.record_nodes(f"los@{los_rule}", channel.spec)
-    spectrum = eigen_spectrum(channel, SELF_SUM)
+    context.record_nodes(f"los@{los_rule}", context.channel("los", d_los).spec)
+    spectrum = context.spectrum("los", d_los)
     for index, value in enumerate(spectrum.values, start=1):
         rows.append(("los", los_rule, index, float(value), _db(float(value))))
     d_ref = _spacing_of(context, reflected_rule, None)
@@ -193,9 +193,8 @@ def _capacity_table(context: _Context, los_rule: str, reflected_rule: str) -> Re
     for snr_db in cfg.snr_grid_db:
         snr = 10.0 ** (snr_db / 10.0)
         d = _spacing_of(context, los_rule, snr)
-        channel = context.channel("los", d)
-        context.record_nodes(f"los@{los_rule}", channel.spec)
-        capacity = _capacity_of(eigen_spectrum(channel, SELF_SUM), snr)
+        context.record_nodes(f"los@{los_rule}", context.channel("los", d).spec)
+        capacity = _capacity_of(context.spectrum("los", d), snr)
         rows.append(("los", los_rule, snr_db, capacity))
     for name in cfg.materials:
         for snr_db in cfg.snr_grid_db:

@@ -108,8 +108,7 @@ class EigenSpectrum:
 
 def build_channel_matrix(scene: SceneConfig, tx: ArrayLayout, rx: ArrayLayout,
                          component: FieldComponent,
-                         spec: QuadratureSpec | None = None, *,
-                         include_evanescent_tail: bool = True) -> ChannelMatrix:
+                         spec: QuadratureSpec | None = None) -> ChannelMatrix:
     """Sample the impulse response at every transmit/receive antenna pair.
 
     With ``spec=None`` node counts are sized automatically from the largest
@@ -117,13 +116,12 @@ def build_channel_matrix(scene: SceneConfig, tx: ArrayLayout, rx: ArrayLayout,
     still evaluates, but the matrix is flagged and a single
     :class:`UnderResolvedWarning` is emitted for the whole assembly.
     """
-    return _assemble([scene], tx, rx, component, spec, include_evanescent_tail)[0]
+    return _assemble([scene], tx, rx, component, spec)[0]
 
 
 def build_channel_matrices(scenes: Sequence[SceneConfig], tx: ArrayLayout,
                            rx: ArrayLayout, component: FieldComponent,
-                           spec: QuadratureSpec | None = None, *,
-                           include_evanescent_tail: bool = True) -> list[ChannelMatrix]:
+                           spec: QuadratureSpec | None = None) -> list[ChannelMatrix]:
     """One channel matrix per scene, from a single synthesis.
 
     The scenes may differ only in their surface material, so every matrix
@@ -131,12 +129,11 @@ def build_channel_matrices(scenes: Sequence[SceneConfig], tx: ArrayLayout,
     coefficients differ.  Node counts and the under-resolution flag follow
     :func:`build_channel_matrix`, taken over all scenes.
     """
-    return _assemble(scenes, tx, rx, component, spec, include_evanescent_tail)
+    return _assemble(scenes, tx, rx, component, spec)
 
 
 def _assemble(scenes: Sequence[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
-              component: FieldComponent, spec: QuadratureSpec | None,
-              include_evanescent_tail: bool) -> list[ChannelMatrix]:
+              component: FieldComponent, spec: QuadratureSpec | None) -> list[ChannelMatrix]:
     scenes = _material_batch(scenes)
     tx_pos = tx.positions
     rx_pos = rx.positions
@@ -147,8 +144,7 @@ def _assemble(scenes: Sequence[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
         np.broadcast_to(tx_pos[None, :, 2], shape),
         np.hypot(delta[..., 0], delta[..., 1]),
     ], axis=-1).reshape(-1, 3)
-    keys = np.rint(samples / _LAG_QUANTUM).astype(np.int64)
-    _, first, index_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    first, index_of = _distinct_samples(np.rint(samples / _LAG_QUANTUM).astype(np.int64))
     lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z)
             for r_z, s_z, rho in samples[first].tolist()]
 
@@ -161,10 +157,7 @@ def _assemble(scenes: Sequence[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
-        values = synthesize_impulse(
-            scenes, component, lags, spec,
-            include_evanescent_tail=include_evanescent_tail,
-        )
+        values = synthesize_impulse(scenes, component, lags, spec)
 
     if not np.all(np.isfinite(values)):
         raise RuntimeError("channel matrix contains non-finite entries")
@@ -183,6 +176,26 @@ def _assemble(scenes: Sequence[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
         )
         for scene, row in zip(scenes, values)
     ]
+
+
+def _distinct_samples(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrence of each distinct (receiver_z, source_z, rho) key row,
+    in sorted order, and each row's position among them: ``np.unique(keys,
+    axis=0)`` without its row-wise sort.  Rows are grouped by pair of
+    planes (few groups), then each group's rho keys are made unique."""
+    receiver_of = np.unique(keys[:, 0], return_inverse=True)[1]
+    source_of = np.unique(keys[:, 1], return_inverse=True)[1]
+    group = receiver_of * (int(source_of.max()) + 1) + source_of
+    order = np.argsort(group, kind="stable")
+    first: list[np.ndarray] = []
+    index_of = np.empty(len(keys), dtype=np.intp)
+    found = 0
+    for members in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        _, at, inverse = np.unique(keys[members, 2], return_index=True, return_inverse=True)
+        first.append(members[at])
+        index_of[members] = found + inverse
+        found += len(at)
+    return np.concatenate(first), index_of
 
 
 def _entries_of(channel: ChannelMatrix | np.ndarray) -> np.ndarray:

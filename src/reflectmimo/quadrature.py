@@ -20,12 +20,16 @@ instead at a panel edge a0 just past the specular angle atan(lag / z) and
 descends along a = a0 - i*b; the branch cut is the same leg at a0 = pi/2.
 There the spectral factor decays like e^{-z Im kappa_1z} faster than J0
 grows with Im k_rho, so the leg is short and smooth.  The integrand is
-analytic between the two paths, so both give the same value; the bent one
-costs the nodes of [0, a0] plus a panel or a few, nearly independent of
-electrical size.  The bend is taken only when the real nodes it saves
-outweigh the leg's complex Bessel evaluations, and depends only on the
-planes, the component and the node count.  Without the completion (the raw
-disk-limited value) the path stays on the real segment.
+analytic between the two paths, so both give the same value.  The bent
+one samples [0, a0] at that segment's own largest phase rate, kappa1 (span
+sin a0 + lag), rather than the disk's kappa1 (span + lag), and adds a
+panel or a few on the leg, nearly independent of electrical size.  With
+so few nodes each term's phase k1z L is formed as kappa1 L, carried
+exactly once per term, minus delta L with delta = kappa1 - k1z taken from
+the polar angle, so the nodes do not inherit the round-off of the large
+phase.  The bend is taken only when the real nodes it saves outweigh the
+leg's complex Bessel evaluations, and depends only on the planes, the
+component and the node count.
 
 The surface material enters only through the Fresnel coefficient inside the
 spectral coefficients: scenes that differ only in their material share the
@@ -250,10 +254,9 @@ def _material_batch(scene: SceneConfig | Sequence[SceneConfig]) -> list[SceneCon
 
 @dataclass(frozen=True)
 class _Path:
-    """A synthesis path: the first ``panels`` panels of the disk rule, on
-    the real segment [0, angle], then the leg a = angle - i*b.  At
-    ``angle`` = pi/2 it is the straight path: the whole disk, then the
-    branch cut."""
+    """A synthesis path: ``panels`` Gauss-Legendre panels on the real
+    segment [0, angle], then the leg a = angle - i*b.  At ``angle`` = pi/2
+    it is the straight path: the whole disk rule, then the branch cut."""
 
     panels: int
     angle: float
@@ -288,7 +291,7 @@ def _leg_path(panels: int, angle: float, z_decay: float, span: float, rho_b: flo
 
 
 def _path(scenes: list[SceneConfig], component: FieldComponent, spec: QuadratureSpec,
-          max_rho: float, bend: bool = True) -> _Path:
+          max_rho: float, *, bend: bool = True) -> _Path:
     """The synthesis path for lags up to ``max_rho``.
 
     The leg is sized for rho_b, the larger of the largest lag and the
@@ -298,9 +301,17 @@ def _path(scenes: list[SceneConfig], component: FieldComponent, spec: Quadrature
     rho_b), rounded up to an edge of the disk rule's panels: there the
     leg's phase swing, about 648 / 52 radians, fits one panel.  It lies
     far enough past the specular angle that J0 grows by at most e^600 on
-    the leg, below the overflow of its complex evaluation.  The bend is
-    taken only when the real nodes it saves outweigh the leg's complex
-    Bessel evaluations; ``bend=False`` forces the straight path."""
+    the leg, below the overflow of its complex evaluation.
+
+    The real segment [0, a0] gets its own panels, sized like the disk rule
+    but for the segment's largest phase rate, kappa1 (span sin a0 +
+    rho_b), in place of the disk's kappa1 (span + rho_b): ``spec.n_alpha``
+    a0 (span sin a0 + rho_b) / (span + rho_b) nodes, rounded up to whole
+    panels, so ``spec`` still scales every count.  Where rho_b is
+    comparable to the span, that count exceeds the disk rule's own panels
+    on [0, a0], which are taken instead.  The bend is taken only
+    when the real nodes it saves outweigh the leg's complex Bessel
+    evaluations; ``bend=False`` forces the straight path."""
     kappa1 = scenes[0].medium.kappa1
     z_decay = spectrum.decay_distance(scenes[0], component)
     span = max(spectrum.oscillation_span(scene, component) for scene in scenes)
@@ -315,35 +326,40 @@ def _path(scenes: list[SceneConfig], component: FieldComponent, spec: Quadrature
     first = math.ceil(a0 / (0.5 * math.pi) * panels)
     if first >= panels:
         return straight
-    angle = first * (0.5 * math.pi / panels)  # the panel edge, as np.linspace places it
-    bent = _leg_path(first, angle, z_decay, span, rho_b, kappa1)
-    bent_cost = first * _PANEL + _JV_COST * _nodes_used(bent.leg_nodes)
+    angle = first * (0.5 * math.pi / panels)  # on the disk rule's grid, so short rules recur
+    share = (span * math.sin(angle) + rho_b) / (span + rho_b)
+    segment = min(first, _panels_for(math.ceil(spec.n_alpha * angle * share)))
+    bent = _leg_path(segment, angle, z_decay, span, rho_b, kappa1)
+    bent_cost = bent.panels * _PANEL + _JV_COST * _nodes_used(bent.leg_nodes)
     return bent if bent_cost < panels * _PANEL + _nodes_used(straight.leg_nodes) else straight
 
 
 def _terms(scenes: list[SceneConfig], component: FieldComponent, k1z: np.ndarray,
-           krho: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+           krho: np.ndarray, weight: np.ndarray,
+           angle: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Transverse wavenumbers and (node x scene) coefficients of one block
-    of nodes at longitudinal wavenumbers ``k1z``.  ``weight`` holds the
-    quadrature weight, the path's Jacobian and the 1/(2 pi) of the Bessel
-    reduction, so a lag costs a single dot product."""
-    coeffs = np.stack([spectrum.propagating_factor(scene, component, k1z)
+    of nodes at longitudinal wavenumbers ``k1z``, with the polar angles
+    ``angle`` where each term's phase is to be carried exactly (see
+    :func:`spectrum.propagating_factor`).  ``weight`` holds the quadrature
+    weight, the path's Jacobian and the 1/(2 pi) of the Bessel reduction,
+    so a lag costs a single dot product."""
+    coeffs = np.stack([spectrum.propagating_factor(scene, component, k1z, angle)
                        for scene in scenes], axis=1)
     coeffs *= weight[:, None]
     return krho, coeffs
 
 
-def _disk_rule(scenes: list[SceneConfig], component: FieldComponent, n_alpha: int,
-               block_nodes: int,
-               panels: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The real segment, block by block: the disk rule of ``n_alpha``
-    nodes on [0, pi/2], or its first ``panels`` panels."""
+def _disk_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
+               block_nodes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The real segment [0, a0] of the path, block by block: the whole
+    disk rule on the straight path, the segment's own panels on a bent
+    one, where each term's phase is carried exactly."""
     kappa1 = scenes[0].medium.kappa1
     scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
-    for alpha, w_alpha in _composite_blocks(n_alpha, 0.5 * math.pi, block_nodes, panels):
+    for alpha, w_alpha in _composite_blocks(path.panels * _PANEL, path.angle, block_nodes):
         sin_a = np.sin(alpha)
         yield _terms(scenes, component, kappa1 * np.cos(alpha), kappa1 * sin_a,
-                     w_alpha * scale * kappa1 * sin_a)
+                     w_alpha * scale * kappa1 * sin_a, None if path.straight else alpha)
 
 
 def _leg_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
@@ -351,7 +367,7 @@ def _leg_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
     """The leg a = a0 - i*b, in the decay variable u = kappa1 depth
     sinh(b) on [0, 36], block by block.  On the straight path it is the
     branch cut, where k1z = i*gamma and k_rho stays real; below pi/2 both
-    are complex."""
+    are complex and each term's phase is carried exactly."""
     kappa1 = scenes[0].medium.kappa1
     scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
     cos_a, sin_a = _cos_sin(path.angle)
@@ -360,23 +376,22 @@ def _leg_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
         cosh_b = np.sqrt(1.0 + sinh_b * sinh_b)
         k1z = kappa1 * (cos_a * cosh_b + 1j * sin_a * sinh_b)
         krho = kappa1 * sin_a * cosh_b
+        angle = None
         if not path.straight:
             krho = krho - 1j * kappa1 * cos_a * sinh_b
+            angle = path.angle - 1j * np.arcsinh(sinh_b)
         # kappa1 sin(a) da with da = -i db = -i du / (kappa1 depth cosh b)
         weight = (w_u / (kappa1 * path.depth * cosh_b)) * scale * (-1j) * krho
-        yield _terms(scenes, component, k1z, krho, weight)
+        yield _terms(scenes, component, k1z, krho, weight, angle)
 
 
 def _path_rules(scenes: list[SceneConfig], component: FieldComponent, spec: QuadratureSpec,
-                max_rho: float, block_nodes: int, include_evanescent_tail: bool,
+                max_rho: float, block_nodes: int, *,
                 bend: bool = True) -> list[Iterator[tuple[np.ndarray, np.ndarray]]]:
     """The rules along the synthesis path of :func:`_path` for lags up to
-    ``max_rho``: the real segment, then the leg.  Without the completion,
-    only the whole disk."""
-    if not include_evanescent_tail:
-        return [_disk_rule(scenes, component, spec.n_alpha, block_nodes)]
-    path = _path(scenes, component, spec, max_rho, bend)
-    return [_disk_rule(scenes, component, spec.n_alpha, block_nodes, path.panels),
+    ``max_rho``: the real segment, then the leg."""
+    path = _path(scenes, component, spec, max_rho, bend=bend)
+    return [_disk_rule(scenes, component, path, block_nodes),
             _leg_rule(scenes, component, path, block_nodes)]
 
 
@@ -393,8 +408,8 @@ def _bessel_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
 
 
 def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
-                          lags: list[SpatialLag], spec: QuadratureSpec,
-                          include_evanescent_tail: bool, bend: bool = True) -> np.ndarray:
+                          lags: list[SpatialLag], spec: QuadratureSpec, *,
+                          bend: bool = True) -> np.ndarray:
     """Every lag of every scene on the scenes' shared planes, as a
     (scene x lag) array, along the path of :func:`_path_rules`.  Node
     blocks hold at most ``_BESSEL_BLOCK_SCALARS`` Bessel factors (but at
@@ -412,14 +427,13 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
             stacklevel=3,
         )
     block_nodes = max(_PANEL, _BESSEL_BLOCK_SCALARS // rho.size)
-    rules = _path_rules(scenes, component, spec, max_rho, block_nodes,
-                        include_evanescent_tail, bend)
+    rules = _path_rules(scenes, component, spec, max_rho, block_nodes, bend=bend)
     return sum(_bessel_sum(rule, rho) for rule in rules).T
 
 
 def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: FieldComponent,
-                       lag: SpatialLag | Sequence[SpatialLag], spec: QuadratureSpec,
-                       *, include_evanescent_tail: bool = True) -> complex | np.ndarray:
+                       lag: SpatialLag | Sequence[SpatialLag],
+                       spec: QuadratureSpec) -> complex | np.ndarray:
     """Spatial impulse response at one or many receiver/source sample pairs.
 
     Parameters
@@ -446,14 +460,11 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         whole disk and the branch cut, sized for the largest lag.
     spec:
         Node count of the disk rule over [0, pi/2]: it fixes the node
-        spacing, also on the real segment of a bent path.  Counts below
-        the oscillation budget of any scene trigger
+        spacing on the straight path.  On the real segment [0, a0] of a
+        bent path the spacing is scaled to that segment's phase rate (see
+        :func:`_path`), so the count still scales every node of the call.
+        Counts below the oscillation budget of any scene trigger
         :class:`UnderResolvedWarning` but still evaluate.
-    include_evanescent_tail:
-        When True (default) the path is completed off the real axis, by
-        the bent leg or the branch cut, so the synthesis converges to the
-        physical field; when False the raw integral over the whole disk is
-        returned.
     """
     scenes = _material_batch(scene)
     lags = [lag] if isinstance(lag, SpatialLag) else list(lag)
@@ -461,7 +472,7 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
     for planes, indices in _plane_groups(scenes[0], lags).items():
         values[:, indices] = _synthesize_on_planes(
             [_on_planes(s, planes) for s in scenes], component,
-            [lags[i] for i in indices], spec, include_evanescent_tail,
+            [lags[i] for i in indices], spec,
         )
     if isinstance(lag, SpatialLag):
         values = values[:, 0]
@@ -472,8 +483,7 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
 
 def convergence_study(scene: SceneConfig, component: FieldComponent,
                       lag: SpatialLag, *, rel_tol: float = 1e-8,
-                      max_nodes: int = 1_500_000,
-                      include_evanescent_tail: bool = True) -> ConvergenceStudy:
+                      max_nodes: int = 1_500_000) -> ConvergenceStudy:
     """Double the disk-rule nodes until the value settles.
 
     Starts a factor of four below the oscillation budget so the trace shows
@@ -494,10 +504,7 @@ def convergence_study(scene: SceneConfig, component: FieldComponent,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnderResolvedWarning)
         while True:
-            value = synthesize_impulse(
-                scene, component, lag, QuadratureSpec(n_alpha=n_alpha),
-                include_evanescent_tail=include_evanescent_tail,
-            )
+            value = synthesize_impulse(scene, component, lag, QuadratureSpec(n_alpha=n_alpha))
             delta = None
             if previous is not None:
                 scale = max(abs(value), 1e-300)

@@ -129,7 +129,25 @@ def validate_component(scene: SceneConfig, component: FieldComponent) -> None:
         raise SceneError([msg])
 
 
-def propagating_factor(scene: SceneConfig, component: FieldComponent, k1z):
+def _split(x: float) -> tuple[float, float]:
+    """Veltkamp split of a double into two halves of at most 26 bits."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _carrier_angle(kappa1: float, length: float) -> float:
+    """The phase kappa1 * length reduced to (-pi, pi], with the product
+    carried exactly as the Dekker two-product hi + lo: at large electrical
+    length its rounding, about kappa1 length 2^-53 radians, would otherwise
+    enter the phase."""
+    hi = kappa1 * length
+    (ah, al), (bh, bl) = _split(kappa1), _split(length)
+    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    return math.atan2(math.sin(hi), math.cos(hi)) + lo
+
+
+def propagating_factor(scene: SceneConfig, component: FieldComponent, k1z, angle=None):
     """Phase/coefficient product of the response at k1z samples.
 
     This is the full wavenumber response divided by the common prefactor
@@ -139,27 +157,43 @@ def propagating_factor(scene: SceneConfig, component: FieldComponent, k1z):
     :func:`~reflectmimo.materials.far_side_kz`): on the branch cut
     k1z = i*gamma and on the bent synthesis path every term decays for
     valid geometry.
+
+    With ``angle``, the (possibly complex) polar angles a of the samples,
+    k1z = kappa1 cos(a), each term's phase k1z L is formed as kappa1 L -
+    delta L: kappa1 L once per term, carried exactly and reduced to one
+    turn, and delta = kappa1 - k1z = 2 kappa1 sin^2(a/2) from the angle
+    rather than by subtraction.  Each sample then carries the round-off of
+    delta L instead of that of k1z L, which matters where few nodes sample
+    an electrically long term.
     """
     medium = scene.medium
     mat = medium.material
     s_z, r_z, d1 = scene.source_z, scene.receiver_z, scene.surface_z
     k1z = np.asarray(k1z)
+    if angle is None:
+        def phase(length: float):
+            return k1z * length
+    else:
+        delta = 2.0 * medium.kappa1 * np.sin(0.5 * np.asarray(angle)) ** 2
+
+        def phase(length: float):
+            return _carrier_angle(medium.kappa1, length) - delta * length
     if component is FieldComponent.LOS_ONLY:
-        return np.exp(1j * k1z * (r_z - s_z))
+        return np.exp(1j * phase(r_z - s_z))
     k2z = far_side_kz(medium, k1z)
     if component is FieldComponent.TRANSMISSION:
         if mat.is_conductor:
             return np.zeros(k1z.shape, dtype=complex)
         t = transmission_from_kz(mat, k1z, k2z)
-        return t * np.exp(1j * (k1z * (d1 - s_z) + k2z * (r_z - d1)))
+        return t * np.exp(1j * (phase(d1 - s_z) + k2z * (r_z - d1)))
     refl = reflection_from_kz(mat, k1z, k2z)
-    reflected = refl * np.exp(-1j * k1z * (r_z + s_z - 2.0 * d1))
+    reflected = refl * np.exp(1j * phase(-(r_z + s_z - 2.0 * d1)))
     if component is FieldComponent.REFLECTION_ONLY:
         return np.asarray(reflected, dtype=complex)
     if component is FieldComponent.LOS_PLUS_REFLECTION:
-        return np.exp(1j * k1z * (r_z - s_z)) + reflected
+        return np.exp(1j * phase(r_z - s_z)) + reflected
     if component is FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION:
-        return np.exp(-1j * k1z * (r_z - s_z)) + reflected
+        return np.exp(1j * phase(s_z - r_z)) + reflected
     msg = f"unsupported component {component!r}"
     raise ValueError(msg)
 

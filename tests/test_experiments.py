@@ -13,7 +13,7 @@ from reflectmimo import (
     parse_config,
     run_named,
 )
-from reflectmimo import quadrature
+from reflectmimo import experiments, quadrature
 
 SMALL = ExperimentConfig(
     d1_m=1.0,
@@ -250,3 +250,20 @@ def test_one_bessel_matrix_per_spacing(monkeypatch):
     assert len(config.materials) == 4
     assert sum(one_material) > 0
     assert sizes == one_material
+
+
+@pytest.mark.parametrize("normalization", ["RelativeToLOS", "SelfSum"])
+def test_one_eigensolve_per_channel(monkeypatch, normalization):
+    """An SNR sweep revisits each channel at many grid points; each
+    channel is eigensolved once per normalization."""
+    calls: list[tuple[int, str]] = []
+    solve = experiments.eigen_spectrum
+
+    def counted(channel, normalization, **kwargs):
+        calls.append((id(channel), normalization))
+        return solve(channel, normalization, **kwargs)
+
+    monkeypatch.setattr(experiments, "eigen_spectrum", counted)
+    result = run_named("fig5", ExperimentConfig(normalization=normalization))
+    assert len(result.table("capacity").rows) > len(calls) > 0
+    assert len(set(calls)) == len(calls)

@@ -25,6 +25,7 @@ from reflectmimo import (
     spacing_snr,
     synthesize_impulse,
 )
+from reflectmimo.mimo import _distinct_samples
 
 RANGE = 2.0
 SURFACE = 3.0
@@ -194,6 +195,21 @@ class TestDistanceKeying:
         moved = build_channel_matrix(scene, shifted(tx), shifted(rx), component)
         scale = np.max(np.abs(here.entries))
         assert np.max(np.abs(moved.entries - here.entries)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grouped_keys_match_the_row_wise_unique(self, seed):
+        """Grouping by pair of planes, then a 1-D unique of the distances,
+        gives ``np.unique(keys, axis=0)``'s first occurrences, order and
+        inverse, so the distinct lags reach the synthesis unchanged."""
+        rng = np.random.default_rng(seed)
+        n = 400
+        keys = np.stack([rng.integers(-2, 3, n) * 7, rng.integers(0, 3, n) * 5,
+                         rng.integers(0, 30, n)], axis=1).astype(np.int64)
+        _, first, index_of = np.unique(keys, axis=0, return_index=True,
+                                       return_inverse=True)
+        grouped_first, grouped_index = _distinct_samples(keys)
+        assert np.array_equal(grouped_first, first)
+        assert np.array_equal(grouped_index, index_of.ravel())
 
 
 class TestMaterialBatch:

@@ -1,5 +1,6 @@
 """Tests for the disk + branch-cut synthesis of the spatial impulse response."""
 
+import cmath
 import dataclasses
 import math
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from reflectmimo import (
     CONCRETE,
     FLOOR_BOARD,
+    FREE_SPACE_IMPEDANCE,
     PERFECT_CONDUCTOR,
     PLASTER_BOARD,
     VACUUM,
@@ -60,7 +62,7 @@ def _trapezoid_synthesis(scene, component, lags, spec):
     """
     rho_max = max(lag.transverse for lag in lags)
     values = np.zeros(len(lags), dtype=complex)
-    for rule in _path_rules([scene], component, spec, rho_max, _ORACLE_BLOCK, True):
+    for rule in _path_rules([scene], component, spec, rho_max, _ORACLE_BLOCK):
         for krho, coeffs in rule:
             coeff = coeffs[:, 0]
             z = float(np.abs(krho).max()) * rho_max
@@ -220,20 +222,6 @@ class TestMethodsAndTail:
         )
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_disk_only_route_misses_the_closed_form(self, vacuum_medium):
-        scene = _los_scene(vacuum_medium)
-        lag = SpatialLag(0.0)
-        spec = _auto_spec(scene, FieldComponent.LOS_ONLY, lag)
-        expected = los_impulse(vacuum_medium, (0.0, 0.0, 1.0), (0.0, 0.0, 0.0))
-        disk_only = synthesize_impulse(
-            scene, FieldComponent.LOS_ONLY, lag, spec,
-            include_evanescent_tail=False,
-        )
-        completed = synthesize_impulse(scene, FieldComponent.LOS_ONLY, lag, spec)
-        assert abs(disk_only - expected) / abs(expected) > 0.1
-        assert abs(completed - expected) / abs(expected) < 1e-8
-        assert disk_only != completed
-
 
 class TestLagBatches:
     @pytest.fixture
@@ -374,6 +362,24 @@ class TestConvergenceStudy:
         assert len(study.rows) >= 2
         assert study.rows[-1].n_alpha <= 1400
 
+    def test_real_segment_never_thins(self):
+        """The bent path's real segment is sized from ``n_alpha``, so each
+        doubling adds nodes there too; starting at a quarter of the budget,
+        the trace shows the under-resolved regime, then converges."""
+        free = Medium(300e9, VACUUM)
+        scene = _los_scene(free, dz=20.0)
+        component, lag = FieldComponent.LOS_ONLY, SpatialLag(1.0)
+        study = convergence_study(scene, component, lag, rel_tol=1e-10)
+        paths = [_path([scene], component, QuadratureSpec(row.n_alpha), lag.x)
+                 for row in study.rows]
+        assert not any(path.straight for path in paths)
+        segments = [path.panels for path in paths]
+        assert all(before < after for before, after in zip(segments, segments[1:]))
+        assert study.converged and len(study.rows) >= 3
+        assert study.rows[1].delta > 1e-6
+        expected = los_impulse(free, (1.0, 0.0, 20.0), (0.0, 0.0, 0.0))
+        assert abs(study.value - expected) <= 1e-9 * abs(expected)
+
     def test_tiny_cap_still_evaluates_once(self, vacuum_medium):
         scene = _los_scene(vacuum_medium)
         study = convergence_study(
@@ -488,9 +494,9 @@ def _count_nodes(monkeypatch):
     counter = {"nodes": 0}
     original = spectrum.propagating_factor
 
-    def counting(scene, component, k1z):
+    def counting(scene, component, k1z, *args):
         counter["nodes"] += int(np.size(k1z))
-        return original(scene, component, k1z)
+        return original(scene, component, k1z, *args)
 
     monkeypatch.setattr(spectrum, "propagating_factor", counting)
     return counter
@@ -502,6 +508,21 @@ def _image_scene(medium, span):
     d1 = max(0.75 * span, 10.0 * medium.wavelength)
     return SceneConfig(medium=medium, surface_z=d1, source_z=0.0,
                        receiver_z=2.0 * d1 - span)
+
+
+def _split(x):
+    c = 134217729.0 * x  # 2^27 + 1: Veltkamp split into 26-bit halves
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _exact_wave(kappa, length):
+    """e^{i kappa length}, its phase rounded once: the product is kept as
+    the Dekker two-product hi + lo."""
+    hi = kappa * length
+    (kh, kl), (lh, ll) = _split(kappa), _split(length)
+    lo = ((kh * lh - hi) + kh * ll + kl * lh) + kl * ll
+    return cmath.exp(1j * hi) * cmath.exp(1j * lo)
 
 
 _ROOM_SCALE = {
@@ -548,9 +569,8 @@ class TestBentPath:
         lags = [SpatialLag(0.0), SpatialLag(0.3), SpatialLag(1.0)]
         spec = _required_nodes(scene, component, lags)
         assert not _path([scene], component, spec, 1.0).straight
-        bent = _synthesize_on_planes([scene], component, lags, spec, True)[0]
-        straight = _synthesize_on_planes([scene], component, lags, spec, True,
-                                         bend=False)[0]
+        bent = _synthesize_on_planes([scene], component, lags, spec)[0]
+        straight = _synthesize_on_planes([scene], component, lags, spec, bend=False)[0]
         if component is FieldComponent.TRANSMISSION and material.is_conductor:
             assert np.all(bent == 0.0) and np.all(straight == 0.0)
             return
@@ -592,6 +612,31 @@ class TestBentPath:
         paths = {_path([scene], component, spec, rho) for rho in (0.0, 0.3, 1.0)}
         assert len(paths) == 1 and not paths.pop().straight
 
+    @pytest.mark.parametrize("reflected", [False, True], ids=["los", "conductor"])
+    @pytest.mark.parametrize("span", [4.5, 20.0], ids=["4.5m", "20m"])
+    @pytest.mark.parametrize("frequency", [57.5e9, 300e9], ids=["57.5GHz", "300GHz"])
+    def test_lag_zero_carries_the_exact_phase(self, frequency, span, reflected):
+        """On the surface normal the field is -i kappa1 eta / (4 pi)
+        e^{i kappa1 L} / L, sign-flipped for the image.  The bent path
+        carries kappa1 L exactly, so it matches that phase, exactly
+        rounded here by a two-product, to far below kappa1 L 2^-53."""
+        if reflected:
+            scene = _image_scene(Medium(frequency, PERFECT_CONDUCTOR), span)
+            component = FieldComponent.REFLECTION_ONLY
+            length, sign = 2.0 * scene.surface_z - scene.receiver_z, -1.0
+        else:
+            scene = _los_scene(Medium(frequency, VACUUM), dz=span)
+            component = FieldComponent.LOS_ONLY
+            length, sign = span, 1.0
+        kappa1 = scene.medium.kappa1
+        expected = (sign * -1j * kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+                    * _exact_wave(kappa1, length) / length)
+        lag = SpatialLag(0.0)
+        spec = _auto_spec(scene, component, lag)
+        assert not _path([scene], component, spec, 0.0).straight
+        value = synthesize_impulse(scene, component, lag, spec)
+        assert abs(value - expected) <= 2e-13 * abs(expected)
+
 
 class TestNodeCounts:
     """The speed property, pinned by the nodes evaluated rather than time."""
@@ -602,7 +647,7 @@ class TestNodeCounts:
         lag = SpatialLag(0.3)
         spec = _auto_spec(scene, component, lag)
         counter = _count_nodes(monkeypatch)
-        _synthesize_on_planes([scene], component, [lag], spec, True, bend=False)
+        _synthesize_on_planes([scene], component, [lag], spec, bend=False)
         straight, counter["nodes"] = counter["nodes"], 0
         synthesize_impulse(scene, component, lag, spec)
         assert straight > _nodes_used(spec.n_alpha)
@@ -615,19 +660,24 @@ class TestNodeCounts:
         lag = SpatialLag(1.0)
         spec = _auto_spec(scene, component, lag)
         assert _path([scene], component, spec, 1.0).straight
-        rules = _path_rules([scene], component, spec, 1.0, _ORACLE_BLOCK, True)
+        rules = _path_rules([scene], component, spec, 1.0, _ORACLE_BLOCK)
         assert not any(np.iscomplexobj(krho) for rule in rules for krho, _ in rule)
         counter = _count_nodes(monkeypatch)
-        _synthesize_on_planes([scene], component, [lag], spec, True, bend=False)
+        _synthesize_on_planes([scene], component, [lag], spec, bend=False)
         straight, counter["nodes"] = counter["nodes"], 0
         synthesize_impulse(scene, component, lag, spec)
         assert counter["nodes"] == straight
 
-    def test_disk_only_route_never_bends(self, monkeypatch):
-        scene = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 20.0)
+    def test_real_segment_sized_by_its_phase_rate(self, monkeypatch):
+        """The real segment [0, a0] is sampled at its own largest phase
+        rate, kappa1 (span sin a0 + rho_b), not at the whole disk's: at
+        300 GHz over a 20 m reflected span the call evaluates a few
+        hundred nodes, where the disk's spacing would need ~3,100."""
+        scene = SceneConfig(medium=Medium(300e9, PERFECT_CONDUCTOR), surface_z=15.0,
+                            source_z=0.0, receiver_z=10.0)
         component = FieldComponent.REFLECTION_ONLY
-        lag = SpatialLag(0.3)
-        spec = _auto_spec(scene, component, lag)
+        lags = [SpatialLag(0.0), SpatialLag(0.375)]
+        spec = _required_nodes(scene, component, lags)
         counter = _count_nodes(monkeypatch)
-        synthesize_impulse(scene, component, lag, spec, include_evanescent_tail=False)
-        assert counter["nodes"] == _nodes_used(spec.n_alpha)
+        synthesize_impulse(scene, component, lags, spec)
+        assert counter["nodes"] <= 800
