@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -89,32 +88,6 @@ def material_by_name(name: str, extra: tuple[Material, ...] = ()) -> Material:
     known = ", ".join(m.name for m in (*extra, *material_catalog()))
     msg = f"unknown material {name!r} (known: {known})"
     raise ValueError(msg)
-
-
-def load_catalog(path: str | Path) -> list[Material]:
-    """Parse a plain-text material catalog: one ``name n2`` pair per line.
-
-    Blank lines and ``#`` comments are ignored; a comma may separate the
-    fields.  Entries are dielectrics (use the built-in variant for the
-    perfect conductor).
-    """
-    materials: list[Material] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            msg = f"{path}:{lineno}: expected 'name n2', got {raw!r}"
-            raise ValueError(msg)
-        name = parts[0].lower()
-        try:
-            index = float(parts[1])
-        except ValueError as exc:
-            msg = f"{path}:{lineno}: bad refractive index {parts[1]!r}"
-            raise ValueError(msg) from exc
-        materials.append(Material(name, index))
-    return materials
 
 
 @dataclass(frozen=True)

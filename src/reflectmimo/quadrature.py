@@ -28,8 +28,10 @@ so few nodes each term's phase k1z L is formed as kappa1 L, carried
 exactly once per term, minus delta L with delta = kappa1 - k1z taken from
 the polar angle, so the nodes do not inherit the round-off of the large
 phase.  The bend is taken only when the real nodes it saves outweigh the
-leg's complex Bessel evaluations, and depends only on the planes, the
-component and the node count.
+leg's complex Bessel evaluations; the bend depends on the planes, the part
+and the node count.  A part is one exponential in k_z with one path length
+(direct wave, specular image or transmitted wave); a compound component is
+the sum of its parts, each on its own path.
 
 The surface material enters only through the Fresnel coefficient inside the
 spectral coefficients: scenes that differ only in their material share the
@@ -292,7 +294,9 @@ def _leg_path(panels: int, angle: float, z_decay: float, span: float, rho_b: flo
 
 def _path(scenes: list[SceneConfig], component: FieldComponent, spec: QuadratureSpec,
           max_rho: float, *, bend: bool = True) -> _Path:
-    """The synthesis path for lags up to ``max_rho``.
+    """The synthesis path of the single-term part ``component`` at its own
+    node count ``spec`` (see :func:`_part_specs`) for lags up to
+    ``max_rho``: the part's one decay distance and one span size it.
 
     The leg is sized for rho_b, the larger of the largest lag and the
     largest lag ``spec`` resolves, so resolved calls take the same path
@@ -385,14 +389,34 @@ def _leg_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
         yield _terms(scenes, component, k1z, krho, weight, angle)
 
 
+def _part_specs(scenes: list[SceneConfig], component: FieldComponent,
+                spec: QuadratureSpec) -> list[tuple[FieldComponent, QuadratureSpec]]:
+    """Each single-term part of ``component`` with its node count: ``spec``
+    less the nodes of the span the part lacks, OVERSAMPLING kappa1 (span -
+    part span) / (2 pi) rounded down, so the part resolves the same lag as
+    the component.  A single-term component keeps ``spec``."""
+    parts = spectrum._PARTS[component]
+    if parts == (component,):
+        return [(component, spec)]
+    scale = OVERSAMPLING * scenes[0].medium.kappa1 / (2.0 * math.pi)
+    spans = {c: max(spectrum.oscillation_span(scene, c) for scene in scenes)
+             for c in (component, *parts)}
+    return [(part, QuadratureSpec(max(2, spec.n_alpha - math.floor(
+                scale * (spans[component] - spans[part]))))) for part in parts]
+
+
 def _path_rules(scenes: list[SceneConfig], component: FieldComponent, spec: QuadratureSpec,
                 max_rho: float, block_nodes: int, *,
                 bend: bool = True) -> list[Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The rules along the synthesis path of :func:`_path` for lags up to
-    ``max_rho``: the real segment, then the leg."""
-    path = _path(scenes, component, spec, max_rho, bend=bend)
-    return [_disk_rule(scenes, component, path, block_nodes),
-            _leg_rule(scenes, component, path, block_nodes)]
+    """The rules along the synthesis paths of :func:`_path` for lags up to
+    ``max_rho``, one path per part of the component: its real segment,
+    then its leg."""
+    rules = []
+    for part, part_spec in _part_specs(scenes, component, spec):
+        path = _path(scenes, part, part_spec, max_rho, bend=bend)
+        rules += [_disk_rule(scenes, part, path, block_nodes),
+                  _leg_rule(scenes, part, path, block_nodes)]
+    return rules
 
 
 def _bessel_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -411,10 +435,11 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
                           lags: list[SpatialLag], spec: QuadratureSpec, *,
                           bend: bool = True) -> np.ndarray:
     """Every lag of every scene on the scenes' shared planes, as a
-    (scene x lag) array, along the path of :func:`_path_rules`.  Node
-    blocks hold at most ``_BESSEL_BLOCK_SCALARS`` Bessel factors (but at
-    least one panel), so no full-length per-scene coefficient vector is
-    ever built.  ``bend=False`` forces the straight path."""
+    (scene x lag) array: the sum over the paths of :func:`_path_rules`,
+    one per part of the component.  Node blocks hold at most
+    ``_BESSEL_BLOCK_SCALARS`` Bessel factors (but at least one panel), so
+    no full-length per-scene coefficient vector is ever built.
+    ``bend=False`` forces the straight paths."""
     rho = np.array([lag.transverse for lag in lags])
     max_rho = float(rho.max())
     needed = max(_plane_budget(scene, component, max_rho).n_alpha for scene in scenes)
@@ -451,11 +476,11 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         Transverse receiver-minus-source offsets, with optional plane
         overrides: one :class:`SpatialLag` or a sequence of them (a lag
         axis, in the same order).  One scene and one lag return a complex.
-        Lags on the same pair of planes share one synthesis path, one set
-        of nodes and one coefficient vector.  Where the polar-angle
-        segment is electrically long, the path leaves the real axis a
-        little past the specular angle of the largest lag the node count
-        resolves (or of the largest lag of the pair, if larger) and
+        Lags on the same pair of planes share one synthesis path per part
+        of the component, its nodes and its coefficient vector.  Where the
+        polar-angle segment is electrically long, the path leaves the real
+        axis a little past the specular angle of the largest lag the node
+        count resolves (or of the largest lag of the pair, if larger) and
         descends on a short leg of complex angles; otherwise it runs the
         whole disk and the branch cut, sized for the largest lag.
     spec:

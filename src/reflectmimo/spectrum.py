@@ -50,11 +50,15 @@ class FieldComponent(Enum):
     TRANSMISSION = "transmission"
 
 
-_UPGOING = (
-    FieldComponent.LOS_PLUS_REFLECTION,
-    FieldComponent.LOS_ONLY,
-    FieldComponent.REFLECTION_ONLY,
-)
+_LOS_AND_IMAGE = (FieldComponent.LOS_ONLY, FieldComponent.REFLECTION_ONLY)
+_PARTS = {
+    **{component: (component,) for component in FieldComponent},
+    FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION: _LOS_AND_IMAGE,
+    FieldComponent.LOS_PLUS_REFLECTION: _LOS_AND_IMAGE,
+}
+"""The single-term components whose sum is each component: each part is one
+exponential in k1z with one phase and decay distance.  The direct part runs
+over |r_z - s_z|, upgoing or downgoing alike."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,9 @@ def _carrier_angle(kappa1: float, length: float) -> float:
 
 
 def propagating_factor(scene: SceneConfig, component: FieldComponent, k1z, angle=None):
-    """Phase/coefficient product of the response at k1z samples.
+    """Phase/coefficient product of the response at k1z samples: the sum
+    over the component's single-term parts, each one exponential in k1z
+    (the direct and the reflected term of a compound component).
 
     This is the full wavenumber response divided by the common prefactor
     (kappa1 eta1 / 2) / k1z, which the quadrature cancels analytically.
@@ -167,8 +173,6 @@ def propagating_factor(scene: SceneConfig, component: FieldComponent, k1z, angle
     an electrically long term.
     """
     medium = scene.medium
-    mat = medium.material
-    s_z, r_z, d1 = scene.source_z, scene.receiver_z, scene.surface_z
     k1z = np.asarray(k1z)
     if angle is None:
         def phase(length: float):
@@ -178,60 +182,55 @@ def propagating_factor(scene: SceneConfig, component: FieldComponent, k1z, angle
 
         def phase(length: float):
             return _carrier_angle(medium.kappa1, length) - delta * length
-    if component is FieldComponent.LOS_ONLY:
-        return np.exp(1j * phase(r_z - s_z))
-    k2z = far_side_kz(medium, k1z)
-    if component is FieldComponent.TRANSMISSION:
+    first, *rest = (_term(scene, part, k1z, phase) for part in _PARTS[component])
+    return sum(rest, first)
+
+
+def _term(scene: SceneConfig, part: FieldComponent, k1z: np.ndarray, phase):
+    """One single-term part of :func:`propagating_factor`, with ``phase``
+    mapping a path length L to the phase k1z L."""
+    mat = scene.medium.material
+    s_z, r_z, d1 = scene.source_z, scene.receiver_z, scene.surface_z
+    if part is FieldComponent.LOS_ONLY:
+        return np.exp(1j * phase(abs(r_z - s_z)))
+    k2z = far_side_kz(scene.medium, k1z)
+    if part is FieldComponent.TRANSMISSION:
         if mat.is_conductor:
             return np.zeros(k1z.shape, dtype=complex)
         t = transmission_from_kz(mat, k1z, k2z)
         return t * np.exp(1j * (phase(d1 - s_z) + k2z * (r_z - d1)))
     refl = reflection_from_kz(mat, k1z, k2z)
-    reflected = refl * np.exp(1j * phase(-(r_z + s_z - 2.0 * d1)))
-    if component is FieldComponent.REFLECTION_ONLY:
-        return np.asarray(reflected, dtype=complex)
-    if component is FieldComponent.LOS_PLUS_REFLECTION:
-        return np.exp(1j * phase(r_z - s_z)) + reflected
-    if component is FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION:
-        return np.exp(1j * phase(s_z - r_z)) + reflected
-    msg = f"unsupported component {component!r}"
-    raise ValueError(msg)
+    return np.asarray(refl * np.exp(1j * phase(-(r_z + s_z - 2.0 * d1))), dtype=complex)
+
+
+def _lengths(scene: SceneConfig, part: FieldComponent) -> tuple[float, float]:
+    """Oscillation span and decay distance of one single-term part."""
+    s_z, r_z, d1 = scene.source_z, scene.receiver_z, scene.surface_z
+    if part is FieldComponent.LOS_ONLY:
+        return abs(r_z - s_z), abs(r_z - s_z)
+    if part is FieldComponent.TRANSMISSION:
+        index = scene.medium.material.refractive_index
+        beyond = 0.0 if index is None else index * (r_z - d1)
+        return (d1 - s_z) + beyond, d1 - s_z
+    image = 2.0 * d1 - r_z - s_z
+    return image, image
 
 
 def oscillation_span(scene: SceneConfig, component: FieldComponent) -> float:
-    """Longitudinal path length governing the fastest phase oscillation.
+    """Longitudinal path length governing the fastest phase oscillation:
+    the longest over the component's single-term parts.
 
     Distances through the far side count scaled by its refractive index so
     the free-space oscillation budget still bounds the integrand.
     """
-    s_z, r_z, d1 = scene.source_z, scene.receiver_z, scene.surface_z
-    if component is FieldComponent.LOS_ONLY:
-        return abs(r_z - s_z)
-    if component is FieldComponent.TRANSMISSION:
-        index = scene.medium.material.refractive_index
-        if index is None:
-            return d1 - s_z
-        return (d1 - s_z) + index * (r_z - d1)
-    span_reflected = 2.0 * d1 - r_z - s_z
-    if component is FieldComponent.REFLECTION_ONLY:
-        return span_reflected
-    return max(abs(r_z - s_z), span_reflected)
+    return max(_lengths(scene, part)[0] for part in _PARTS[component])
 
 
 def decay_distance(scene: SceneConfig, component: FieldComponent) -> float:
-    """Slowest exponential decay scale z of the continued response: every
-    term of :func:`propagating_factor` decays at least like e^{-z Im k1z}."""
-    s_z, r_z, d1 = scene.source_z, scene.receiver_z, scene.surface_z
-    if component is FieldComponent.LOS_ONLY:
-        return r_z - s_z
-    if component is FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION:
-        return s_z - r_z
-    if component is FieldComponent.TRANSMISSION:
-        return d1 - s_z
-    span_reflected = 2.0 * d1 - r_z - s_z
-    if component is FieldComponent.REFLECTION_ONLY:
-        return span_reflected
-    return min(r_z - s_z, span_reflected)
+    """Slowest exponential decay scale z of the continued response, the
+    shortest over the component's single-term parts: every term of
+    :func:`propagating_factor` decays at least like e^{-z Im k1z}."""
+    return min(_lengths(scene, part)[1] for part in _PARTS[component])
 
 
 def wavenumber_response(scene: SceneConfig, component: FieldComponent, kx, ky):

@@ -19,7 +19,6 @@ from reflectmimo import (
     Medium,
     fresnel_reflection,
     fresnel_transmission,
-    load_catalog,
     longitudinal_wavenumbers,
     material_by_name,
     material_catalog,
@@ -83,25 +82,6 @@ class TestMaterial:
     def test_nonpositive_permeability_rejected(self):
         with pytest.raises(ValueError):
             Material("odd", 2.0, -1.0)
-
-    def test_load_catalog(self, tmp_path):
-        path = tmp_path / "catalog.txt"
-        path.write_text(
-            "# comment line\n"
-            "brick 2.0\n"
-            "glass, 2.5   # trailing comment\n"
-            "\n"
-        )
-        loaded = load_catalog(path)
-        assert [(m.name, m.refractive_index) for m in loaded] == [
-            ("brick", 2.0), ("glass", 2.5),
-        ]
-
-    def test_load_catalog_rejects_bad_line(self, tmp_path):
-        path = tmp_path / "catalog.txt"
-        path.write_text("brick\n")
-        with pytest.raises(ValueError, match="expected 'name n2'"):
-            load_catalog(path)
 
 
 class TestMedium:

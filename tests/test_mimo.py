@@ -4,8 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectmimo import (
+    CONCRETE,
+    PERFECT_CONDUCTOR,
     RELATIVE,
     SELF_SUM,
     ArrayLayout,
@@ -384,3 +388,35 @@ class TestSpacingRules:
             spacing_rayleigh(0.0, 10.0, 8)
         with pytest.raises(ValueError):
             spacing_rayleigh(1.0, -1.0, 8)
+
+
+class TestReciprocity:
+    """Swapping transmitter and receiver transposes the channel: the upgoing
+    direct-plus-reflected field from the source plane to the receiver plane
+    equals the downgoing one from the receiver plane back to the source
+    plane, each synthesized as the sum of its own single-term parts."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        material=st.sampled_from([PERFECT_CONDUCTOR, CONCRETE]),
+        source_z=st.floats(-1.0, -0.05),
+        receiver_z=st.floats(0.05, 1.0),
+        gap=st.floats(0.0, 1.0),
+        count=st.integers(1, 4),
+        spacing=st.floats(0.005, 0.05),
+        offset=st.floats(-0.1, 0.1),
+    )
+    def test_upgoing_is_the_transposed_downgoing(self, material, source_z, receiver_z,
+                                                 gap, count, spacing, offset):
+        medium = Medium(57.5e9, material)
+        surface_z = receiver_z + 11.0 * medium.wavelength + gap
+        tx = ArrayLayout(count, spacing, center=(0.0, 0.0, source_z))
+        rx = ArrayLayout(count + 1, 1.5 * spacing, center=(offset, 0.0, receiver_z))
+        up = SceneConfig(medium=medium, surface_z=surface_z, source_z=source_z,
+                         receiver_z=receiver_z)
+        down = dataclasses.replace(up, source_z=receiver_z, receiver_z=source_z)
+        forward = build_channel_matrix(up, tx, rx, FieldComponent.LOS_PLUS_REFLECTION)
+        backward = build_channel_matrix(
+            down, rx, tx, FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION)
+        scale = np.max(np.abs(forward.entries))
+        assert np.max(np.abs(forward.entries - backward.entries.T)) <= 1e-12 * scale

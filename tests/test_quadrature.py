@@ -34,6 +34,7 @@ from reflectmimo import (
 from reflectmimo import spectrum
 from reflectmimo.quadrature import (
     _nodes_used,
+    _part_specs,
     _path,
     _path_rules,
     _required_nodes,
@@ -57,8 +58,9 @@ def _trapezoid_synthesis(scene, component, lags, spec):
     complex and the identity still holds.  n passes the order/argument
     transition z + O(z^{1/3}) of the largest phase swing z = |k_rho| |lag|,
     so the trapezoid's aliased Bessel terms fall below round-off.  The lags
-    lie on the scene's planes; the path is the one the synthesis takes for
-    the largest, and its rules are taken block by block.
+    lie on the scene's planes; the paths, one per part of the component,
+    are the ones the synthesis takes for the largest, and their rules are
+    taken block by block.
     """
     rho_max = max(lag.transverse for lag in lags)
     values = np.zeros(len(lags), dtype=complex)
@@ -568,7 +570,8 @@ class TestBentPath:
                             source_z=0.0, receiver_z=receiver_z)
         lags = [SpatialLag(0.0), SpatialLag(0.3), SpatialLag(1.0)]
         spec = _required_nodes(scene, component, lags)
-        assert not _path([scene], component, spec, 1.0).straight
+        assert not any(_path([scene], part, part_spec, 1.0).straight
+                       for part, part_spec in _part_specs([scene], component, spec))
         bent = _synthesize_on_planes([scene], component, lags, spec)[0]
         straight = _synthesize_on_planes([scene], component, lags, spec, bend=False)[0]
         if component is FieldComponent.TRANSMISSION and material.is_conductor:
@@ -604,7 +607,7 @@ class TestBentPath:
         assert np.max(np.abs(values - expected) / np.abs(expected)) <= 2e-9
 
     def test_resolved_lags_share_one_path(self):
-        """The bend depends on the planes, the component and the node count,
+        """The bend depends on the planes, the part and the node count,
         not on which resolved lags share the call."""
         scene = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 20.0)
         component = FieldComponent.REFLECTION_ONLY
@@ -667,6 +670,30 @@ class TestNodeCounts:
         straight, counter["nodes"] = counter["nodes"], 0
         synthesize_impulse(scene, component, lag, spec)
         assert counter["nodes"] == straight
+
+    @pytest.mark.parametrize(("frequency", "surface_z", "receiver_z", "lag_x", "most", "tol"), [
+        (57.5e9, 1.2, 0.6, 0.25, 1600, 1e-12),
+        (300e9, 15.0, 10.0, 0.5, 1300, 1e-11),
+    ], ids=["57.5GHz", "300GHz"])
+    def test_compound_call_bends_each_part(self, monkeypatch, frequency, surface_z,
+                                           receiver_z, lag_x, most, tol):
+        """The direct and reflected parts run on their own paths, each
+        resolving the component's lag: at 57.5 GHz the reflected part bends
+        where one path sized for both terms would run the 37-panel straight
+        disk (2,432 nodes), and at 300 GHz the direct part does not take
+        the reflected span's node count, which would straighten its path
+        (~66k nodes)."""
+        free = Medium(frequency, VACUUM)
+        scene = SceneConfig(medium=Medium(frequency, PERFECT_CONDUCTOR), surface_z=surface_z,
+                            source_z=0.0, receiver_z=receiver_z)
+        component, lag = FieldComponent.LOS_PLUS_REFLECTION, SpatialLag(lag_x)
+        spec = _auto_spec(scene, component, lag)
+        counter = _count_nodes(monkeypatch)
+        value = synthesize_impulse(scene, component, lag, spec)
+        expected = (los_impulse(free, (lag_x, 0.0, receiver_z), (0.0, 0.0, 0.0))
+                    - los_impulse(free, (lag_x, 0.0, receiver_z), (0.0, 0.0, 2.0 * surface_z)))
+        assert counter["nodes"] <= most
+        assert abs(value - expected) <= tol * abs(expected)
 
     def test_real_segment_sized_by_its_phase_rate(self, monkeypatch):
         """The real segment [0, a0] is sampled at its own largest phase
