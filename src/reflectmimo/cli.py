@@ -8,11 +8,11 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .experiments import EXPERIMENT_NAMES, run_named
+from .experiments import EXPERIMENT_NAMES, run_named, validation_scene
 from .materials import Medium, material_by_name, material_catalog
 from .output import emit, write_convergence_csv
 from .quadrature import SpatialLag, convergence_study
-from .spectrum import FieldComponent, SceneConfig, SceneError
+from .spectrum import FieldComponent, SceneError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,15 +92,9 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         raise ConfigError([f"--lag must be nonnegative, got {args.lag!r}"])
     material = material_by_name(args.material)
     medium = Medium(args.frequency_ghz * 1e9, material)
-    if args.component == "los":
-        component = FieldComponent.LOS_ONLY
-        scene = SceneConfig(medium=medium, surface_z=args.dz + 1.0,
-                            source_z=0.0, receiver_z=args.dz)
-    else:
-        component = FieldComponent.REFLECTION_ONLY
-        d1 = max(0.75 * args.dz, 10.0 * medium.wavelength)
-        scene = SceneConfig(medium=medium, surface_z=d1, source_z=0.0,
-                            receiver_z=2.0 * d1 - args.dz)
+    component = (FieldComponent.LOS_ONLY if args.component == "los"
+                 else FieldComponent.REFLECTION_ONLY)
+    scene = validation_scene(medium, component, args.dz)
     study = convergence_study(scene, component, SpatialLag(x=args.lag),
                               rel_tol=args.rel_tol)
     args.out.mkdir(parents=True, exist_ok=True)

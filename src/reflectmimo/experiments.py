@@ -44,8 +44,6 @@ _CAPACITY_COLUMNS = ("material", "spacing_rule", "snr_db", "bits_per_s_hz")
 _FRESNEL_COLUMNS = ("material", "theta_deg", "R", "T", "reflectivity")
 _VALIDATION_COLUMNS = ("dz_m", "lag_m", "rel_err")
 
-_DB_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class ResultTable:
@@ -161,23 +159,19 @@ def _spacing_of(context: _Context, rule: str, snr_linear: float | None) -> float
     raise ConfigError([f"unknown spacing rule {rule!r}"])
 
 
-def _db(value: float) -> float:
-    return 10.0 * math.log10(max(value, _DB_FLOOR))
-
-
 def _eigen_table(context: _Context, los_rule: str, reflected_rule: str) -> ResultTable:
     rows: list[tuple] = []
     d_los = _spacing_of(context, los_rule, None)
     context.record_nodes(f"los@{los_rule}", context.channel("los", d_los).spec)
     spectrum = context.spectrum("los", d_los)
-    for index, value in enumerate(spectrum.values, start=1):
-        rows.append(("los", los_rule, index, float(value), _db(float(value))))
+    for index, (value, db) in enumerate(zip(spectrum.values, spectrum.db), start=1):
+        rows.append(("los", los_rule, index, float(value), float(db)))
     d_ref = _spacing_of(context, reflected_rule, None)
     for name in context.config.materials:
         context.record_nodes(f"{name}@{reflected_rule}", context.channel(name, d_ref).spec)
         spectrum = context.reflected_spectrum(name, d_ref)
-        for index, value in enumerate(spectrum.values, start=1):
-            rows.append((name, reflected_rule, index, float(value), _db(float(value))))
+        for index, (value, db) in enumerate(zip(spectrum.values, spectrum.db), start=1):
+            rows.append((name, reflected_rule, index, float(value), float(db)))
     return ResultTable("eigenvalues", _EIGEN_COLUMNS, tuple(rows))
 
 
@@ -254,50 +248,49 @@ def _validation_grid(context: _Context) -> tuple[list[float], list[float]]:
     return spans, lags
 
 
+def validation_scene(medium: Medium, component: FieldComponent, span: float) -> SceneConfig:
+    """The validation layout whose path is ``span`` long: the direct wave
+    with the surface 1 m beyond the receiver, or the specular image with
+    d1 = max(0.75 span, 10 wavelengths) and the receiver at 2 d1 - span."""
+    if component is FieldComponent.LOS_ONLY:
+        return SceneConfig(medium=medium, surface_z=span + 1.0, source_z=0.0,
+                           receiver_z=span)
+    d1 = max(0.75 * span, 10.0 * medium.wavelength)
+    return SceneConfig(medium=medium, surface_z=d1, source_z=0.0,
+                       receiver_z=2.0 * d1 - span)
+
+
 def _run_impulse_validate(context: _Context) -> list[ResultTable]:
-    medium = context.vacuum_medium
+    vacuum = context.vacuum_medium
     spans, lags = _validation_grid(context)
-    quadrature = context.config.quadrature
-    los_rows: list[tuple] = []
-    for dz in spans:
-        scene = SceneConfig(
-            medium=medium, surface_z=dz + 1.0, source_z=0.0, receiver_z=dz,
-        )
-        for lag_x in lags:
-            lag = SpatialLag(x=lag_x)
-            spec = quadrature or estimate_nodes(
-                scene, lag_x, oscillation_span(scene, FieldComponent.LOS_ONLY),
-            )
-            context.record_nodes("validation_los", spec)
-            value = synthesize_impulse(scene, FieldComponent.LOS_ONLY, lag, spec)
-            reference = los_impulse(medium, (lag_x, 0.0, dz), (0.0, 0.0, 0.0))
-            los_rows.append((dz, lag_x, abs(value - reference) / abs(reference)))
 
-    image_rows: list[tuple] = []
-    pc_medium = Medium(context.config.frequency_hz, PERFECT_CONDUCTOR)
-    for span in spans:
-        d1 = max(0.75 * span, 10.0 * context.wavelength)
-        receiver_z = 2.0 * d1 - span
-        scene = SceneConfig(
-            medium=pc_medium, surface_z=d1, source_z=0.0, receiver_z=receiver_z,
-        )
-        for lag_x in lags:
-            lag = SpatialLag(x=lag_x)
-            spec = quadrature or estimate_nodes(
-                scene, lag_x, oscillation_span(scene, FieldComponent.REFLECTION_ONLY),
-            )
-            context.record_nodes("validation_image", spec)
-            value = synthesize_impulse(
-                scene, FieldComponent.REFLECTION_ONLY, lag, spec,
-            )
-            mirrored = (0.0, 0.0, 2.0 * d1)
-            reference = -los_impulse(medium, (lag_x, 0.0, receiver_z), mirrored)
-            image_rows.append((span, lag_x, abs(value - reference) / abs(reference)))
+    def direct(scene: SceneConfig, lag_x: float) -> complex:
+        return los_impulse(vacuum, (lag_x, 0.0, scene.receiver_z), (0.0, 0.0, 0.0))
 
-    return [
-        ResultTable("validation_los", _VALIDATION_COLUMNS, tuple(los_rows)),
-        ResultTable("validation_image", _VALIDATION_COLUMNS, tuple(image_rows)),
-    ]
+    def image(scene: SceneConfig, lag_x: float) -> complex:
+        mirrored = (0.0, 0.0, 2.0 * scene.surface_z)
+        return -los_impulse(vacuum, (lag_x, 0.0, scene.receiver_z), mirrored)
+
+    cases = (
+        ("validation_los", FieldComponent.LOS_ONLY, vacuum, direct),
+        ("validation_image", FieldComponent.REFLECTION_ONLY,
+         Medium(context.config.frequency_hz, PERFECT_CONDUCTOR), image),
+    )
+    tables: list[ResultTable] = []
+    for name, component, medium, reference in cases:
+        rows: list[tuple] = []
+        for span in spans:
+            scene = validation_scene(medium, component, span)
+            for lag_x in lags:
+                spec = context.config.quadrature or estimate_nodes(
+                    scene, lag_x, oscillation_span(scene, component),
+                )
+                context.record_nodes(name, spec)
+                value = synthesize_impulse(scene, component, SpatialLag(x=lag_x), spec)
+                exact = reference(scene, lag_x)
+                rows.append((span, lag_x, abs(value - exact) / abs(exact)))
+        tables.append(ResultTable(name, _VALIDATION_COLUMNS, tuple(rows)))
+    return tables
 
 
 _RUNNERS = {

@@ -1,5 +1,6 @@
 """Uniform linear arrays, channel matrices sampled from the impulse
-response, and their normalized eigenvalue spectra.
+response, and their normalized eigenvalue spectra, taken as the squared
+singular values of the channel matrix.
 
 Matrix assembly exploits the isotropy of the surface: the response depends
 only on the pair of planes and the transverse distance between receiver and
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import optimal_stream_count
-from .eigensolve import hermitian_eigh
 from .quadrature import (
     QuadratureSpec,
     SpatialLag,
@@ -90,7 +90,8 @@ class ChannelMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EigenSpectrum:
-    """Descending nonnegative eigenvalues of the channel Gram matrix.
+    """Descending nonnegative eigenvalues of the channel Gram matrix H H*,
+    i.e. the scaled squared singular values of H.
 
     ``scale`` is the factor applied to the raw spectrum; under self-sum
     normalization it makes the eigenvalues sum to the entry count, and it
@@ -204,11 +205,23 @@ def _entries_of(channel: ChannelMatrix | np.ndarray) -> np.ndarray:
 
 
 def raw_eigenvalues(channel: ChannelMatrix | np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of the receive-side Gram matrix H H*."""
+    """Descending eigenvalues of the receive-side Gram matrix H H*, one per
+    receive antenna.
+
+    They are the squared singular values of H, zero-padded when H has fewer
+    columns than rows.  The Gram matrix is never formed: each singular value
+    is accurate to about machine epsilon times the largest, so a small
+    eigenvalue is off by about eps * sqrt(lambda * lambda_max) rather than
+    the eps * lambda_max of an eigensolve of H H*.
+    """
     entries = _entries_of(channel)
-    gram = entries @ entries.conj().T
-    values, _ = hermitian_eigh(gram)
-    return np.maximum(values, 0.0)
+    if entries.ndim != 2:
+        msg = f"expected a 2-D channel matrix, got shape {entries.shape}"
+        raise ValueError(msg)
+    values = np.zeros(entries.shape[0])
+    singular = np.linalg.svd(entries, compute_uv=False)
+    values[:singular.size] = singular * singular
+    return values
 
 
 def eigen_spectrum(channel: ChannelMatrix | np.ndarray,
