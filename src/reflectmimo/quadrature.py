@@ -33,6 +33,23 @@ and the node count.  A part is one exponential in k_z with one path length
 (direct wave, specular image or transmitted wave); a compound component is
 the sum of its parts, each on its own path.
 
+The bend cannot leave the real axis before the specular angle, so a lag
+comparable to the span still costs a real segment that grows with
+electrical size.  Where the part's coefficient is entire in the polar angle
+(the direct wave, and the image off a perfect conductor), a single-lag call
+can instead take the lag's own path: J0 over a short real start [0, a_c],
+then J0 = (H0^(1) + H0^(2)) / 2, the H0^(2) half descending from a_c and
+the H0^(1) half crossing the specular saddle on its steepest-descent path,
+where the term is e^{i kappa1 R} e^{-kappa1 R s^2}, R = hypot(L, lag), times
+a slowly varying factor.  A few panels then serve any electrical size, and
+kappa1 R is carried exactly with R in double-double.  It is taken only for
+a positive lag clear of the saddle's approach to a = 0, when the node count
+resolves the call, and when its Hankel evaluations cost less than the
+shared path; calls of several lags keep the shared path, whose coefficients
+and Bessel matrix serve every lag.  A dielectric's far-side branch point
+would need its lateral-wave integral, so its reflected and transmitted
+parts keep the shared path, also beside a conductor in a material batch.
+
 The surface material enters only through the Fresnel coefficient inside the
 spectral coefficients: scenes that differ only in their material share the
 nodes, the transverse wavenumbers and the Bessel factors, so they are
@@ -41,6 +58,7 @@ synthesized together, one coefficient column per scene.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import warnings
@@ -49,7 +67,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, jv, roots_legendre
+from scipy.special import hankel1, hankel1e, hankel2, j0, jv
 
 from . import spectrum
 from .materials import FREE_SPACE_IMPEDANCE
@@ -63,9 +81,13 @@ _TAIL_CUTOFF = 36.0  # e^{-36} ~ 2e-16: truncation point of the decaying tail
 _BESSEL_BLOCK_SCALARS = 1 << 17  # Bessel factors per (node block x lags) matrix
 _CACHED_PANELS = 128  # longest rule, in panels, kept for reuse across calls
 _LEG_PHASE = 52.0  # kappa1 R sin^2(a0 - specular angle): a leg of about one panel
-_JV_COST = 15  # one complex-argument jv(0, .) costs about 15 real j0 evaluations
+_COMPLEX_BESSEL_COST = 15  # one complex-argument jv(0, .) or Hankel costs about 15 real j0
 _LEG_GROWTH = 600.0  # largest |Im(k_rho rho)| on the leg; complex jv overflows near 700
 _PANEL_DECAY = 12.0  # a panel on [0, 36] resolves e^{-rate u} up to about this rate
+_LEG_NODES = 48  # fewest nodes on a leg
+_START_ARGUMENT = 4.0  # kappa1 rho sin(a_c): the Hankel halves start this far from their log point
+_SADDLE_CLEARANCE = 10.0  # least kappa1 R sin^2(a_s): the saddle path stays clear of a = 0
+_HANKEL_NEAR = 40.0  # hankel1e loses |x| 2^-53 up to ~10 below the real axis; take hankel1 to here
 
 
 class UnderResolvedWarning(UserWarning):
@@ -125,8 +147,7 @@ class ConvergenceStudy:
 
 @lru_cache(maxsize=None)
 def _base_panel() -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(_PANEL)
-    return x, w
+    return np.polynomial.legendre.leggauss(_PANEL)
 
 
 def _panel_blocks(panels: int, hi: float, step: int,
@@ -275,6 +296,18 @@ def _cos_sin(angle: float) -> tuple[float, float]:
     return (0.0, 1.0) if angle == 0.5 * math.pi else (math.cos(angle), math.sin(angle))
 
 
+def _leg_nodes(kappa1: float, depth: float, reach: float, rate: float = 1.0) -> int:
+    """Nodes of a leg a = a0 -+ i*b in u = kappa1 depth sinh(b) on [0, 36]
+    whose integrand decays like e^{-u} and oscillates through the phases
+    kappa1 reach (cosh b - 1), with a part falling off faster, like
+    e^{-rate u}."""
+    sinh_max = _TAIL_CUTOFF / (kappa1 * depth)
+    cosh_less_one = sinh_max * sinh_max / (1.0 + math.sqrt(1.0 + sinh_max * sinh_max))
+    swing = kappa1 * cosh_less_one * reach
+    return max(_LEG_NODES + math.ceil(8.0 * swing / (2.0 * math.pi)),
+               math.ceil(_PANEL * rate / _PANEL_DECAY))
+
+
 def _leg_path(panels: int, angle: float, z_decay: float, span: float, rho_b: float,
               kappa1: float) -> _Path:
     """The path leaving the real axis at ``angle``, its leg sized for lags
@@ -283,13 +316,16 @@ def _leg_path(panels: int, angle: float, z_decay: float, span: float, rho_b: flo
     (cosh b - 1); J0's decaying half falls off faster, like e^{-rate u}."""
     cos_a, sin_a = _cos_sin(angle)
     depth = z_decay * sin_a - rho_b * cos_a
-    sinh_max = _TAIL_CUTOFF / (kappa1 * depth)
-    cosh_less_one = sinh_max * sinh_max / (1.0 + math.sqrt(1.0 + sinh_max * sinh_max))
-    swing = kappa1 * cosh_less_one * (span * cos_a + rho_b * sin_a)
     rate = (z_decay * sin_a + rho_b * cos_a) / depth
-    leg_nodes = max(48 + math.ceil(8.0 * swing / (2.0 * math.pi)),
-                    math.ceil(_PANEL * rate / _PANEL_DECAY))
+    leg_nodes = _leg_nodes(kappa1, depth, span * cos_a + rho_b * sin_a, rate)
     return _Path(panels, angle, depth, leg_nodes)
+
+
+def _cost(path: _Path) -> int:
+    """The path's cost in real J0 evaluations per lag: its real nodes, and
+    its leg's nodes at ``_COMPLEX_BESSEL_COST`` each off the branch cut."""
+    leg_cost = 1 if path.straight else _COMPLEX_BESSEL_COST
+    return path.panels * _PANEL + leg_cost * _nodes_used(path.leg_nodes)
 
 
 def _path(scenes: list[SceneConfig], component: FieldComponent, spec: QuadratureSpec,
@@ -334,23 +370,20 @@ def _path(scenes: list[SceneConfig], component: FieldComponent, spec: Quadrature
     share = (span * math.sin(angle) + rho_b) / (span + rho_b)
     segment = min(first, _panels_for(math.ceil(spec.n_alpha * angle * share)))
     bent = _leg_path(segment, angle, z_decay, span, rho_b, kappa1)
-    bent_cost = bent.panels * _PANEL + _JV_COST * _nodes_used(bent.leg_nodes)
-    return bent if bent_cost < panels * _PANEL + _nodes_used(straight.leg_nodes) else straight
+    return bent if _cost(bent) < _cost(straight) else straight
 
 
-def _terms(scenes: list[SceneConfig], component: FieldComponent, k1z: np.ndarray,
-           krho: np.ndarray, weight: np.ndarray,
-           angle: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Transverse wavenumbers and (node x scene) coefficients of one block
-    of nodes at longitudinal wavenumbers ``k1z``, with the polar angles
-    ``angle`` where each term's phase is to be carried exactly (see
-    :func:`spectrum.propagating_factor`).  ``weight`` holds the quadrature
-    weight, the path's Jacobian and the 1/(2 pi) of the Bessel reduction,
-    so a lag costs a single dot product."""
+def _coefficients(scenes: list[SceneConfig], component: FieldComponent, k1z: np.ndarray,
+                  weight: np.ndarray, angle: np.ndarray | None) -> np.ndarray:
+    """(node x scene) coefficients of one block of nodes at longitudinal
+    wavenumbers ``k1z``, with the polar angles ``angle`` where each term's
+    phase is to be carried exactly (see :func:`spectrum.propagating_factor`).
+    ``weight`` holds the quadrature weight, the path's Jacobian and the
+    1/(2 pi) of the Bessel reduction, so a lag costs a single dot product."""
     coeffs = np.stack([spectrum.propagating_factor(scene, component, k1z, angle)
                        for scene in scenes], axis=1)
     coeffs *= weight[:, None]
-    return krho, coeffs
+    return coeffs
 
 
 def _disk_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
@@ -362,8 +395,9 @@ def _disk_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path
     scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
     for alpha, w_alpha in _composite_blocks(path.panels * _PANEL, path.angle, block_nodes):
         sin_a = np.sin(alpha)
-        yield _terms(scenes, component, kappa1 * np.cos(alpha), kappa1 * sin_a,
-                     w_alpha * scale * kappa1 * sin_a, None if path.straight else alpha)
+        yield kappa1 * sin_a, _coefficients(scenes, component, kappa1 * np.cos(alpha),
+                                            w_alpha * scale * kappa1 * sin_a,
+                                            None if path.straight else alpha)
 
 
 def _leg_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
@@ -386,7 +420,148 @@ def _leg_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
             angle = path.angle - 1j * np.arcsinh(sinh_b)
         # kappa1 sin(a) da with da = -i db = -i du / (kappa1 depth cosh b)
         weight = (w_u / (kappa1 * path.depth * cosh_b)) * scale * (-1j) * krho
-        yield _terms(scenes, component, k1z, krho, weight, angle)
+        yield krho, _coefficients(scenes, component, k1z, weight, angle)
+
+
+@dataclass(frozen=True)
+class _LagPath:
+    """The path of one lag rho > 0 of a part with an entire coefficient.
+    Past the real start [0, a_c], J0 = (H0^(1) + H0^(2)) / 2: the H0^(2)
+    half descends on a = a_c - i*b, and the H0^(1) half climbs a = a_c + i*b
+    and returns across the specular saddle a_s on its steepest-descent path
+    a = a_s + 2 asin(s e^{-i pi/4} / sqrt(2)), where the term is e^{i kappa1
+    R} e^{-kappa1 R s^2} times a slowly varying factor."""
+
+    rho: float
+    length: float  # the part's path length L
+    specular: float  # a_s = atan2(rho, L)
+    start: float  # a_c
+    depths: tuple[float, float]  # decay scales R sin(a_s + a_c), R sin(a_s - a_c) of the legs
+    panels: int  # on the real start and on the saddle path each
+    leg_nodes: int  # on each leg
+
+    @property
+    def hankel_nodes(self) -> int:
+        """Nodes of the legs and the saddle path."""
+        return 2 * _nodes_used(self.leg_nodes) + self.panels * _PANEL
+
+    @property
+    def cost(self) -> int:
+        """Cost in real J0 evaluations: the start's nodes, and every other
+        node at ``_COMPLEX_BESSEL_COST``."""
+        return self.panels * _PANEL + _COMPLEX_BESSEL_COST * self.hankel_nodes
+
+
+def _entire(scene: SceneConfig, part: FieldComponent) -> bool:
+    """Whether the part's coefficient is entire in the polar angle: the
+    direct wave, and the image off a perfect conductor.  A dielectric's
+    far-side branch point would need its lateral-wave integral."""
+    return part is FieldComponent.LOS_ONLY or (
+        part is FieldComponent.REFLECTION_ONLY and scene.medium.material.is_conductor)
+
+
+def _lag_path(kappa1: float, length: float, rho: float, panels: int) -> _LagPath | None:
+    """The per-lag path of lag ``rho`` for a part of path length ``length``,
+    or None where kappa1 R sin^2(a_s) < ``_SADDLE_CLEARANCE``: there the
+    saddle path would pass near a = 0, where the Hankel halves are
+    singular.  The real start ends at a_c = min(a_s / 2, asin(4 / (kappa1
+    rho))), so the Hankel arguments stay at least 4 from that point.  Each
+    leg is sized like the shared path's; both take the larger count, times
+    ``panels``, so they share one rule."""
+    if kappa1 * rho * rho < _SADDLE_CLEARANCE * math.hypot(length, rho):
+        return None
+    specular = math.atan2(rho, length)
+    start = min(0.5 * specular, math.asin(min(1.0, _START_ARGUMENT / (kappa1 * rho))))
+    cos_c, sin_c = math.cos(start), math.sin(start)
+    depths = (length * sin_c + rho * cos_c, rho * cos_c - length * sin_c)
+    reaches = (abs(length * cos_c - rho * sin_c), length * cos_c + rho * sin_c)
+    leg_nodes = panels * max(_leg_nodes(kappa1, depth, reach)
+                             for depth, reach in zip(depths, reaches))
+    return _LagPath(rho, length, specular, start, depths, panels, leg_nodes)
+
+
+def _own_path(scenes: list[SceneConfig], part: FieldComponent, rho: np.ndarray,
+              panels: int, shared: _Path) -> _LagPath | None:
+    """The call's own per-lag path, ``panels`` panels per piece, or None
+    where the part keeps its ``shared`` path.  It is taken for a single
+    positive lag, in a call resolved to ``panels`` >= 1, of a part whose
+    coefficient is entire for some scene, when the lag clears the saddle,
+    fits one block of ``_BESSEL_BLOCK_SCALARS`` nodes and costs less on its
+    own path than on the shared one.  Several lags keep the shared path,
+    whose coefficients and Bessel matrix serve them all."""
+    limit = _cost(shared)
+    # no per-lag path costs less than its start and saddle and two least legs
+    cheapest = panels * (_PANEL + _COMPLEX_BESSEL_COST * (_PANEL + 2 * _LEG_NODES))
+    if not (rho.size == 1 and panels and limit > cheapest and rho[0] > 0.0
+            and any(_entire(scene, part) for scene in scenes)):
+        return None
+    path = _lag_path(scenes[0].medium.kappa1, spectrum.decay_distance(scenes[0], part),
+                     float(rho[0]), panels)
+    if (path is None or path.cost >= limit
+            or path.panels * _PANEL + path.hankel_nodes > _BESSEL_BLOCK_SCALARS):
+        return None
+    return path
+
+
+def _whole_rule(n_nodes: int, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The composite Gauss-Legendre rule ``n_nodes`` asks for on [0, hi],
+    in one block."""
+    return next(_composite_blocks(n_nodes, hi, _BESSEL_BLOCK_SCALARS))
+
+
+def _scaled_hankel1(x: np.ndarray) -> np.ndarray:
+    """H0^(1)(x) e^{-ix}.  Just below the real axis scipy's scaled
+    ``hankel1e`` loses about |x| 2^-53, so there it is formed from
+    ``hankel1``, which cannot overflow at those depths."""
+    near = (x.imag < 0.0) & (x.imag > -_HANKEL_NEAR)
+    h = np.empty_like(x)
+    h[near] = hankel1(0, x[near]) * np.exp(-1j * x[near])
+    h[~near] = hankel1e(0, x[~near])
+    return h
+
+
+def _lag_sum(scenes: list[SceneConfig], part: FieldComponent, path: _LagPath) -> np.ndarray:
+    """The lag's value for every scene along its own path.  Each piece runs
+    on the rule of a fixed interval, scaled, so short rules recur across
+    lags; the real start and the two legs share one coefficient
+    evaluation, and the saddle path carries e^{i kappa1 R} exactly, with R
+    in double-double."""
+    kappa1 = scenes[0].medium.kappa1
+    scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+    argument = kappa1 * path.rho
+    t, w_t = _whole_rule(path.panels * _PANEL, 1.0)
+    u, w_u = _whole_rule(path.leg_nodes, _TAIL_CUTOFF)
+    depth = np.array(path.depths)[:, None]
+    sign = np.array([[-1.0], [1.0]])  # the H0^(2) leg, then the H0^(1) leg
+    sinh_b = u / (kappa1 * depth)
+    legs = path.start + 1j * sign * np.arcsinh(sinh_b)
+    # half of -+i db = -+i du / (kappa1 depth cosh b) on a leg; a_c dt on the start
+    leg_da = 0.5j * sign * w_u / (kappa1 * depth * np.sqrt(1.0 + sinh_b * sinh_b))
+    angle = np.concatenate((path.start * t, legs.ravel()))
+    da = np.concatenate((path.start * w_t, leg_da.ravel()))
+    sin_a = np.sin(angle)
+    x = argument * sin_a
+    start, down = t.size, t.size + u.size
+    kernel = np.concatenate((j0(x[:start].real), hankel2(0, x[start:down]),
+                             hankel1(0, x[down:])))
+    total = kernel @ _coefficients(scenes, part, kappa1 * np.cos(angle),
+                                   da * scale * kappa1 * sin_a, angle)
+    r_hi, r_lo = spectrum._exact_hypot(path.length, path.rho)
+    reach = math.sqrt(_TAIL_CUTOFF / (kappa1 * r_hi))
+    tilt = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0)
+    v, w_v = _whole_rule(path.panels * _PANEL, 2.0)
+    s = reach * (v - 1.0)
+    half = np.arcsin(tilt * s)
+    angle = path.specular + 2.0 * half
+    sin_a = np.sin(angle)
+    # half of kappa1 sin(a) da, da = 2 tilt ds / cos(half), times e^{-kappa1 R s^2}
+    weight = (reach * w_v * tilt / np.cos(half) * np.exp(-kappa1 * r_hi * s * s)
+              * scale * kappa1 * sin_a)
+    k1z = kappa1 * np.cos(angle)
+    coeffs = np.stack([spectrum.part_coefficient(scene, part, k1z) for scene in scenes], axis=1)
+    saddle = _scaled_hankel1(argument * sin_a) @ (coeffs * weight[:, None])
+    phase = spectrum._carrier_angle(kappa1, r_hi) + kappa1 * r_lo
+    return total + cmath.exp(1j * phase) * saddle
 
 
 def _part_specs(scenes: list[SceneConfig], component: FieldComponent,
@@ -405,18 +580,12 @@ def _part_specs(scenes: list[SceneConfig], component: FieldComponent,
                 scale * (spans[component] - spans[part]))))) for part in parts]
 
 
-def _path_rules(scenes: list[SceneConfig], component: FieldComponent, spec: QuadratureSpec,
-                max_rho: float, block_nodes: int, *,
-                bend: bool = True) -> list[Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The rules along the synthesis paths of :func:`_path` for lags up to
-    ``max_rho``, one path per part of the component: its real segment,
-    then its leg."""
-    rules = []
-    for part, part_spec in _part_specs(scenes, component, spec):
-        path = _path(scenes, part, part_spec, max_rho, bend=bend)
-        rules += [_disk_rule(scenes, part, path, block_nodes),
-                  _leg_rule(scenes, part, path, block_nodes)]
-    return rules
+def _path_rules(scenes: list[SceneConfig], part: FieldComponent, path: _Path,
+                block_nodes: int) -> list[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The rules along the part's shared path: its real segment, then its
+    leg."""
+    return [_disk_rule(scenes, part, path, block_nodes),
+            _leg_rule(scenes, part, path, block_nodes)]
 
 
 def _bessel_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -431,15 +600,29 @@ def _bessel_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
                for krho, coeffs in blocks)
 
 
+def _columns(mask: list[bool], part: np.ndarray) -> np.ndarray:
+    """The (lag x scene) ``part`` of the scenes where ``mask`` holds, with
+    zero columns for the others, so each scene sums its terms in the same
+    order as when synthesized alone."""
+    if all(mask):
+        return part
+    full = np.zeros((part.shape[0], len(mask)), dtype=complex)
+    full[:, mask] = part
+    return full
+
+
 def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
                           lags: list[SpatialLag], spec: QuadratureSpec, *,
-                          bend: bool = True) -> np.ndarray:
+                          bend: bool = True, per_lag: bool = True) -> np.ndarray:
     """Every lag of every scene on the scenes' shared planes, as a
-    (scene x lag) array: the sum over the paths of :func:`_path_rules`,
-    one per part of the component.  Node blocks hold at most
+    (scene x lag) array: the sum over the parts of the component, each on
+    its own per-lag path (:func:`_own_path`) for the scenes where its
+    coefficient is entire, and on its shared path (:func:`_path`) for the
+    others.  Node blocks hold at most
     ``_BESSEL_BLOCK_SCALARS`` Bessel factors (but at least one panel), so
     no full-length per-scene coefficient vector is ever built.
-    ``bend=False`` forces the straight paths."""
+    ``bend=False`` forces the straight paths; ``per_lag=False`` keeps the
+    shared ones."""
     rho = np.array([lag.transverse for lag in lags])
     max_rho = float(rho.max())
     needed = max(_plane_budget(scene, component, max_rho).n_alpha for scene in scenes)
@@ -452,8 +635,21 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
             stacklevel=3,
         )
     block_nodes = max(_PANEL, _BESSEL_BLOCK_SCALARS // rho.size)
-    rules = _path_rules(scenes, component, spec, max_rho, block_nodes, bend=bend)
-    return sum(_bessel_sum(rule, rho) for rule in rules).T
+    panels = spec.n_alpha // needed if bend and per_lag else 0
+    values = 0.0
+    for part, part_spec in _part_specs(scenes, component, spec):
+        path = _path(scenes, part, part_spec, max_rho, bend=bend)
+        own = _own_path(scenes, part, rho, panels, path)
+        alone = [own is not None and _entire(scene, part) for scene in scenes]
+        if any(alone):
+            chosen = [scene for scene, a in zip(scenes, alone) if a]
+            values = values + _columns(alone, _lag_sum(chosen, part, own)[None, :])
+        if not all(alone):
+            shared = [not a for a in alone]
+            rest = [scene for scene, s in zip(scenes, shared) if s]
+            for rule in _path_rules(rest, part, path, block_nodes):
+                values = values + _columns(shared, _bessel_sum(rule, rho))
+    return values.T
 
 
 def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: FieldComponent,
@@ -482,12 +678,17 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         axis a little past the specular angle of the largest lag the node
         count resolves (or of the largest lag of the pair, if larger) and
         descends on a short leg of complex angles; otherwise it runs the
-        whole disk and the branch cut, sized for the largest lag.
+        whole disk and the branch cut, sized for the largest lag.  Where
+        cheaper, the direct wave and the conductor's image instead run a
+        single positive lag on its own path across the specular saddle
+        (see :func:`_own_path`).
     spec:
         Node count of the disk rule over [0, pi/2]: it fixes the node
         spacing on the straight path.  On the real segment [0, a0] of a
         bent path the spacing is scaled to that segment's phase rate (see
         :func:`_path`), so the count still scales every node of the call.
+        Per-lag paths are taken only at counts of at least the oscillation
+        budget, and each of their pieces gets n_alpha // budget panels.
         Counts below the oscillation budget of any scene trigger
         :class:`UnderResolvedWarning` but still evaluate.
     """

@@ -140,14 +140,31 @@ def _split(x: float) -> tuple[float, float]:
     return hi, x - hi
 
 
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """The product a b exactly, as the Dekker two-product hi + lo."""
+    hi = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _exact_hypot(a: float, b: float) -> tuple[float, float]:
+    """hypot(a, b) as hi + lo, to about 2^-100 relative: the squares and
+    their sum are kept exactly, and one Newton step corrects the rounded
+    square root."""
+    (p, p_lo), (q, q_lo) = _two_product(a, a), _two_product(b, b)
+    total = p + q
+    total_lo = (p - total) + q if p >= q else (q - total) + p  # Fast2Sum
+    hi = math.sqrt(total)
+    square, square_lo = _two_product(hi, hi)
+    return hi, (((total - square) - square_lo) + (total_lo + p_lo + q_lo)) / (2.0 * hi)
+
+
 def _carrier_angle(kappa1: float, length: float) -> float:
     """The phase kappa1 * length reduced to (-pi, pi], with the product
     carried exactly as the Dekker two-product hi + lo: at large electrical
     length its rounding, about kappa1 length 2^-53 radians, would otherwise
     enter the phase."""
-    hi = kappa1 * length
-    (ah, al), (bh, bl) = _split(kappa1), _split(length)
-    lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    hi, lo = _two_product(kappa1, length)
     return math.atan2(math.sin(hi), math.cos(hi)) + lo
 
 
@@ -201,6 +218,15 @@ def _term(scene: SceneConfig, part: FieldComponent, k1z: np.ndarray, phase):
         return t * np.exp(1j * (phase(d1 - s_z) + k2z * (r_z - d1)))
     refl = reflection_from_kz(mat, k1z, k2z)
     return np.asarray(refl * np.exp(1j * phase(-(r_z + s_z - 2.0 * d1))), dtype=complex)
+
+
+def part_coefficient(scene: SceneConfig, part: FieldComponent, k1z):
+    """The coefficient of the direct or reflected part ``part`` at k1z: its
+    term of :func:`propagating_factor` without the phase e^{i k1z L}, for a
+    synthesis path that carries the phase itself.  It is 1 for the direct
+    wave and the reflection coefficient for the image."""
+    k1z = np.asarray(k1z)
+    return _term(scene, part, k1z, lambda length: np.zeros(k1z.shape))
 
 
 def _lengths(scene: SceneConfig, part: FieldComponent) -> tuple[float, float]:

@@ -2,8 +2,12 @@
 
 import cmath
 import dataclasses
+import decimal
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from reflectmimo import (
     PERFECT_CONDUCTOR,
     PLASTER_BOARD,
     VACUUM,
+    ArrayLayout,
     ExperimentConfig,
     FieldComponent,
     Medium,
@@ -29,10 +34,13 @@ from reflectmimo import (
     los_impulse,
     material_by_name,
     oscillation_span,
+    build_channel_matrix,
+    run_named,
     synthesize_impulse,
 )
-from reflectmimo import spectrum
+from reflectmimo import quadrature, spectrum
 from reflectmimo.quadrature import (
+    _lag_path,
     _nodes_used,
     _part_specs,
     _path,
@@ -47,6 +55,14 @@ _ORACLE_BLOCK = 1 << 14  # nodes per block of the rules fed to the trapezoid ora
 
 def _auto_spec(scene, component, lag):
     return estimate_nodes(scene, lag.transverse, oscillation_span(scene, component))
+
+
+def _shared_rules(scene, component, spec, max_rho, block_nodes):
+    """The rules along the shared paths of :func:`_path` for lags up to
+    ``max_rho``, one path per part of the component."""
+    return [rule for part, part_spec in _part_specs([scene], component, spec)
+            for rule in _path_rules([scene], part, _path([scene], part, part_spec, max_rho),
+                                    block_nodes)]
 
 
 def _trapezoid_synthesis(scene, component, lags, spec):
@@ -64,7 +80,7 @@ def _trapezoid_synthesis(scene, component, lags, spec):
     """
     rho_max = max(lag.transverse for lag in lags)
     values = np.zeros(len(lags), dtype=complex)
-    for rule in _path_rules([scene], component, spec, rho_max, _ORACLE_BLOCK):
+    for rule in _shared_rules(scene, component, spec, rho_max, _ORACLE_BLOCK):
         for krho, coeffs in rule:
             coeff = coeffs[:, 0]
             z = float(np.abs(krho).max()) * rho_max
@@ -492,15 +508,31 @@ class TestGeometricOpticsLimit:
 
 def _count_nodes(monkeypatch):
     """Count the k1z samples handed to ``spectrum.propagating_factor``, the
-    way the benchmark's tracer counts nodes."""
+    way the benchmark's tracer counts nodes, and to
+    ``spectrum.part_coefficient``, which the per-lag saddle path uses."""
     counter = {"nodes": 0}
-    original = spectrum.propagating_factor
 
-    def counting(scene, component, k1z, *args):
-        counter["nodes"] += int(np.size(k1z))
-        return original(scene, component, k1z, *args)
+    def counting(original):
+        def count(scene, component, k1z, *args):
+            counter["nodes"] += int(np.size(k1z))
+            return original(scene, component, k1z, *args)
+        return count
 
-    monkeypatch.setattr(spectrum, "propagating_factor", counting)
+    for name in ("propagating_factor", "part_coefficient"):
+        monkeypatch.setattr(spectrum, name, counting(getattr(spectrum, name)))
+    return counter
+
+
+def _count_lag_sums(monkeypatch):
+    """Count the lags synthesized on their own per-lag paths."""
+    counter = {"lags": 0}
+    original = quadrature._lag_sum
+
+    def counting(*args):
+        counter["lags"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, "_lag_sum", counting)
     return counter
 
 
@@ -518,12 +550,18 @@ def _split(x):
     return hi, x - hi
 
 
-def _exact_wave(kappa, length):
-    """e^{i kappa length}, its phase rounded once: the product is kept as
-    the Dekker two-product hi + lo."""
-    hi = kappa * length
-    (kh, kl), (lh, ll) = _split(kappa), _split(length)
-    lo = ((kh * lh - hi) + kh * ll + kl * lh) + kl * ll
+def _exact_wave(kappa, length, rho=0.0):
+    """e^{i kappa R}, R = hypot(length, rho), its phase rounded once: R is
+    kept as hi + lo from 40-digit decimal arithmetic, and the product
+    kappa R_hi as the Dekker two-product hi + lo."""
+    with decimal.localcontext() as context:
+        context.prec = 40
+        exact = (decimal.Decimal(length) ** 2 + decimal.Decimal(rho) ** 2).sqrt()
+        r_hi = float(exact)
+        r_lo = float(exact - decimal.Decimal(r_hi))
+    hi = kappa * r_hi
+    (kh, kl), (lh, ll) = _split(kappa), _split(r_hi)
+    lo = ((kh * lh - hi) + kh * ll + kl * lh) + kl * ll + kappa * r_lo
     return cmath.exp(1j * hi) * cmath.exp(1j * lo)
 
 
@@ -663,12 +701,12 @@ class TestNodeCounts:
         lag = SpatialLag(1.0)
         spec = _auto_spec(scene, component, lag)
         assert _path([scene], component, spec, 1.0).straight
-        rules = _path_rules([scene], component, spec, 1.0, _ORACLE_BLOCK)
+        rules = _shared_rules(scene, component, spec, 1.0, _ORACLE_BLOCK)
         assert not any(np.iscomplexobj(krho) for rule in rules for krho, _ in rule)
         counter = _count_nodes(monkeypatch)
         _synthesize_on_planes([scene], component, [lag], spec, bend=False)
         straight, counter["nodes"] = counter["nodes"], 0
-        synthesize_impulse(scene, component, lag, spec)
+        _synthesize_on_planes([scene], component, [lag], spec, per_lag=False)
         assert counter["nodes"] == straight
 
     @pytest.mark.parametrize(("frequency", "surface_z", "receiver_z", "lag_x", "most", "tol"), [
@@ -708,3 +746,193 @@ class TestNodeCounts:
         counter = _count_nodes(monkeypatch)
         synthesize_impulse(scene, component, lags, spec)
         assert counter["nodes"] <= 800
+
+
+def _off_axis_case(frequency, reflected, span):
+    """The scene, component, path length and sign of the direct wave over
+    ``span`` or of the conductor's image over a reflected path ``span``."""
+    if reflected:
+        scene = _image_scene(Medium(frequency, PERFECT_CONDUCTOR), span)
+        length = 2.0 * scene.surface_z - scene.receiver_z - scene.source_z
+        return scene, FieldComponent.REFLECTION_ONLY, length, -1.0
+    return _los_scene(Medium(frequency, VACUUM), dz=span), FieldComponent.LOS_ONLY, span, 1.0
+
+
+def _exact_field(scene, length, rho, sign):
+    """sign * -i kappa1 eta / (4 pi) e^{i kappa1 R} / R with the phase of
+    :func:`_exact_wave`."""
+    kappa1 = scene.medium.kappa1
+    return (sign * -1j * kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+            * _exact_wave(kappa1, length, rho) / math.hypot(length, rho))
+
+
+class TestPerLagPath:
+    """A positive lag of a part with an entire coefficient runs on its own
+    path: a short real start, the two Hankel halves, and the specular
+    saddle crossed on its steepest-descent path."""
+
+    @pytest.mark.parametrize("reflected", [False, True], ids=["los", "conductor"])
+    @pytest.mark.parametrize("frequency", [57.5e9, 140e9, 300e9],
+                             ids=["57.5GHz", "140GHz", "300GHz"])
+    def test_off_axis_matches_the_exact_wave(self, monkeypatch, frequency, reflected):
+        """Lags from below the 2 m span up to 20 times it, so kappa1 R
+        reaches 2.5e5 at 300 GHz: the path carries kappa1 R exactly, as
+        the oracle does with R in 40-digit decimals, where a rounded R
+        would miss it by up to kappa1 R 2^-53."""
+        span = 2.0
+        scene, component, length, sign = _off_axis_case(frequency, reflected, span)
+        counter = _count_lag_sums(monkeypatch)
+        for ratio in (0.8, 1.0, 2.0, 5.0, 10.0, 20.0):
+            rho = ratio * span
+            lag = SpatialLag(rho)
+            value = synthesize_impulse(scene, component, lag, _auto_spec(scene, component, lag))
+            expected = _exact_field(scene, length, rho, sign)
+            assert abs(value - expected) <= 1e-12 * abs(expected), ratio
+        assert counter["lags"] == 6
+
+    @pytest.mark.parametrize(("frequency", "span", "rho"), [
+        (140e9, 0.1, 20.0), (300e9, 0.02, 10.0), (300e9, 0.02, 20.0), (300e9, 0.05, 10.0),
+    ])
+    def test_far_past_grazing(self, monkeypatch, frequency, span, rho):
+        """Lags 200 to 1000 times the span put the saddle path just below
+        the real axis of the Hankel argument, where scipy's scaled
+        ``hankel1e`` alone would miss by ~|x| 2^-53 (1e-12 here)."""
+        scene, component, length, sign = _off_axis_case(frequency, False, span)
+        lag = SpatialLag(rho)
+        counter = _count_lag_sums(monkeypatch)
+        value = synthesize_impulse(scene, component, lag, _auto_spec(scene, component, lag))
+        expected = _exact_field(scene, length, rho, sign)
+        assert counter["lags"] == 1
+        assert abs(value - expected) <= 5e-14 * abs(expected)
+
+    def test_grazing_call_takes_the_per_lag_path(self, monkeypatch):
+        """The call that keeps the straight shared path (7,360 nodes) runs
+        a few panels on its own path."""
+        medium = Medium(300e9, PERFECT_CONDUCTOR)
+        scene = _image_scene(medium, 10.0 * medium.wavelength)
+        component = FieldComponent.REFLECTION_ONLY
+        lag = SpatialLag(1.0)
+        spec = _auto_spec(scene, component, lag)
+        nodes, lags = _count_nodes(monkeypatch), _count_lag_sums(monkeypatch)
+        value = synthesize_impulse(scene, component, lag, spec)
+        assert lags["lags"] == 1 and nodes["nodes"] <= 400
+        length = 2.0 * scene.surface_z - scene.receiver_z
+        expected = _exact_field(scene, length, 1.0, -1.0)
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize(("experiment", "frequency_ghz"), [("fig4", 300.0), ("fig5", 57.5)])
+    def test_ula_matrices_keep_the_shared_path(self, monkeypatch, experiment, frequency_ghz):
+        """A parallel ULA's lags include 0 and share one path per part."""
+        decisions = []
+        original = quadrature._own_path
+
+        def recording(*args):
+            decisions.append(original(*args))
+            return decisions[-1]
+
+        monkeypatch.setattr(quadrature, "_own_path", recording)
+        run_named(experiment, ExperimentConfig(frequency_ghz=frequency_ghz, antennas=16))
+        assert decisions and all(decision is None for decision in decisions)
+
+    def test_offset_arrays_keep_the_shared_path(self, monkeypatch):
+        """Arrays offset 3 m along the surface have only positive lags, but
+        one shared path serves all of them, so none takes its own."""
+        medium = Medium(300e9, PERFECT_CONDUCTOR)
+        scene = _image_scene(medium, 2.0)
+        tx = ArrayLayout(count=4, spacing=0.05, center=(0.0, 0.0, scene.source_z))
+        for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
+            rx = ArrayLayout(count=4, spacing=0.05, center=(3.0, 0.0, scene.receiver_z),
+                             axis=axis)
+            lags = _count_lag_sums(monkeypatch)
+            build_channel_matrix(scene, tx, rx, FieldComponent.REFLECTION_ONLY)
+            assert lags["lags"] == 0
+
+    def test_mixed_batch_splits_the_reflected_part(self, monkeypatch):
+        """In a conductor and concrete batch the conductor's image takes its
+        own path and the concrete's the shared one, so each column matches
+        its single-scene call to round-off (a 3 m lag over a 2 m image path
+        at 300 GHz), also where the direct wave is added.  The conductor's
+        shared path would differ by 9e-13."""
+        conductor = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 2.0)
+        concrete = dataclasses.replace(conductor, medium=Medium(300e9, CONCRETE))
+        lag = SpatialLag(3.0)
+        for component in (FieldComponent.REFLECTION_ONLY, FieldComponent.LOS_PLUS_REFLECTION):
+            spec = _auto_spec(conductor, component, lag)
+            batch = synthesize_impulse([conductor, concrete], component, lag, spec)
+            for value, scene in zip(batch, (conductor, concrete)):
+                single = synthesize_impulse(scene, component, lag, spec)
+                assert abs(value - single) <= 1e-14 * abs(single), component
+        component = FieldComponent.REFLECTION_ONLY
+        lags = _count_lag_sums(monkeypatch)
+        batch = synthesize_impulse([conductor, concrete], component, lag,
+                                   _auto_spec(conductor, component, lag))
+        assert lags["lags"] == 1
+        length = 2.0 * conductor.surface_z - conductor.receiver_z
+        expected = _exact_field(conductor, length, 3.0, -1.0)
+        assert abs(batch[0] - expected) <= 1e-12 * abs(expected)
+
+    def test_dielectric_keeps_the_shared_path(self, monkeypatch):
+        """Concrete's far-side branch point keeps the shared path where the
+        conductor at the same geometry takes the per-lag one."""
+        conductor = _image_scene(Medium(140e9, PERFECT_CONDUCTOR), 2.0)
+        concrete = dataclasses.replace(conductor, medium=Medium(140e9, CONCRETE))
+        component, lag = FieldComponent.REFLECTION_ONLY, SpatialLag(10.0)
+        spec = _auto_spec(conductor, component, lag)
+        lags = _count_lag_sums(monkeypatch)
+        synthesize_impulse(conductor, component, lag, spec)
+        assert lags["lags"] == 1
+        nodes = _count_nodes(monkeypatch)
+        synthesize_impulse(concrete, component, lag, spec)
+        assert lags["lags"] == 1
+        per_call, nodes["nodes"] = nodes["nodes"], 0
+        _synthesize_on_planes([concrete], component, [lag], spec, per_lag=False)
+        assert per_call == nodes["nodes"]
+
+    def test_saddle_clearance(self):
+        """The per-lag path needs kappa1 R sin^2(a_s) = kappa1 rho^2 / R >= 10."""
+        kappa1, length = Medium(300e9, VACUUM).kappa1, 20.0
+        # kappa1 rho^2 = 10 hypot(length, rho), solved for rho by fixed point
+        rho = 1.0
+        for _ in range(50):
+            rho = math.sqrt(10.0 * math.hypot(length, rho) / kappa1)
+        assert _lag_path(kappa1, length, rho * (1.0 - 1e-9), 1) is None
+        assert _lag_path(kappa1, length, rho * (1.0 + 1e-9), 1) is not None
+
+    def test_convergence_doublings_refine_the_path(self, monkeypatch):
+        """Past the budget each piece gets n_alpha // budget panels, so
+        every doubling of ``convergence_study`` evaluates more nodes."""
+        scene = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 0.05)
+        component, lag = FieldComponent.REFLECTION_ONLY, SpatialLag(1.0)
+        budget = _auto_spec(scene, component, lag).n_alpha
+        study = convergence_study(scene, component, lag, rel_tol=1e-30,
+                                  max_nodes=16 * budget)
+        resolved = [row.n_alpha for row in study.rows if row.n_alpha >= budget]
+        assert len(resolved) >= 4
+        nodes, lags = _count_nodes(monkeypatch), _count_lag_sums(monkeypatch)
+        counts = []
+        for n_alpha in resolved:
+            nodes["nodes"] = 0
+            synthesize_impulse(scene, component, lag, QuadratureSpec(n_alpha))
+            counts.append(nodes["nodes"])
+        assert lags["lags"] == len(resolved)
+        assert all(before < after for before, after in zip(counts, counts[1:]))
+
+
+def test_first_synthesis_leaves_scipy_linalg_unimported():
+    """The Gauss-Legendre panel comes from numpy, so a synthesis in a fresh
+    interpreter does not import scipy.linalg (44 modules)."""
+    import reflectmimo
+
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(reflectmimo.__file__).parents[1])!r})\n"
+        "from reflectmimo import *\n"
+        "scene = SceneConfig(medium=Medium(57.5e9, VACUUM), surface_z=2.0, source_z=0.0,"
+        " receiver_z=1.0)\n"
+        "synthesize_impulse(scene, FieldComponent.LOS_ONLY, SpatialLag(0.2),"
+        " QuadratureSpec(1024))\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
