@@ -8,6 +8,8 @@ the quadrature path, and serve as oracles in the test-suite.
 
 from __future__ import annotations
 
+import cmath
+import decimal
 import math
 
 import numpy as np
@@ -23,13 +25,34 @@ def _as_point(p) -> np.ndarray:
     return arr
 
 
+def _exact_distance(receiver: np.ndarray, source: np.ndarray) -> decimal.Decimal:
+    """|receiver - source| from the endpoints in 40-digit decimal
+    arithmetic, so neither the displacement nor the distance is rounded to
+    a double first."""
+    with decimal.localcontext() as context:
+        context.prec = 40
+        return sum((decimal.Decimal(float(r)) - decimal.Decimal(float(s))) ** 2
+                   for r, s in zip(receiver, source)).sqrt()
+
+
+def _wave(kappa: float, distance: decimal.Decimal) -> complex:
+    """e^{i kappa R} / R with the phase kappa R carried as hi + lo: at
+    kappa R ~ 1e5, a phase rounded to a double would err by kappa R 2^-53."""
+    with decimal.localcontext() as context:
+        context.prec = 40
+        phase = decimal.Decimal(kappa) * distance
+        hi = float(phase)
+        lo = float(phase - decimal.Decimal(hi))
+    return cmath.exp(1j * hi) * cmath.exp(1j * lo) / float(distance)
+
+
 def spherical_wave(kappa: float, offset) -> complex:
     """Outgoing spherical wave e^{i kappa |r|} / |r| at displacement ``offset``."""
-    r = float(np.linalg.norm(_as_point(offset)))
-    if r <= 0.0:
+    r = _exact_distance(_as_point(offset), np.zeros(3))
+    if r <= 0:
         msg = "spherical wave is singular at zero displacement"
         raise ValueError(msg)
-    return complex(np.exp(1j * kappa * r) / r)
+    return _wave(kappa, r)
 
 
 def los_impulse(medium: Medium, receiver, source) -> complex:
@@ -40,17 +63,15 @@ def los_impulse(medium: Medium, receiver, source) -> complex:
     disk alone cannot represent.  Points closer than ten wavelengths are
     rejected: the synthesis is not meant to be compared there.
     """
-    r = _as_point(receiver)
-    s = _as_point(source)
-    separation = float(np.linalg.norm(r - s))
-    if separation < 10.0 * medium.wavelength:
+    separation = _exact_distance(_as_point(receiver), _as_point(source))
+    if float(separation) < 10.0 * medium.wavelength:
         msg = (
-            f"separation {separation:.6g} m below the ten-wavelength guard "
+            f"separation {float(separation):.6g} m below the ten-wavelength guard "
             f"({10.0 * medium.wavelength:.6g} m)"
         )
         raise ValueError(msg)
     scale = -1j * medium.kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
-    return complex(scale * spherical_wave(medium.kappa1, r - s))
+    return scale * _wave(medium.kappa1, separation)
 
 
 def image_impulse(medium: Medium, receiver, source, surface_z: float) -> complex:

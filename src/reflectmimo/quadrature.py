@@ -62,9 +62,9 @@ import cmath
 import dataclasses
 import math
 import warnings
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import hankel1, hankel1e, hankel2, j0, jv
@@ -88,6 +88,7 @@ _LEG_NODES = 48  # fewest nodes on a leg
 _START_ARGUMENT = 4.0  # kappa1 rho sin(a_c): the Hankel halves start this far from their log point
 _SADDLE_CLEARANCE = 10.0  # least kappa1 R sin^2(a_s): the saddle path stays clear of a = 0
 _HANKEL_NEAR = 40.0  # hankel1e loses |x| 2^-53 up to ~10 below the real axis; take hankel1 to here
+_Nodes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]  # k_rho, k1z, weight, angle
 
 
 class UnderResolvedWarning(UserWarning):
@@ -150,40 +151,24 @@ def _base_panel() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_PANEL)
 
 
-def _panel_blocks(panels: int, hi: float, step: int,
-                  first: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Composite Gauss-Legendre nodes/weights on the first ``first`` of
-    ``panels`` equal panels on [0, hi], ``step`` panels at a time."""
+@lru_cache(maxsize=2 * _CACHED_PANELS)
+def _panel_rule(panels: int, hi: float) -> tuple[np.ndarray, np.ndarray]:
     x, w = _base_panel()
     edges = np.linspace(0.0, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    for start in range(0, first, step):
-        stop = min(start + step, first)
-        h = half[start:stop, None]
-        yield (mid[start:stop, None] + h * x).ravel(), (h * w).ravel()
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
-@lru_cache(maxsize=2 * _CACHED_PANELS)
-def _short_rule(panels: int, hi: float, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``first`` <= ``_CACHED_PANELS`` panels of a rule, each
-    entry at most 128 KiB of nodes and weights."""
-    return next(_panel_blocks(panels, hi, first, first))
-
-
-def _composite_blocks(n_nodes: int, hi: float, block_nodes: int,
-                      first: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _rule(n_nodes: int, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [0, hi] with the panels
-    ``n_nodes`` asks for, or on the first ``first`` of them, in blocks of
-    whole panels holding at most ``block_nodes`` nodes (at least one
-    panel).  Short one-block rules recur across calls and are cached;
-    longer ones are built block by block and never held."""
+    ``n_nodes`` asks for.  Rules of up to ``_CACHED_PANELS`` panels, each
+    at most 128 KiB of nodes and weights, recur across calls and are
+    cached; longer ones are built afresh."""
     panels = _panels_for(n_nodes)
-    first = panels if first is None else first
-    step = max(1, block_nodes // _PANEL)
-    if first <= min(step, _CACHED_PANELS):
-        return iter((_short_rule(panels, hi, first),))
-    return _panel_blocks(panels, hi, step, first)
+    if panels > _CACHED_PANELS:
+        return _panel_rule.__wrapped__(panels, hi)
+    return _panel_rule(panels, hi)
 
 
 def _panels_for(n_nodes: int) -> int:
@@ -373,6 +358,11 @@ def _path(scenes: list[SceneConfig], component: FieldComponent, spec: Quadrature
     return bent if _cost(bent) < _cost(straight) else straight
 
 
+def _scale(kappa1: float) -> float:
+    """The prefactor kappa1 eta1 / 2 times the 1/(2 pi) of J0's reduction."""
+    return kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+
+
 def _coefficients(scenes: list[SceneConfig], component: FieldComponent, k1z: np.ndarray,
                   weight: np.ndarray, angle: np.ndarray | None) -> np.ndarray:
     """(node x scene) coefficients of one block of nodes at longitudinal
@@ -386,41 +376,34 @@ def _coefficients(scenes: list[SceneConfig], component: FieldComponent, k1z: np.
     return coeffs
 
 
-def _disk_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
-               block_nodes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The real segment [0, a0] of the path, block by block: the whole
-    disk rule on the straight path, the segment's own panels on a bent
-    one, where each term's phase is carried exactly."""
-    kappa1 = scenes[0].medium.kappa1
-    scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
-    for alpha, w_alpha in _composite_blocks(path.panels * _PANEL, path.angle, block_nodes):
-        sin_a = np.sin(alpha)
-        yield kappa1 * sin_a, _coefficients(scenes, component, kappa1 * np.cos(alpha),
-                                            w_alpha * scale * kappa1 * sin_a,
-                                            None if path.straight else alpha)
+def _segment(kappa1: float, alpha: np.ndarray, w_alpha: np.ndarray) -> _Nodes:
+    """The nodes at the real polar angles ``alpha`` with quadrature weights
+    ``w_alpha``: (k_rho, k1z, weight, polar angle), the weight holding the
+    Jacobian kappa1 sin(a) and the scale of :func:`_coefficients`."""
+    sin_a = np.sin(alpha)
+    return (kappa1 * sin_a, kappa1 * np.cos(alpha),
+            w_alpha * _scale(kappa1) * kappa1 * sin_a, alpha)
 
 
-def _leg_rule(scenes: list[SceneConfig], component: FieldComponent, path: _Path,
-              block_nodes: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The leg a = a0 - i*b, in the decay variable u = kappa1 depth
-    sinh(b) on [0, 36], block by block.  On the straight path it is the
-    branch cut, where k1z = i*gamma and k_rho stays real; below pi/2 both
-    are complex and each term's phase is carried exactly."""
-    kappa1 = scenes[0].medium.kappa1
-    scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
-    cos_a, sin_a = _cos_sin(path.angle)
-    for u, w_u in _composite_blocks(path.leg_nodes, _TAIL_CUTOFF, block_nodes):
-        sinh_b = u / (kappa1 * path.depth)
-        cosh_b = np.sqrt(1.0 + sinh_b * sinh_b)
-        k1z = kappa1 * (cos_a * cosh_b + 1j * sin_a * sinh_b)
-        krho = kappa1 * sin_a * cosh_b
-        angle = None
-        if not path.straight:
-            krho = krho - 1j * kappa1 * cos_a * sinh_b
-            angle = path.angle - 1j * np.arcsinh(sinh_b)
-        # kappa1 sin(a) da with da = -i db = -i du / (kappa1 depth cosh b)
-        weight = (w_u / (kappa1 * path.depth * cosh_b)) * scale * (-1j) * krho
-        yield krho, _coefficients(scenes, component, k1z, weight, angle)
+def _leg(kappa1: float, angle: float, sign: float, depth: float, u: np.ndarray,
+         w_u: np.ndarray) -> _Nodes:
+    """The nodes of the leg a = angle + sign i b, ``sign`` = -1 or 1, at the
+    decay variables u = kappa1 depth sinh(b) with quadrature weights
+    ``w_u``, as :func:`_segment` returns them.  At ``angle`` = pi/2 the leg
+    is the branch cut: k1z = i*gamma, k_rho stays real and the polar angle
+    is None, as no phase needs carrying there."""
+    cos_a, sin_a = _cos_sin(angle)
+    sinh_b = u / (kappa1 * depth)
+    cosh_b = np.sqrt(1.0 + sinh_b * sinh_b)
+    k1z = kappa1 * (cos_a * cosh_b - sign * 1j * sin_a * sinh_b)
+    krho = kappa1 * sin_a * cosh_b
+    polar = None
+    if angle != 0.5 * math.pi:
+        krho = krho + sign * 1j * kappa1 * cos_a * sinh_b
+        polar = angle + sign * 1j * np.arcsinh(sinh_b)
+    # kappa1 sin(a) da with da = sign i db = sign i du / (kappa1 depth cosh b)
+    weight = (w_u / (kappa1 * depth * cosh_b)) * _scale(kappa1) * (sign * 1j) * krho
+    return krho, k1z, weight, polar
 
 
 @dataclass(frozen=True)
@@ -503,12 +486,6 @@ def _own_path(scenes: list[SceneConfig], part: FieldComponent, rho: np.ndarray,
     return path
 
 
-def _whole_rule(n_nodes: int, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The composite Gauss-Legendre rule ``n_nodes`` asks for on [0, hi],
-    in one block."""
-    return next(_composite_blocks(n_nodes, hi, _BESSEL_BLOCK_SCALARS))
-
-
 def _scaled_hankel1(x: np.ndarray) -> np.ndarray:
     """H0^(1)(x) e^{-ix}.  Just below the real axis scipy's scaled
     ``hankel1e`` loses about |x| 2^-53, so there it is formed from
@@ -520,46 +497,42 @@ def _scaled_hankel1(x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _lag_sum(scenes: list[SceneConfig], part: FieldComponent, path: _LagPath) -> np.ndarray:
-    """The lag's value for every scene along its own path.  Each piece runs
-    on the rule of a fixed interval, scaled, so short rules recur across
-    lags; the real start and the two legs share one coefficient
+def _lag_sum(scenes: list[SceneConfig], part: FieldComponent, path: _LagPath,
+             lag: SpatialLag) -> np.ndarray:
+    """The value of ``lag`` for every scene along its own path.  Each piece
+    runs on the rule of a fixed interval, scaled, so short rules recur
+    across lags; the real start and the two legs share one coefficient
     evaluation, and the saddle path carries e^{i kappa1 R} exactly, with R
-    in double-double."""
+    in double-double from the path length and both lag components, the
+    larger first, so neither their order nor their signs change it."""
     kappa1 = scenes[0].medium.kappa1
-    scale = kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
-    argument = kappa1 * path.rho
-    t, w_t = _whole_rule(path.panels * _PANEL, 1.0)
-    u, w_u = _whole_rule(path.leg_nodes, _TAIL_CUTOFF)
-    depth = np.array(path.depths)[:, None]
-    sign = np.array([[-1.0], [1.0]])  # the H0^(2) leg, then the H0^(1) leg
-    sinh_b = u / (kappa1 * depth)
-    legs = path.start + 1j * sign * np.arcsinh(sinh_b)
-    # half of -+i db = -+i du / (kappa1 depth cosh b) on a leg; a_c dt on the start
-    leg_da = 0.5j * sign * w_u / (kappa1 * depth * np.sqrt(1.0 + sinh_b * sinh_b))
-    angle = np.concatenate((path.start * t, legs.ravel()))
-    da = np.concatenate((path.start * w_t, leg_da.ravel()))
-    sin_a = np.sin(angle)
-    x = argument * sin_a
+    t, w_t = _rule(path.panels * _PANEL, 1.0)
+    u, w_u = _rule(path.leg_nodes, _TAIL_CUTOFF)
+    # the H0^(2) leg descends, the H0^(1) leg climbs; each carries half of J0
+    pieces = [_segment(kappa1, path.start * t, path.start * w_t),
+              *(_leg(kappa1, path.start, sign, depth, u, 0.5 * w_u)
+                for sign, depth in zip((-1.0, 1.0), path.depths))]
+    krho, k1z, weight, angle = (np.concatenate(column) for column in zip(*pieces))
+    x = path.rho * krho
     start, down = t.size, t.size + u.size
     kernel = np.concatenate((j0(x[:start].real), hankel2(0, x[start:down]),
                              hankel1(0, x[down:])))
-    total = kernel @ _coefficients(scenes, part, kappa1 * np.cos(angle),
-                                   da * scale * kappa1 * sin_a, angle)
-    r_hi, r_lo = spectrum._exact_hypot(path.length, path.rho)
+    total = kernel @ _coefficients(scenes, part, k1z, weight, angle)
+    r_hi, r_lo = spectrum._exact_hypot(path.length,
+                                       *sorted((abs(lag.x), abs(lag.y)), reverse=True))
     reach = math.sqrt(_TAIL_CUTOFF / (kappa1 * r_hi))
     tilt = cmath.exp(-0.25j * math.pi) / math.sqrt(2.0)
-    v, w_v = _whole_rule(path.panels * _PANEL, 2.0)
+    v, w_v = _rule(path.panels * _PANEL, 2.0)
     s = reach * (v - 1.0)
     half = np.arcsin(tilt * s)
     angle = path.specular + 2.0 * half
     sin_a = np.sin(angle)
     # half of kappa1 sin(a) da, da = 2 tilt ds / cos(half), times e^{-kappa1 R s^2}
     weight = (reach * w_v * tilt / np.cos(half) * np.exp(-kappa1 * r_hi * s * s)
-              * scale * kappa1 * sin_a)
+              * _scale(kappa1) * kappa1 * sin_a)
     k1z = kappa1 * np.cos(angle)
     coeffs = np.stack([spectrum.part_coefficient(scene, part, k1z) for scene in scenes], axis=1)
-    saddle = _scaled_hankel1(argument * sin_a) @ (coeffs * weight[:, None])
+    saddle = _scaled_hankel1(kappa1 * path.rho * sin_a) @ (coeffs * weight[:, None])
     phase = spectrum._carrier_angle(kappa1, r_hi) + kappa1 * r_lo
     return total + cmath.exp(1j * phase) * saddle
 
@@ -580,24 +553,33 @@ def _part_specs(scenes: list[SceneConfig], component: FieldComponent,
                 scale * (spans[component] - spans[part]))))) for part in parts]
 
 
-def _path_rules(scenes: list[SceneConfig], part: FieldComponent, path: _Path,
-                block_nodes: int) -> list[Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """The rules along the part's shared path: its real segment, then its
-    leg."""
-    return [_disk_rule(scenes, part, path, block_nodes),
-            _leg_rule(scenes, part, path, block_nodes)]
-
-
-def _bessel_sum(blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-                rho: np.ndarray) -> np.ndarray:
-    """sum_i coeff_ik J0(krho_i rho_j) for every lag j and scene k, as a
-    (lag x scene) array: each node block's Bessel matrix is evaluated once
-    for all scenes.  A real Bessel matrix multiplies the real and imaginary
-    parts of the coefficients as one real matrix product; the bent leg's
-    complex wavenumbers go through ``jv``."""
-    return sum((jv(0, rho[:, None] * krho) @ coeffs) if np.iscomplexobj(krho)
-               else (j0(rho[:, None] * krho) @ coeffs.view(float)).view(complex)
-               for krho, coeffs in blocks)
+def _shared_sums(scenes: list[SceneConfig], part: FieldComponent, path: _Path,
+                 rho: np.ndarray) -> Iterator[np.ndarray]:
+    """sum_i coeff_ik J0(krho_i rho_j) for every lag j and scene k along the
+    part's shared path, as one (lag x scene) array per piece: the real
+    segment [0, a0], then the leg.  Each piece's rule is taken in blocks of
+    whole panels holding at most ``_BESSEL_BLOCK_SCALARS`` Bessel factors
+    (but at least one panel), so no full-length per-scene coefficient
+    vector is built, and each block's Bessel matrix serves every scene.  A
+    real Bessel matrix multiplies the real and imaginary parts of the
+    coefficients as one real matrix product; the bent leg's complex
+    wavenumbers go through ``jv``.  On a bent path each term's phase is
+    carried exactly."""
+    kappa1 = scenes[0].medium.kappa1
+    step = _PANEL * max(1, _BESSEL_BLOCK_SCALARS // rho.size // _PANEL)
+    pieces = ((_rule(path.panels * _PANEL, path.angle), partial(_segment, kappa1)),
+              (_rule(path.leg_nodes, _TAIL_CUTOFF),
+               partial(_leg, kappa1, path.angle, -1.0, path.depth)))
+    for (nodes, weights), sample in pieces:
+        total = 0.0
+        for start in range(0, nodes.size, step):
+            krho, k1z, weight, angle = sample(nodes[start:start + step],
+                                              weights[start:start + step])
+            coeffs = _coefficients(scenes, part, k1z, weight,
+                                   None if path.straight else angle)
+            total = total + ((jv(0, rho[:, None] * krho) @ coeffs) if np.iscomplexobj(krho)
+                             else (j0(rho[:, None] * krho) @ coeffs.view(float)).view(complex))
+        yield total
 
 
 def _columns(mask: list[bool], part: np.ndarray) -> np.ndarray:
@@ -617,12 +599,9 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
     """Every lag of every scene on the scenes' shared planes, as a
     (scene x lag) array: the sum over the parts of the component, each on
     its own per-lag path (:func:`_own_path`) for the scenes where its
-    coefficient is entire, and on its shared path (:func:`_path`) for the
-    others.  Node blocks hold at most
-    ``_BESSEL_BLOCK_SCALARS`` Bessel factors (but at least one panel), so
-    no full-length per-scene coefficient vector is ever built.
-    ``bend=False`` forces the straight paths; ``per_lag=False`` keeps the
-    shared ones."""
+    coefficient is entire, and on its shared path (:func:`_path`), block
+    by block (:func:`_shared_sums`), for the others.  ``bend=False`` forces
+    the straight paths; ``per_lag=False`` keeps the shared ones."""
     rho = np.array([lag.transverse for lag in lags])
     max_rho = float(rho.max())
     needed = max(_plane_budget(scene, component, max_rho).n_alpha for scene in scenes)
@@ -634,7 +613,6 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
             UnderResolvedWarning,
             stacklevel=3,
         )
-    block_nodes = max(_PANEL, _BESSEL_BLOCK_SCALARS // rho.size)
     panels = spec.n_alpha // needed if bend and per_lag else 0
     values = 0.0
     for part, part_spec in _part_specs(scenes, component, spec):
@@ -643,12 +621,12 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
         alone = [own is not None and _entire(scene, part) for scene in scenes]
         if any(alone):
             chosen = [scene for scene, a in zip(scenes, alone) if a]
-            values = values + _columns(alone, _lag_sum(chosen, part, own)[None, :])
+            values = values + _columns(alone, _lag_sum(chosen, part, own, lags[0])[None, :])
         if not all(alone):
             shared = [not a for a in alone]
             rest = [scene for scene, s in zip(scenes, shared) if s]
-            for rule in _path_rules(rest, part, path, block_nodes):
-                values = values + _columns(shared, _bessel_sum(rule, rho))
+            for piece in _shared_sums(rest, part, path, rho):
+                values = values + _columns(shared, piece)
     return values.T
 
 

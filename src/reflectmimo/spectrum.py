@@ -147,16 +147,22 @@ def _two_product(a: float, b: float) -> tuple[float, float]:
     return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
 
-def _exact_hypot(a: float, b: float) -> tuple[float, float]:
-    """hypot(a, b) as hi + lo, to about 2^-100 relative: the squares and
-    their sum are kept exactly, and one Newton step corrects the rounded
-    square root."""
-    (p, p_lo), (q, q_lo) = _two_product(a, a), _two_product(b, b)
-    total = p + q
-    total_lo = (p - total) + q if p >= q else (q - total) + p  # Fast2Sum
+def _exact_hypot(*values: float) -> tuple[float, float]:
+    """The Euclidean norm of ``values`` as hi + lo, to about 2^-100
+    relative: each square is kept exactly, their sum as the running sum
+    plus its Fast2Sum errors and the squares' low parts, and one Newton
+    step corrects the rounded square root."""
+    squares = [_two_product(value, value) for value in values]
+    total = total_lo = 0.0
+    for square, _ in squares:
+        rounded = total + square
+        total_lo += (total - rounded) + square if total >= square else (square - rounded) + total
+        total = rounded
+    for _, square_lo in squares:
+        total_lo += square_lo
     hi = math.sqrt(total)
     square, square_lo = _two_product(hi, hi)
-    return hi, (((total - square) - square_lo) + (total_lo + p_lo + q_lo)) / (2.0 * hi)
+    return hi, (((total - square) - square_lo) + total_lo) / (2.0 * hi)
 
 
 def _carrier_angle(kappa1: float, length: float) -> float:

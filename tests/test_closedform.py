@@ -1,5 +1,7 @@
 """Tests for the closed-form spherical-wave and mirror-image references."""
 
+import cmath
+import decimal
 import math
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 
 from reflectmimo import (
     FREE_SPACE_IMPEDANCE,
+    VACUUM,
+    Medium,
     image_impulse,
     los_impulse,
     spherical_wave,
@@ -39,22 +43,43 @@ class TestSphericalWave:
             spherical_wave(1.0, (1.0, 2.0))
 
 
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _reference_los(medium, receiver, source):
+    """-i (kappa1 eta1 / 4 pi) e^{i kappa1 R} / R in 60-digit decimal
+    arithmetic: the separation from the endpoints, and the phase reduced
+    to one turn before it is rounded to a double."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        separation = sum((decimal.Decimal(r) - decimal.Decimal(s)) ** 2
+                         for r, s in zip(receiver, source)).sqrt()
+        turns = decimal.Decimal(medium.kappa1) * separation / (2 * _PI)
+        phase = float((turns - turns.to_integral_value()) * 2 * _PI)
+    return (-1j * medium.kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+            * cmath.exp(1j * phase) / float(separation))
+
+
 class TestLosImpulse:
     def test_matches_expected_formula(self, vacuum_medium):
         receiver = (0.3, -0.2, 1.5)
         source = (0.0, 0.1, 0.0)
-        separation = float(np.linalg.norm(np.subtract(receiver, source)))
-        kappa = vacuum_medium.kappa1
-        expected = (
-            -1j
-            * kappa
-            * FREE_SPACE_IMPEDANCE
-            / (4.0 * math.pi)
-            * np.exp(1j * kappa * separation)
-            / separation
-        )
+        expected = _reference_los(vacuum_medium, receiver, source)
         value = los_impulse(vacuum_medium, receiver, source)
         assert value == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize(("receiver", "source"), [
+        ((0.0, 0.0, 20.0), (0.0, 0.0, 0.0)),
+        ((1.3, -0.7, 19.9), (0.1, 0.2, 0.0)),
+    ], ids=["on-axis", "off-axis"])
+    def test_exact_phase_at_300ghz_over_20m(self, receiver, source):
+        """kappa1 R ~ 1.3e5: a phase rounded to a double errs by up to
+        kappa1 R 2^-53 ~ 1e-11, so the separation and the phase are
+        carried past double precision."""
+        medium = Medium(300e9, VACUUM)
+        expected = _reference_los(medium, receiver, source)
+        value = los_impulse(medium, receiver, source)
+        assert abs(value - expected) <= 1e-14 * abs(expected)
 
     def test_symmetric_in_endpoints(self, vacuum_medium):
         a = (0.0, 0.0, 0.0)
