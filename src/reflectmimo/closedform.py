@@ -3,7 +3,12 @@
 The free-space impulse between two points is an outgoing spherical wave,
 and above a perfectly conducting plane the reflected part equals the field
 of a mirrored source with flipped sign.  Both are exact, independent of
-the quadrature path, and serve as oracles in the test-suite.
+the quadrature path, and serve as oracles in the test-suite.  Above a
+dielectric half-space the reflected part is the mirrored source's wave
+weighted by the plane-wave reflection coefficient at the specular angle,
+plus its first correction in 1 / (kappa1 R): an asymptotic oracle whose
+error falls like (kappa1 R)^-2 (Brekhovskikh, Waves in Layered Media, 2nd
+ed., 1980; Chew, Waves and Fields in Inhomogeneous Media, 1990, ch. 2).
 """
 
 from __future__ import annotations
@@ -25,14 +30,19 @@ def _as_point(p) -> np.ndarray:
     return arr
 
 
-def _exact_distance(receiver: np.ndarray, source: np.ndarray) -> decimal.Decimal:
+def _exact_distance(receiver: np.ndarray, source: np.ndarray,
+                    mirror_z: float | None = None) -> decimal.Decimal:
     """|receiver - source| from the endpoints in 40-digit decimal
     arithmetic, so neither the displacement nor the distance is rounded to
-    a double first."""
+    a double first.  With ``mirror_z`` the source is first mirrored through
+    the plane z = ``mirror_z``, also in decimal arithmetic."""
     with decimal.localcontext() as context:
         context.prec = 40
-        return sum((decimal.Decimal(float(r)) - decimal.Decimal(float(s))) ** 2
-                   for r, s in zip(receiver, source)).sqrt()
+        ends = [decimal.Decimal(float(v)) for v in source]
+        if mirror_z is not None:
+            ends[2] = 2 * decimal.Decimal(mirror_z) - ends[2]
+        return sum((decimal.Decimal(float(r)) - s) ** 2
+                   for r, s in zip(receiver, ends)).sqrt()
 
 
 def _wave(kappa: float, distance: decimal.Decimal) -> complex:
@@ -55,6 +65,19 @@ def spherical_wave(kappa: float, offset) -> complex:
     return _wave(kappa, r)
 
 
+def _check_ten_wavelengths(medium: Medium, separation: decimal.Decimal) -> None:
+    if float(separation) < 10.0 * medium.wavelength:
+        msg = (
+            f"separation {float(separation):.6g} m below the ten-wavelength guard "
+            f"({10.0 * medium.wavelength:.6g} m)"
+        )
+        raise ValueError(msg)
+
+
+def _scale(medium: Medium) -> complex:
+    return -1j * medium.kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+
+
 def los_impulse(medium: Medium, receiver, source) -> complex:
     """Exact free-space impulse between two points.
 
@@ -64,14 +87,20 @@ def los_impulse(medium: Medium, receiver, source) -> complex:
     rejected: the synthesis is not meant to be compared there.
     """
     separation = _exact_distance(_as_point(receiver), _as_point(source))
-    if float(separation) < 10.0 * medium.wavelength:
-        msg = (
-            f"separation {float(separation):.6g} m below the ten-wavelength guard "
-            f"({10.0 * medium.wavelength:.6g} m)"
-        )
+    _check_ten_wavelengths(medium, separation)
+    return _scale(medium) * _wave(medium.kappa1, separation)
+
+
+def _above_surface(receiver, source, surface_z: float) -> tuple[np.ndarray, np.ndarray]:
+    r = _as_point(receiver)
+    s = _as_point(source)
+    if s[2] >= surface_z:
+        msg = f"source z={s[2]} must lie left of the surface z={surface_z}"
         raise ValueError(msg)
-    scale = -1j * medium.kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
-    return scale * _wave(medium.kappa1, separation)
+    if r[2] > surface_z:
+        msg = f"receiver z={r[2]} must not lie behind the surface z={surface_z}"
+        raise ValueError(msg)
+    return r, s
 
 
 def image_impulse(medium: Medium, receiver, source, surface_z: float) -> complex:
@@ -84,13 +113,49 @@ def image_impulse(medium: Medium, receiver, source, surface_z: float) -> complex
     if not medium.material.is_conductor:
         msg = "image construction requires the perfect-conductor variant"
         raise ValueError(msg)
-    r = _as_point(receiver)
-    s = _as_point(source)
-    if s[2] >= surface_z:
-        msg = f"source z={s[2]} must lie left of the surface z={surface_z}"
-        raise ValueError(msg)
-    if r[2] > surface_z:
-        msg = f"receiver z={r[2]} must not lie behind the surface z={surface_z}"
-        raise ValueError(msg)
+    r, s = _above_surface(receiver, source, surface_z)
     mirrored = np.array([s[0], s[1], 2.0 * surface_z - s[2]])
     return los_impulse(medium, r, s) - los_impulse(medium, r, mirrored)
+
+
+def _reflection_series(index: float, mu: float, theta: float) -> tuple[float, float]:
+    """V(theta) and N(theta) = (V'' + V' cot theta) / 2 of the reflected
+    spherical wave, with V = (mu cos - w) / (mu cos + w), w = sqrt(n^2 -
+    sin^2), the plane-wave reflection coefficient.  With T = mu cos + w,
+    V' = 2 mu (1 - n^2) sin / (w T^2) and V'' = 2 mu (1 - n^2) [n^2 cos /
+    (w^3 T^2) + 2 sin^2 (mu + cos / w) / (w T^3)], so V' cot theta =
+    2 mu (1 - n^2) cos / (w T^2), which tends to V'' as theta -> 0."""
+    c, s = math.cos(theta), math.sin(theta)
+    w = math.sqrt(index * index - s * s)
+    total = mu * c + w
+    v = (mu * c - w) / total
+    lead = 2.0 * mu * (1.0 - index * index) / (w * total * total)
+    v2 = lead * (index * index * c / (w * w) + 2.0 * s * s * (mu + c / w) / total)
+    return v, 0.5 * (v2 + lead * c)
+
+
+def dielectric_image_impulse(medium: Medium, receiver, source, surface_z: float) -> complex:
+    """Reflected impulse above a dielectric half-space at z = ``surface_z``,
+    to first order in 1 / (kappa1 R).
+
+    -i (kappa1 eta1 / 4 pi) e^{i kappa1 R} / R [V(theta) - i N(theta) /
+    (kappa1 R)], with R the distance from the receiver to the source
+    mirrored through the plane, theta = atan(rho / L) the specular angle
+    of that path (L its normal, rho its transverse extent), V the
+    plane-wave reflection coefficient and N its first correction (see
+    :func:`_reflection_series`).  The neglected terms are of relative size
+    (kappa1 R)^-2.  R and the phase kappa1 R are carried exactly, as in
+    :func:`los_impulse`.  Only the reflected part is returned, and only
+    for a dielectric; images closer than ten wavelengths are rejected.
+    """
+    material = medium.material
+    if material.is_conductor:
+        msg = "the dielectric image needs a refractive index; see image_impulse"
+        raise ValueError(msg)
+    r, s = _above_surface(receiver, source, surface_z)
+    distance = _exact_distance(r, s, mirror_z=surface_z)
+    _check_ten_wavelengths(medium, distance)
+    theta = math.atan2(math.hypot(r[0] - s[0], r[1] - s[1]), 2.0 * surface_z - r[2] - s[2])
+    v, n = _reflection_series(material.refractive_index, material.permeability_ratio, theta)
+    correction = v - 1j * n / (medium.kappa1 * float(distance))
+    return _scale(medium) * _wave(medium.kappa1, distance) * correction

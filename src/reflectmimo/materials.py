@@ -228,11 +228,12 @@ def fresnel_transmission(medium: Medium, kx, ky):
 
 
 def far_side_kz(medium: Medium, k1z):
-    """Far-side longitudinal wavenumber kappa_2z matching kappa_1z samples.
+    """Far-side longitudinal wavenumber kappa_2z matching kappa_1z samples:
+    the principal root of kappa2^2 - kappa1^2 + kappa_1z^2.
 
-    Real in-disk samples give the real root; complex samples (the
-    analytically continued spectrum) give the root with Im kappa_2z >= 0,
-    so continued fields decay behind the surface.  A homogeneous far side
+    It is real on the disk (n >= 1) and continues it analytically off the
+    root's branch cut, the polar angles a = pi/2 -+ i b past b = acosh n;
+    below the real polar axis Im kappa_2z >= 0.  A homogeneous far side
     returns kappa_1z itself, so its reflection vanishes exactly.  ``None``
     for the perfect conductor.
     """
@@ -240,8 +241,4 @@ def far_side_kz(medium: Medium, k1z):
         return None
     if medium.material.is_homogeneous:
         return np.asarray(k1z)
-    k2z_sq = medium.kappa2 ** 2 - medium.kappa1 ** 2 + np.asarray(k1z) ** 2
-    if not np.iscomplexobj(k2z_sq):
-        return np.sqrt(np.maximum(k2z_sq, 0.0))
-    k2z = np.sqrt(k2z_sq)
-    return np.where(k2z.imag < 0.0, -k2z, k2z)
+    return np.sqrt(medium.kappa2 ** 2 - medium.kappa1 ** 2 + np.asarray(k1z) ** 2)

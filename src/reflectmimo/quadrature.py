@@ -35,9 +35,9 @@ the sum of its parts, each on its own path.
 
 The bend cannot leave the real axis before the specular angle, so a lag
 comparable to the span still costs a real segment that grows with
-electrical size.  Where the part's coefficient is entire in the polar angle
-(the direct wave, and the image off a perfect conductor), a single-lag call
-can instead take the lag's own path: J0 over a short real start [0, a_c],
+electrical size.  Where the part's coefficient is analytic in the polar
+angle along it (the direct wave, and the image), a single-lag call can
+instead take the lag's own path: J0 over a short real start [0, a_c],
 then J0 = (H0^(1) + H0^(2)) / 2, the H0^(2) half descending from a_c and
 the H0^(1) half crossing the specular saddle on its steepest-descent path,
 where the term is e^{i kappa1 R} e^{-kappa1 R s^2}, R = hypot(L, lag), times
@@ -46,9 +46,9 @@ kappa1 R is carried exactly with R in double-double.  It is taken only for
 a positive lag clear of the saddle's approach to a = 0, when the node count
 resolves the call, and when its Hankel evaluations cost less than the
 shared path; calls of several lags keep the shared path, whose coefficients
-and Bessel matrix serve every lag.  A dielectric's far-side branch point
-would need its lateral-wave integral, so its reflected and transmitted
-parts keep the shared path, also beside a conductor in a material batch.
+and Bessel matrix serve every lag.  A dielectric's image qualifies once its
+far-side branch points lie past the tail cutoff, so what lies beyond them
+is below e^{-36}; a material batch qualifies when every scene does.
 
 The surface material enters only through the Fresnel coefficient inside the
 spectral coefficients: scenes that differ only in their material share the
@@ -436,11 +436,16 @@ class _LagPath:
 
 
 def _entire(scene: SceneConfig, part: FieldComponent) -> bool:
-    """Whether the part's coefficient is entire in the polar angle: the
-    direct wave, and the image off a perfect conductor.  A dielectric's
-    far-side branch point would need its lateral-wave integral."""
-    return part is FieldComponent.LOS_ONLY or (
-        part is FieldComponent.REFLECTION_ONLY and scene.medium.material.is_conductor)
+    """Whether the per-lag path may take the part: the direct wave, and the
+    image once the far side's branch points a = pi/2 -+ i acosh n lie past
+    the tail cutoff, kappa1 L sqrt(n^2 - 1) >= ``_TAIL_CUTOFF`` over the
+    image path L (a conductor has none).  Transmission has no one saddle."""
+    if part is FieldComponent.LOS_ONLY:
+        return True
+    index = scene.medium.material.refractive_index
+    return part is FieldComponent.REFLECTION_ONLY and (index is None or (
+        scene.medium.kappa1 * spectrum.decay_distance(scene, part)
+        * math.sqrt(index * index - 1.0) >= _TAIL_CUTOFF))
 
 
 def _lag_path(kappa1: float, length: float, rho: float, panels: int) -> _LagPath | None:
@@ -467,16 +472,17 @@ def _own_path(scenes: list[SceneConfig], part: FieldComponent, rho: np.ndarray,
               panels: int, shared: _Path) -> _LagPath | None:
     """The call's own per-lag path, ``panels`` panels per piece, or None
     where the part keeps its ``shared`` path.  It is taken for a single
-    positive lag, in a call resolved to ``panels`` >= 1, of a part whose
-    coefficient is entire for some scene, when the lag clears the saddle,
-    fits one block of ``_BESSEL_BLOCK_SCALARS`` nodes and costs less on its
-    own path than on the shared one.  Several lags keep the shared path,
+    positive lag, in a call resolved to ``panels`` >= 1, of a part every
+    scene admits (:func:`_entire`), so each part of a material batch runs
+    on one path, when the lag clears the saddle, fits one block of
+    ``_BESSEL_BLOCK_SCALARS`` nodes and costs less on its own path than on
+    the shared one.  Several lags keep the shared path,
     whose coefficients and Bessel matrix serve them all."""
     limit = _cost(shared)
     # no per-lag path costs less than its start and saddle and two least legs
     cheapest = panels * (_PANEL + _COMPLEX_BESSEL_COST * (_PANEL + 2 * _LEG_NODES))
     if not (rho.size == 1 and panels and limit > cheapest and rho[0] > 0.0
-            and any(_entire(scene, part) for scene in scenes)):
+            and all(_entire(scene, part) for scene in scenes)):
         return None
     path = _lag_path(scenes[0].medium.kappa1, spectrum.decay_distance(scenes[0], part),
                      float(rho[0]), panels)
@@ -582,26 +588,16 @@ def _shared_sums(scenes: list[SceneConfig], part: FieldComponent, path: _Path,
         yield total
 
 
-def _columns(mask: list[bool], part: np.ndarray) -> np.ndarray:
-    """The (lag x scene) ``part`` of the scenes where ``mask`` holds, with
-    zero columns for the others, so each scene sums its terms in the same
-    order as when synthesized alone."""
-    if all(mask):
-        return part
-    full = np.zeros((part.shape[0], len(mask)), dtype=complex)
-    full[:, mask] = part
-    return full
-
-
 def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
                           lags: list[SpatialLag], spec: QuadratureSpec, *,
                           bend: bool = True, per_lag: bool = True) -> np.ndarray:
     """Every lag of every scene on the scenes' shared planes, as a
     (scene x lag) array: the sum over the parts of the component, each on
-    its own per-lag path (:func:`_own_path`) for the scenes where its
-    coefficient is entire, and on its shared path (:func:`_path`), block
-    by block (:func:`_shared_sums`), for the others.  ``bend=False`` forces
-    the straight paths; ``per_lag=False`` keeps the shared ones."""
+    its own per-lag path (:func:`_own_path`) where every scene admits
+    it, and otherwise on its shared path
+    (:func:`_path`), block by block (:func:`_shared_sums`).
+    ``bend=False`` forces the straight paths; ``per_lag=False`` keeps the
+    shared ones."""
     rho = np.array([lag.transverse for lag in lags])
     max_rho = float(rho.max())
     needed = max(_plane_budget(scene, component, max_rho).n_alpha for scene in scenes)
@@ -618,15 +614,11 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
     for part, part_spec in _part_specs(scenes, component, spec):
         path = _path(scenes, part, part_spec, max_rho, bend=bend)
         own = _own_path(scenes, part, rho, panels, path)
-        alone = [own is not None and _entire(scene, part) for scene in scenes]
-        if any(alone):
-            chosen = [scene for scene, a in zip(scenes, alone) if a]
-            values = values + _columns(alone, _lag_sum(chosen, part, own, lags[0])[None, :])
-        if not all(alone):
-            shared = [not a for a in alone]
-            rest = [scene for scene, s in zip(scenes, shared) if s]
-            for piece in _shared_sums(rest, part, path, rho):
-                values = values + _columns(shared, piece)
+        if own is not None:
+            values = values + _lag_sum(scenes, part, own, lags[0])[None, :]
+        else:
+            for piece in _shared_sums(scenes, part, path, rho):
+                values = values + piece
     return values.T
 
 
@@ -657,9 +649,11 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         count resolves (or of the largest lag of the pair, if larger) and
         descends on a short leg of complex angles; otherwise it runs the
         whole disk and the branch cut, sized for the largest lag.  Where
-        cheaper, the direct wave and the conductor's image instead run a
-        single positive lag on its own path across the specular saddle
-        (see :func:`_own_path`).
+        cheaper, the direct wave and the image, off the conductor or off a
+        dielectric whose far-side branch points lie past the tail cutoff,
+        instead run a single positive lag on its own path across the
+        specular saddle, for every scene of the call or for none (see
+        :func:`_own_path`).
     spec:
         Node count of the disk rule over [0, pi/2]: it fixes the node
         spacing on the straight path.  On the real segment [0, a0] of a

@@ -182,10 +182,10 @@ def propagating_factor(scene: SceneConfig, component: FieldComponent, k1z, angle
     This is the full wavenumber response divided by the common prefactor
     (kappa1 eta1 / 2) / k1z, which the quadrature cancels analytically.
     Real samples lie in the propagating disk.  Complex samples continue
-    the response analytically, with the far-side root Im k2z >= 0 (see
+    the response analytically, with the principal far-side root (see
     :func:`~reflectmimo.materials.far_side_kz`): on the branch cut
-    k1z = i*gamma and on the bent synthesis path every term decays for
-    valid geometry.
+    k1z = i*gamma and on the bent synthesis path, where Im k2z >= 0, every
+    term decays for valid geometry.
 
     With ``angle``, the (possibly complex) polar angles a of the samples,
     k1z = kappa1 cos(a), each term's phase k1z L is formed as kappa1 L -

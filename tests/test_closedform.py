@@ -8,13 +8,18 @@ import numpy as np
 import pytest
 
 from reflectmimo import (
+    CONCRETE,
     FREE_SPACE_IMPEDANCE,
+    PLASTER_BOARD,
     VACUUM,
+    Material,
     Medium,
+    dielectric_image_impulse,
     image_impulse,
     los_impulse,
     spherical_wave,
 )
+from reflectmimo.closedform import _reflection_series
 
 
 class TestSphericalWave:
@@ -138,3 +143,86 @@ class TestImageImpulse:
     def test_receiver_must_not_be_behind_surface(self, conductor_medium):
         with pytest.raises(ValueError, match="receiver"):
             image_impulse(conductor_medium, (0.0, 0.0, 1.5), (0.0, 0.0, 0.0), 1.0)
+
+
+def _plane_wave_reflection(index, mu, theta):
+    """V(theta) = (mu cos - sqrt(n^2 - sin^2)) / (mu cos + sqrt(n^2 - sin^2))."""
+    root = math.sqrt(index * index - math.sin(theta) ** 2)
+    return (mu * math.cos(theta) - root) / (mu * math.cos(theta) + root)
+
+
+class TestDielectricImageImpulse:
+    @pytest.mark.parametrize(("index", "mu"), [(2.55, 1.0), (1.5, 1.0), (1.3, 2.0), (1.01, 1.0)])
+    @pytest.mark.parametrize("theta", [0.2, 0.7, 1.2])
+    def test_series_matches_finite_differences(self, index, mu, theta):
+        """V and N = (V'' + V' cot theta) / 2 against central differences of
+        the plane-wave reflection coefficient, which err by ~h^2."""
+        h = 1e-4
+        below, at, above = (_plane_wave_reflection(index, mu, theta + d) for d in (-h, 0.0, h))
+        first = (above - below) / (2.0 * h)
+        second = (above - 2.0 * at + below) / (h * h)
+        v, n = _reflection_series(index, mu, theta)
+        assert v == pytest.approx(at, rel=1e-15, abs=1e-16)
+        assert n == pytest.approx(0.5 * (second + first / math.tan(theta)), rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize(("index", "mu"), [(2.55, 1.0), (1.3, 2.0)])
+    def test_correction_tends_to_v_second_at_normal_incidence(self, index, mu):
+        """N(0) = V''(0) = 2 mu (1 - n^2) / (n (mu + n)^2), continuous in theta."""
+        v, n = _reflection_series(index, mu, 0.0)
+        expected = 2.0 * mu * (1.0 - index * index) / (index * (mu + index) ** 2)
+        assert v == pytest.approx((mu - index) / (mu + index), rel=1e-15)
+        assert n == pytest.approx(expected, rel=1e-14)
+        assert _reflection_series(index, mu, 1e-6)[1] == pytest.approx(expected, rel=1e-10)
+
+    def test_normal_incidence_formula(self):
+        """On the normal: -i kappa1 eta / (4 pi) e^{i kappa1 L} / L [V(0) -
+        i N(0) / (kappa1 L)], the phase exactly as for the mirrored wave."""
+        medium = Medium(300e9, CONCRETE)
+        receiver, source, surface = (0.0, 0.0, 10.0), (0.0, 0.0, 0.0), 15.0
+        length = 2.0 * surface - receiver[2]
+        v, n = _reflection_series(2.55, 1.0, 0.0)
+        image = los_impulse(Medium(300e9, VACUUM), receiver, (0.0, 0.0, 2.0 * surface))
+        expected = image * (v - 1j * n / (medium.kappa1 * length))
+        value = dielectric_image_impulse(medium, receiver, source, surface)
+        assert abs(value - expected) <= 1e-14 * abs(expected)
+
+    def test_mirrored_distance_is_exact(self):
+        """The mirrored source is formed in decimal arithmetic: at 300 GHz
+        over a 20 m image path the phase matches a 60-digit reference, where
+        mirroring z = 0.1 to 29.9 in doubles would miss by ~1e-11."""
+        medium = Medium(300e9, PLASTER_BOARD)
+        receiver, source, surface = (1.3, -0.7, 9.9), (0.1, 0.2, 0.1), 15.0
+        with decimal.localcontext() as context:
+            context.prec = 60
+            mirrored_z = 2 * decimal.Decimal(surface) - decimal.Decimal(source[2])
+            ends = (decimal.Decimal(source[0]), decimal.Decimal(source[1]), mirrored_z)
+            separation = sum((decimal.Decimal(r) - e) ** 2 for r, e in zip(receiver, ends)).sqrt()
+            turns = decimal.Decimal(medium.kappa1) * separation / (2 * _PI)
+            phase = float((turns - turns.to_integral_value()) * 2 * _PI)
+        theta = math.atan2(math.hypot(1.2, -0.9), 2.0 * surface - receiver[2] - source[2])
+        v, n = _reflection_series(1.5, 1.0, theta)
+        distance = float(separation)
+        expected = (-1j * medium.kappa1 * FREE_SPACE_IMPEDANCE / (4.0 * math.pi)
+                    * cmath.exp(1j * phase) / distance
+                    * (v - 1j * n / (medium.kappa1 * distance)))
+        value = dielectric_image_impulse(medium, receiver, source, surface)
+        assert abs(value - expected) <= 1e-14 * abs(expected)
+
+    def test_homogeneous_far_side_reflects_nothing(self, vacuum_medium):
+        """n = mu = 1 gives V = N = 0 up to the round-off of cos against
+        sqrt(1 - sin^2)."""
+        receiver, source = (0.3, 0.0, 0.5), (0.0, 0.0, 0.0)
+        image = los_impulse(vacuum_medium, receiver, (0.0, 0.0, 2.0))
+        value = dielectric_image_impulse(vacuum_medium, receiver, source, 1.0)
+        assert abs(value) <= 1e-15 * abs(image)
+
+    def test_guards(self, conductor_medium):
+        medium = Medium(57.5e9, Material("glass", 1.5))
+        with pytest.raises(ValueError, match="refractive index"):
+            dielectric_image_impulse(conductor_medium, (0.0, 0.0, 0.5), (0.0, 0.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match="source"):
+            dielectric_image_impulse(medium, (0.0, 0.0, 0.5), (0.0, 0.0, 1.5), 1.0)
+        with pytest.raises(ValueError, match="receiver"):
+            dielectric_image_impulse(medium, (0.0, 0.0, 1.5), (0.0, 0.0, 0.0), 1.0)
+        with pytest.raises(ValueError, match="ten-wavelength"):
+            dielectric_image_impulse(medium, (0.0, 0.0, 0.0), (0.0, 0.0, -0.01), 0.0)

@@ -245,6 +245,17 @@ class TestFarSideKz:
         assert np.allclose(k2z ** 2, medium.kappa2 ** 2 - KAPPA1 ** 2 + k1z ** 2,
                            rtol=1e-13, atol=0.0)
 
+    def test_continuous_along_the_rising_leg(self):
+        # The per-lag path's H0^(1) leg a = 0.3 + i b has Im k2z^2 < 0: the
+        # principal root continues the disk's k2z > 0 there, with
+        # |dk2z| <= |dk1z| as |k1z / k2z| <= 1; a flip to Im k2z >= 0
+        # would jump to -k2z at the first step off the real axis.
+        medium = Medium(FREQUENCY, CONCRETE)
+        k1z = KAPPA1 * np.cos(0.3 + 1j * np.linspace(0.0, 3.0, 3001))
+        k2z = far_side_kz(medium, k1z)
+        assert np.all(k2z.real > 0.0) and np.all(k2z.imag[1:] < 0.0)
+        assert np.max(np.abs(np.diff(k2z))) <= np.max(np.abs(np.diff(k1z)))
+
     def test_homogeneous_far_side_is_the_near_side(self):
         medium = Medium(FREQUENCY, VACUUM)
         k1z = KAPPA1 * np.cos(0.3 - 1j * np.linspace(0.0, 3.0, 13))

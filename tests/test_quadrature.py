@@ -22,13 +22,16 @@ from reflectmimo import (
     ArrayLayout,
     ExperimentConfig,
     FieldComponent,
+    Material,
     Medium,
     QuadratureSpec,
     SceneConfig,
     SceneError,
     SpatialLag,
     UnderResolvedWarning,
+    build_channel_matrices,
     convergence_study,
+    dielectric_image_impulse,
     estimate_nodes,
     fresnel_reflection,
     los_impulse,
@@ -40,6 +43,7 @@ from reflectmimo import (
     synthesize_impulse,
 )
 from reflectmimo import quadrature, spectrum
+from reflectmimo.closedform import _reflection_series
 from reflectmimo.quadrature import (
     _PANEL,
     _TAIL_CUTOFF,
@@ -520,6 +524,73 @@ class TestGeometricOpticsLimit:
         assert errors[1] < errors[0]
 
 
+# C in the oracle's bound C / (kappa1 R)^2: the measured worst over the
+# grids below (0.74, 1.28 and 3.27, at 45 degrees), rounded up.  The
+# residual is the oracle's next term: it scales as (kappa1 R)^-2 to three
+# digits across 57.5-300 GHz and 0.5-5 m.
+_NEXT_ORDER = {CONCRETE: 1.0, FLOOR_BOARD: 1.6, PLASTER_BOARD: 4.0}
+
+
+class TestDielectricImageOracle:
+    """The dielectric image against the reflected spherical wave to first
+    order in 1 / (kappa1 R), :func:`dielectric_image_impulse`, which shares
+    no code with the synthesis: the two agree to the oracle's own
+    (kappa1 R)^-2 residual, while geometric optics alone misses by
+    ~1 / (kappa1 R)."""
+
+    @staticmethod
+    def _check(medium, synthesized, oracle, length, rho):
+        """Relative errors within the oracle's bound, which geometric
+        optics alone, V times the mirrored wave, exceeds everywhere."""
+        material = medium.material
+        kappa_r = medium.kappa1 * np.hypot(length, rho)
+        bound = _NEXT_ORDER[material] / kappa_r ** 2
+        error = np.abs(synthesized - oracle) / np.abs(oracle)
+        assert np.all(error <= bound), np.max(error / bound)
+        v, n = np.vectorize(_reflection_series)(material.refractive_index,
+                                                material.permeability_ratio,
+                                                np.arctan2(rho, length))
+        optics = oracle * v / (v - 1j * n / kappa_r)
+        assert np.all(np.abs(synthesized - optics) / np.abs(optics) > bound)
+
+    @pytest.mark.parametrize("material", list(_NEXT_ORDER), ids=lambda material: material.name)
+    @pytest.mark.parametrize("frequency", [57.5e9, 140e9, 300e9],
+                             ids=["57.5GHz", "140GHz", "300GHz"])
+    def test_single_lags(self, frequency, material):
+        """Image paths of 0.5, 2 and 5 m, lags from 0 to three times the
+        path: the per-lag path and, at lag 0, the shared one."""
+        medium = Medium(frequency, material)
+        component = FieldComponent.REFLECTION_ONLY
+        for span in (0.5, 2.0, 5.0):
+            scene = _image_scene(medium, span)
+            for ratio in (0.0, 0.5, 1.0, 2.0, 3.0):
+                rho = ratio * span
+                lag = SpatialLag(rho)
+                value = synthesize_impulse(scene, component, lag,
+                                           _auto_spec(scene, component, lag))
+                receiver = (rho, 0.0, scene.receiver_z)
+                oracle = dielectric_image_impulse(medium, receiver, (0.0, 0.0, 0.0),
+                                                  scene.surface_z)
+                self._check(medium, value, oracle, span, rho)
+
+    def test_fig4_matrices_at_300ghz(self):
+        """fig4's reflected channels at 300 GHz, entry by entry."""
+        config = ExperimentConfig(frequency_ghz=300.0, antennas=16)
+        scenes = [SceneConfig(medium=Medium(config.frequency_hz, material),
+                              surface_z=config.d1_m, source_z=0.0, receiver_z=config.range_m)
+                  for material in _NEXT_ORDER]
+        spacing = spacing_rayleigh(scenes[0].medium.wavelength, config.equivalent_range_m, 16)
+        tx = ArrayLayout.along_x(16, spacing, 0.0)
+        rx = ArrayLayout.along_x(16, spacing, config.range_m)
+        channels = build_channel_matrices(scenes, tx, rx, FieldComponent.REFLECTION_ONLY)
+        length = 2.0 * config.d1_m - config.range_m
+        rho = rx.positions[:, None, 0] - tx.positions[None, :, 0]
+        for scene, channel in zip(scenes, channels):
+            oracle = np.array([[dielectric_image_impulse(scene.medium, r, t, config.d1_m)
+                                for t in tx.positions] for r in rx.positions])
+            self._check(scene.medium, channel.entries, oracle, length, rho)
+
+
 def _count_nodes(monkeypatch):
     """Count the k1z samples handed to ``spectrum.propagating_factor``, the
     way the benchmark's tracer counts nodes, and to
@@ -912,11 +983,12 @@ class TestPerLagPath:
             assert lags["lags"] == 0
 
     def test_mixed_batch_splits_the_reflected_part(self, monkeypatch):
-        """In a conductor and concrete batch the conductor's image takes its
-        own path and the concrete's the shared one, so each column matches
-        its single-scene call to round-off (a 3 m lag over a 2 m image path
-        at 300 GHz), also where the direct wave is added.  The conductor's
-        shared path would differ by 9e-13."""
+        """In a conductor and concrete batch both images ride the same
+        per-lag path, one ``_lag_sum`` with a coefficient column per scene,
+        as each does alone, so each column matches its single-scene call to
+        round-off (a 3 m lag over a 2 m image path at 300 GHz), also where
+        the direct wave is added.  The conductor's shared path would differ
+        by 9e-13."""
         conductor = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 2.0)
         concrete = dataclasses.replace(conductor, medium=Medium(300e9, CONCRETE))
         lag = SpatialLag(3.0)
@@ -935,22 +1007,86 @@ class TestPerLagPath:
         expected = _exact_field(conductor, length, 3.0, -1.0)
         assert abs(batch[0] - expected) <= 1e-12 * abs(expected)
 
-    def test_dielectric_keeps_the_shared_path(self, monkeypatch):
-        """Concrete's far-side branch point keeps the shared path where the
-        conductor at the same geometry takes the per-lag one."""
+    def test_dielectric_takes_the_per_lag_path(self, monkeypatch):
+        """Concrete's far-side branch points lie far past the tail cutoff,
+        so its image takes the per-lag path, as the conductor's does at the
+        same geometry, and matches the shared path."""
         conductor = _image_scene(Medium(140e9, PERFECT_CONDUCTOR), 2.0)
         concrete = dataclasses.replace(conductor, medium=Medium(140e9, CONCRETE))
         component, lag = FieldComponent.REFLECTION_ONLY, SpatialLag(10.0)
         spec = _auto_spec(conductor, component, lag)
         lags = _count_lag_sums(monkeypatch)
-        synthesize_impulse(conductor, component, lag, spec)
+        value = synthesize_impulse(concrete, component, lag, spec)
         assert lags["lags"] == 1
-        nodes = _count_nodes(monkeypatch)
-        synthesize_impulse(concrete, component, lag, spec)
+        shared = _synthesize_on_planes([concrete], component, [lag], spec, per_lag=False)[0, 0]
         assert lags["lags"] == 1
-        per_call, nodes["nodes"] = nodes["nodes"], 0
-        _synthesize_on_planes([concrete], component, [lag], spec, per_lag=False)
-        assert per_call == nodes["nodes"]
+        assert abs(value - shared) <= 1e-11 * abs(shared)
+
+    def test_far_side_clearance(self):
+        """A dielectric's image needs kappa1 L sqrt(n^2 - 1) >= 36."""
+        medium = Medium(300e9, Material("thin", 1.01))
+        length = _TAIL_CUTOFF / (medium.kappa1 * math.sqrt(1.01 ** 2 - 1.0))
+        for factor, taken in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+            scene = _image_scene(medium, length * factor)
+            assert quadrature._entire(scene, FieldComponent.REFLECTION_ONLY) is taken
+
+    def test_near_unit_index_keeps_the_shared_path(self, monkeypatch):
+        """At n = 1.000001 the branch points sit close to the real axis,
+        kappa1 L sqrt(n^2 - 1) ~ 0.89 over a 0.1 m image path at 300 GHz,
+        so nothing bounds what lies beyond them and the image keeps the
+        shared path; at a 1 m lag the per-lag path would differ from it by
+        0.97 relative."""
+        scene = _image_scene(Medium(300e9, Material("thin", 1.000001)), 0.1)
+        component, lag = FieldComponent.REFLECTION_ONLY, SpatialLag(1.0)
+        spec = _auto_spec(scene, component, lag)
+        lags = _count_lag_sums(monkeypatch)
+        value = synthesize_impulse(scene, component, lag, spec)
+        assert lags["lags"] == 0
+        assert value == _synthesize_on_planes([scene], component, [lag], spec, per_lag=False)[0, 0]
+
+    def test_dielectric_grid_matches_the_shared_path(self, monkeypatch):
+        """Over three frequencies, the catalog dielectrics and n = 1.01,
+        image paths of 10 wavelengths to 20 m and lags up to 20 m, about
+        half the calls take the per-lag path; each matches the shared path
+        (worst 3.7e-12)."""
+        component = FieldComponent.REFLECTION_ONLY
+        lags = _count_lag_sums(monkeypatch)
+        calls = 0
+        for frequency in (57.5e9, 140e9, 300e9):
+            for material in (CONCRETE, FLOOR_BOARD, PLASTER_BOARD, Material("thin", 1.01)):
+                medium = Medium(frequency, material)
+                for span in np.geomspace(10.0 * medium.wavelength, 20.0, 4):
+                    scene = _image_scene(medium, float(span))
+                    for rho in (0.05, 0.5, 3.0, 20.0):
+                        lag = SpatialLag(rho)
+                        spec = _auto_spec(scene, component, lag)
+                        value = synthesize_impulse(scene, component, lag, spec)
+                        shared = _synthesize_on_planes([scene], component, [lag], spec,
+                                                       per_lag=False)[0, 0]
+                        assert abs(value - shared) <= 1e-11 * abs(shared), (
+                            frequency, material.name, span, rho)
+                        calls += 1
+        assert 0.3 * calls <= lags["lags"] <= 0.7 * calls
+
+    def test_batch_below_the_guard_takes_one_shared_path(self, monkeypatch):
+        """A conductor batched with a material below the far-side guard
+        runs on the shared path with it; the conductor's column then
+        differs from its per-lag single call by the shared path's
+        round-off (9e-13 for a 3 m lag over a 2 m image path at 300 GHz)."""
+        conductor = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 2.0)
+        thin = dataclasses.replace(conductor, medium=Medium(300e9, Material("thin", 1.000001)))
+        lag = SpatialLag(3.0)
+        lags = _count_lag_sums(monkeypatch)
+        # only the compound batch's direct wave takes its own path
+        for component, own in ((FieldComponent.REFLECTION_ONLY, 0),
+                               (FieldComponent.LOS_PLUS_REFLECTION, 1)):
+            spec = _auto_spec(conductor, component, lag)
+            lags["lags"] = 0
+            batch = synthesize_impulse([conductor, thin], component, lag, spec)
+            assert lags["lags"] == own
+            for value, scene in zip(batch, (conductor, thin)):
+                single = synthesize_impulse(scene, component, lag, spec)
+                assert abs(value - single) <= 1e-11 * abs(single), component
 
     def test_saddle_clearance(self):
         """The per-lag path needs kappa1 R sin^2(a_s) = kappa1 rho^2 / R >= 10."""
