@@ -28,10 +28,11 @@ so few nodes each term's phase k1z L is formed as kappa1 L, carried
 exactly once per term, minus delta L with delta = kappa1 - k1z taken from
 the polar angle, so the nodes do not inherit the round-off of the large
 phase.  The bend is taken only when the real nodes it saves outweigh the
-leg's complex Bessel evaluations; the bend depends on the planes, the part
-and the node count.  A part is one exponential in k_z with one path length
-(direct wave, specular image or transmitted wave); a compound component is
-the sum of its parts, each on its own path.
+leg's complex Bessel evaluations; the path depends on the planes, the part
+and its oscillation budget, and counts past the budget only refine it.  A
+part is one exponential in k_z with one path length (direct wave, specular
+image or transmitted wave); a compound component is the sum of its parts,
+each on its own path.
 
 The bend cannot leave the real axis before the specular angle, so a lag
 comparable to the span still costs a real segment that grows with
@@ -314,48 +315,56 @@ def _cost(path: _Path) -> int:
 
 
 def _path(scenes: list[SceneConfig], component: FieldComponent, spec: QuadratureSpec,
-          max_rho: float, *, bend: bool = True) -> _Path:
+          budget: int, max_rho: float, *, bend: bool = True) -> _Path:
     """The synthesis path of the single-term part ``component`` at its own
-    node count ``spec`` (see :func:`_part_specs`) for lags up to
-    ``max_rho``: the part's one decay distance and one span size it.
+    node count ``spec`` and oscillation budget ``budget`` (see
+    :func:`_part_specs`) for lags up to ``max_rho``: the part's one decay
+    distance and one span size it.  Its geometry is sized at n = min(spec,
+    budget) nodes and its real panels at ``spec``, so a count past the
+    budget refines the path and never moves it.
 
     The leg is sized for rho_b, the larger of the largest lag and the
-    largest lag ``spec`` resolves, so resolved calls take the same path
-    whichever lags share them.  The bend lies delta = asin(sqrt(52 /
-    (kappa1 R))) past the specular angle atan(rho_b / z), R = hypot(z,
-    rho_b), rounded up to an edge of the disk rule's panels: there the
-    leg's phase swing, about 648 / 52 radians, fits one panel.  It lies
-    far enough past the specular angle that J0 grows by at most e^600 on
-    the leg, below the overflow of its complex evaluation.
+    largest lag n resolves, so resolved calls take the same path whichever
+    lags share them.  The bend lies delta = asin(sqrt(52 / (kappa1 R)))
+    past the specular angle atan(rho_b / z), R = hypot(z, rho_b), rounded
+    up to an edge of the panels of n's disk rule: there the leg's phase
+    swing, about 648 / 52 radians, fits one panel.  It lies far enough
+    past the specular angle that J0 grows by at most e^600 on the leg,
+    below the overflow of its complex evaluation.
 
     The real segment [0, a0] gets its own panels, sized like the disk rule
     but for the segment's largest phase rate, kappa1 (span sin a0 +
     rho_b), in place of the disk's kappa1 (span + rho_b): ``spec.n_alpha``
     a0 (span sin a0 + rho_b) / (span + rho_b) nodes, rounded up to whole
-    panels, so ``spec`` still scales every count.  Where rho_b is
-    comparable to the span, that count exceeds the disk rule's own panels
-    on [0, a0], which are taken instead.  The bend is taken only
-    when the real nodes it saves outweigh the leg's complex Bessel
-    evaluations; ``bend=False`` forces the straight path."""
+    panels.  Where rho_b is comparable to the span, that count exceeds the
+    disk rule's own panels on [0, a0], which are taken instead.  The bend
+    is taken only when, at n nodes, the real nodes it saves outweigh the
+    leg's complex Bessel evaluations; below the budget a larger count may
+    still switch that choice.  ``bend=False`` forces the straight path."""
     kappa1 = scenes[0].medium.kappa1
     z_decay = spectrum.decay_distance(scenes[0], component)
     span = max(spectrum.oscillation_span(scene, component) for scene in scenes)
-    rho_b = max(max_rho, 2.0 * math.pi * spec.n_alpha / (OVERSAMPLING * kappa1) - span)
-    panels = _panels_for(spec.n_alpha)
+    sizing = min(spec.n_alpha, budget)
+    rho_b = max(max_rho, 2.0 * math.pi * sizing / (OVERSAMPLING * kappa1) - span)
+    grid, panels = _panels_for(sizing), _panels_for(spec.n_alpha)
     straight = _leg_path(panels, 0.5 * math.pi, z_decay, span, rho_b, kappa1)
     sin_sq = _LEG_PHASE / (kappa1 * math.hypot(z_decay, rho_b))
     if not bend or sin_sq >= 1.0:
         return straight
     a0 = max(math.atan2(rho_b, z_decay) + math.asin(math.sqrt(sin_sq)),
              math.atan2(rho_b * (1.0 + _TAIL_CUTOFF / _LEG_GROWTH), z_decay))
-    first = math.ceil(a0 / (0.5 * math.pi) * panels)
-    if first >= panels:
+    first = math.ceil(a0 / (0.5 * math.pi) * grid)
+    if first >= grid:
         return straight
-    angle = first * (0.5 * math.pi / panels)  # on the disk rule's grid, so short rules recur
+    angle = first * (0.5 * math.pi / grid)  # on the disk rule's grid, so short rules recur
     share = (span * math.sin(angle) + rho_b) / (span + rho_b)
-    segment = min(first, _panels_for(math.ceil(spec.n_alpha * angle * share)))
+    segment = min(first, _panels_for(math.ceil(sizing * angle * share)))
     bent = _leg_path(segment, angle, z_decay, span, rho_b, kappa1)
-    return bent if _cost(bent) < _cost(straight) else straight
+    if _cost(bent) >= _cost(straight) - (panels - grid) * _PANEL:  # the straight path at n
+        return straight
+    refined = _panels_for(math.ceil(spec.n_alpha * angle * share))
+    # capped by [0, a0] on spec's grid, in exact integers so the budget's cap is first
+    return dataclasses.replace(bent, panels=min(-(-first * panels // grid), refined))
 
 
 def _scale(kappa1: float) -> float:
@@ -454,8 +463,8 @@ def _lag_path(kappa1: float, length: float, rho: float, panels: int) -> _LagPath
     saddle path would pass near a = 0, where the Hankel halves are
     singular.  The real start ends at a_c = min(a_s / 2, asin(4 / (kappa1
     rho))), so the Hankel arguments stay at least 4 from that point.  Each
-    leg is sized like the shared path's; both take the larger count, times
-    ``panels``, so they share one rule."""
+    leg is sized like the shared path's; both take the larger count, so
+    they share one rule.  ``panels`` sizes the start and the saddle path."""
     if kappa1 * rho * rho < _SADDLE_CLEARANCE * math.hypot(length, rho):
         return None
     specular = math.atan2(rho, length)
@@ -463,24 +472,23 @@ def _lag_path(kappa1: float, length: float, rho: float, panels: int) -> _LagPath
     cos_c, sin_c = math.cos(start), math.sin(start)
     depths = (length * sin_c + rho * cos_c, rho * cos_c - length * sin_c)
     reaches = (abs(length * cos_c - rho * sin_c), length * cos_c + rho * sin_c)
-    leg_nodes = panels * max(_leg_nodes(kappa1, depth, reach)
-                             for depth, reach in zip(depths, reaches))
+    leg_nodes = max(_leg_nodes(kappa1, depth, reach) for depth, reach in zip(depths, reaches))
     return _LagPath(rho, length, specular, start, depths, panels, leg_nodes)
 
 
 def _own_path(scenes: list[SceneConfig], part: FieldComponent, rho: np.ndarray,
               panels: int, shared: _Path) -> _LagPath | None:
-    """The call's own per-lag path, ``panels`` panels per piece, or None
-    where the part keeps its ``shared`` path.  It is taken for a single
-    positive lag, in a call resolved to ``panels`` >= 1, of a part every
-    scene admits (:func:`_entire`), so each part of a material batch runs
-    on one path, when the lag clears the saddle, fits one block of
+    """The call's own per-lag path (:func:`_lag_path`), or None where the
+    part keeps its ``shared`` path.  It is taken for a single positive
+    lag, in a call resolved to ``panels`` >= 1, of a part every scene
+    admits (:func:`_entire`), so each part of a material batch runs on one
+    path, when the lag clears the saddle, fits one block of
     ``_BESSEL_BLOCK_SCALARS`` nodes and costs less on its own path than on
-    the shared one.  Several lags keep the shared path,
-    whose coefficients and Bessel matrix serve them all."""
+    the shared one.  Several lags keep the shared path, whose coefficients
+    and Bessel matrix serve them all."""
     limit = _cost(shared)
     # no per-lag path costs less than its start and saddle and two least legs
-    cheapest = panels * (_PANEL + _COMPLEX_BESSEL_COST * (_PANEL + 2 * _LEG_NODES))
+    cheapest = panels * _PANEL * (1 + _COMPLEX_BESSEL_COST) + 2 * _COMPLEX_BESSEL_COST * _LEG_NODES
     if not (rho.size == 1 and panels and limit > cheapest and rho[0] > 0.0
             and all(_entire(scene, part) for scene in scenes)):
         return None
@@ -593,11 +601,10 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
                           bend: bool = True, per_lag: bool = True) -> np.ndarray:
     """Every lag of every scene on the scenes' shared planes, as a
     (scene x lag) array: the sum over the parts of the component, each on
-    its own per-lag path (:func:`_own_path`) where every scene admits
-    it, and otherwise on its shared path
-    (:func:`_path`), block by block (:func:`_shared_sums`).
-    ``bend=False`` forces the straight paths; ``per_lag=False`` keeps the
-    shared ones."""
+    its own per-lag path (:func:`_own_path`) where every scene admits it,
+    and otherwise on the shared path its budget fixes (:func:`_path`),
+    block by block (:func:`_shared_sums`).  ``bend=False`` forces the
+    straight paths; ``per_lag=False`` keeps the shared ones."""
     rho = np.array([lag.transverse for lag in lags])
     max_rho = float(rho.max())
     needed = max(_plane_budget(scene, component, max_rho).n_alpha for scene in scenes)
@@ -610,9 +617,10 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
             stacklevel=3,
         )
     panels = spec.n_alpha // needed if bend and per_lag else 0
+    budgets = _part_specs(scenes, component, QuadratureSpec(needed))
     values = 0.0
-    for part, part_spec in _part_specs(scenes, component, spec):
-        path = _path(scenes, part, part_spec, max_rho, bend=bend)
+    for (part, part_spec), (_, budget) in zip(_part_specs(scenes, component, spec), budgets):
+        path = _path(scenes, part, part_spec, budget.n_alpha, max_rho, bend=bend)
         own = _own_path(scenes, part, rho, panels, path)
         if own is not None:
             values = values + _lag_sum(scenes, part, own, lags[0])[None, :]
@@ -645,10 +653,9 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         Lags on the same pair of planes share one synthesis path per part
         of the component, its nodes and its coefficient vector.  Where the
         polar-angle segment is electrically long, the path leaves the real
-        axis a little past the specular angle of the largest lag the node
-        count resolves (or of the largest lag of the pair, if larger) and
-        descends on a short leg of complex angles; otherwise it runs the
-        whole disk and the branch cut, sized for the largest lag.  Where
+        axis a little past the specular angle of the pair's largest lag
+        and descends on a short leg of complex angles; otherwise it runs
+        the whole disk and the branch cut, sized for the largest lag.  Where
         cheaper, the direct wave and the image, off the conductor or off a
         dielectric whose far-side branch points lie past the tail cutoff,
         instead run a single positive lag on its own path across the
@@ -656,13 +663,15 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         :func:`_own_path`).
     spec:
         Node count of the disk rule over [0, pi/2]: it fixes the node
-        spacing on the straight path.  On the real segment [0, a0] of a
-        bent path the spacing is scaled to that segment's phase rate (see
-        :func:`_path`), so the count still scales every node of the call.
-        Per-lag paths are taken only at counts of at least the oscillation
-        budget, and each of their pieces gets n_alpha // budget panels.
-        Counts below the oscillation budget of any scene trigger
-        :class:`UnderResolvedWarning` but still evaluate.
+        spacing on the straight path, and on the real segment [0, a0] of a
+        bent path it is scaled to that segment's phase rate.  The path
+        itself is fixed at the smaller of the count and the oscillation
+        budget (see :func:`_path`), so a count past the budget refines the
+        real nodes and moves nothing.  Per-lag paths are taken only at
+        counts of at least the budget; their start and saddle path get
+        n_alpha // budget panels each.  Counts below the oscillation
+        budget of any scene trigger :class:`UnderResolvedWarning` but still
+        evaluate.
     """
     scenes = _material_batch(scene)
     lags = [lag] if isinstance(lag, SpatialLag) else list(lag)
@@ -686,13 +695,13 @@ def convergence_study(scene: SceneConfig, component: FieldComponent,
 
     Starts a factor of four below the oscillation budget so the trace shows
     the under-resolved regime, then the spectral collapse; a bent path can
-    be resolved already at the start.  Each doubling also raises the
-    largest lag the count resolves, which moves the bend toward pi/2 and
-    eventually straightens the path.  Stops once the
-    successive relative change drops below ``rel_tol`` or the next doubling
-    would exceed ``max_nodes`` (flagged via ``converged=False``).  The
-    starting count is always evaluated, so the trace has at least one row
-    even under a tiny ``max_nodes`` cap.
+    be resolved already at the start.  Below the budget a doubling also
+    raises the largest lag the count resolves, so the path may still
+    change; past it the path stays and a doubling refines its real nodes.
+    Stops once the successive relative change drops below ``rel_tol`` or
+    the next doubling would exceed ``max_nodes`` (flagged via
+    ``converged=False``).  The starting count is always evaluated, so the
+    trace has at least one row even under a tiny ``max_nodes`` cap.
     """
     budget = _required_nodes(scene, component, [lag])
     n_alpha = _nodes_used(max(2, budget.n_alpha // 4))

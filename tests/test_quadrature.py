@@ -74,7 +74,7 @@ def _shared_rules(scene, component, spec, max_rho):
     kappa1 = scene.medium.kappa1
     blocks = []
     for part, part_spec in _part_specs([scene], component, spec):
-        path = _path([scene], part, part_spec, max_rho)
+        path = _path([scene], part, part_spec, part_spec.n_alpha, max_rho)
         segment = _segment(kappa1, *_rule(path.panels * _PANEL, path.angle))
         leg = _leg(kappa1, path.angle, -1.0, path.depth, *_rule(path.leg_nodes, _TAIL_CUTOFF))
         for krho, k1z, weight, angle in (segment, leg):
@@ -406,7 +406,7 @@ class TestConvergenceStudy:
         scene = _los_scene(free, dz=20.0)
         component, lag = FieldComponent.LOS_ONLY, SpatialLag(1.0)
         study = convergence_study(scene, component, lag, rel_tol=1e-10)
-        paths = [_path([scene], component, QuadratureSpec(row.n_alpha), lag.x)
+        paths = [_path([scene], component, QuadratureSpec(row.n_alpha), row.n_alpha, lag.x)
                  for row in study.rows]
         assert not any(path.straight for path in paths)
         segments = [path.panels for path in paths]
@@ -680,7 +680,7 @@ class TestBentPath:
                 expected = los_impulse(free, (lag_x, 0.0, span), (0.0, 0.0, 0.0))
             lag = SpatialLag(lag_x)
             spec = _auto_spec(scene, component, lag)
-            assert not _path([scene], component, spec, lag_x).straight
+            assert not _path([scene], component, spec, spec.n_alpha, lag_x).straight
             value = synthesize_impulse(scene, component, lag, spec)
             assert abs(value - expected) <= 1e-9 * abs(expected)
 
@@ -693,7 +693,7 @@ class TestBentPath:
                             source_z=0.0, receiver_z=receiver_z)
         lags = [SpatialLag(0.0), SpatialLag(0.3), SpatialLag(1.0)]
         spec = _required_nodes(scene, component, lags)
-        assert not any(_path([scene], part, part_spec, 1.0).straight
+        assert not any(_path([scene], part, part_spec, part_spec.n_alpha, 1.0).straight
                        for part, part_spec in _part_specs([scene], component, spec))
         bent = _synthesize_on_planes([scene], component, lags, spec)[0]
         straight = _synthesize_on_planes([scene], component, lags, spec, bend=False)[0]
@@ -724,18 +724,18 @@ class TestBentPath:
             expected = [los_impulse(free, (lag.x, 0.0, span), (0.0, 0.0, 0.0))
                         for lag in lags]
         spec = _required_nodes(scene, component, lags)
-        assert not _path([scene], component, spec, 20.0).straight
+        assert not _path([scene], component, spec, spec.n_alpha, 20.0).straight
         values = synthesize_impulse(scene, component, lags, spec)
         assert np.all(np.isfinite(values))
         assert np.max(np.abs(values - expected) / np.abs(expected)) <= 2e-9
 
     def test_resolved_lags_share_one_path(self):
-        """The bend depends on the planes, the part and the node count,
-        not on which resolved lags share the call."""
+        """The path depends on the planes, the part and the budget, not on
+        which resolved lags share the call."""
         scene = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 20.0)
         component = FieldComponent.REFLECTION_ONLY
         spec = _auto_spec(scene, component, SpatialLag(1.0))
-        paths = {_path([scene], component, spec, rho) for rho in (0.0, 0.3, 1.0)}
+        paths = {_path([scene], component, spec, spec.n_alpha, rho) for rho in (0.0, 0.3, 1.0)}
         assert len(paths) == 1 and not paths.pop().straight
 
     @pytest.mark.parametrize("reflected", [False, True], ids=["los", "conductor"])
@@ -759,7 +759,7 @@ class TestBentPath:
                     * _exact_wave(kappa1, length) / length)
         lag = SpatialLag(0.0)
         spec = _auto_spec(scene, component, lag)
-        assert not _path([scene], component, spec, 0.0).straight
+        assert not _path([scene], component, spec, spec.n_alpha, 0.0).straight
         value = synthesize_impulse(scene, component, lag, spec)
         assert abs(value - expected) <= 2e-13 * abs(expected)
 
@@ -785,7 +785,7 @@ class TestNodeCounts:
         component = FieldComponent.REFLECTION_ONLY
         lag = SpatialLag(1.0)
         spec = _auto_spec(scene, component, lag)
-        assert _path([scene], component, spec, 1.0).straight
+        assert _path([scene], component, spec, spec.n_alpha, 1.0).straight
         rules = _shared_rules(scene, component, spec, 1.0)
         assert not any(np.iscomplexobj(krho) for krho, _ in rules)
         counter = _count_nodes(monkeypatch)
@@ -1116,6 +1116,87 @@ class TestPerLagPath:
             counts.append(nodes["nodes"])
         assert lags["lags"] == len(resolved)
         assert all(before < after for before, after in zip(counts, counts[1:]))
+
+
+_PAST_THE_BUDGET = {
+    # concrete's image at 57.5 GHz, d1 = 15 m, r_z = 0.5 m; lag 0
+    "concrete": (57.5e9, CONCRETE, 0.5, [SpatialLag(0.0)]),
+    # the conductor's image at 300 GHz, d1 = 15 m, r_z = 10 m; lag 0
+    "conductor": (300e9, PERFECT_CONDUCTOR, 10.0, [SpatialLag(0.0)]),
+    # the same image sampled by a 16-element ULA at 5 cm spacing
+    "ula": (300e9, PERFECT_CONDUCTOR, 10.0, [SpatialLag(0.05 * k) for k in range(16)]),
+}
+
+
+def _past_the_budget_case(name):
+    frequency, material, receiver_z, lags = _PAST_THE_BUDGET[name]
+    scene = SceneConfig(medium=Medium(frequency, material), surface_z=15.0, source_z=0.0,
+                        receiver_z=receiver_z)
+    component = FieldComponent.REFLECTION_ONLY
+    return scene, component, lags, _required_nodes(scene, component, lags).n_alpha
+
+
+class TestRefinementPastTheBudget:
+    """Node counts past the oscillation budget refine the path the budget
+    fixes: the bend, the leg and the straight/bent choice stay, and only
+    the real nodes grow."""
+
+    @pytest.mark.parametrize("case", list(_PAST_THE_BUDGET))
+    def test_resolved_geometry_does_not_follow_n_alpha(self, case):
+        scene, component, lags, budget = _past_the_budget_case(case)
+        max_rho = max(lag.transverse for lag in lags)
+        paths = [_path([scene], component, QuadratureSpec(factor * budget), budget, max_rho)
+                 for factor in (1, 2, 4, 16)]
+        geometry = {(p.angle, p.depth, p.leg_nodes, p.straight) for p in paths}
+        assert len(geometry) == 1
+        panels = [path.panels for path in paths]
+        assert all(before <= after for before, after in zip(panels, panels[1:]))
+
+    @pytest.mark.parametrize("case", ["concrete", "conductor"])
+    def test_doublings_past_the_budget_stay_at_round_off(self, case):
+        """Each doubling past the budget measures the same path on a finer
+        rule, so the trace stays at round-off instead of drifting."""
+        scene, component, (lag,), budget = _past_the_budget_case(case)
+        study = convergence_study(scene, component, lag, rel_tol=1e-30,
+                                  max_nodes=32 * budget)
+        deltas = [row.delta for row in study.rows if row.n_alpha > budget]
+        assert len(deltas) >= 4
+        assert max(deltas) <= 1e-13
+
+    def test_per_lag_legs_do_not_follow_n_alpha(self, monkeypatch):
+        """A per-lag call past its budget puts the extra panels on its real
+        start and saddle path; its legs are sized by the geometry alone."""
+        medium = Medium(300e9, PERFECT_CONDUCTOR)
+        scene = _image_scene(medium, 10.0 * medium.wavelength)
+        component, lag = FieldComponent.REFLECTION_ONLY, SpatialLag(1.0)
+        budget = _auto_spec(scene, component, lag).n_alpha
+        paths, values = [], []
+        original = quadrature._lag_sum
+
+        def recording(scenes, part, path, lag):
+            paths.append(path)
+            return original(scenes, part, path, lag)
+
+        monkeypatch.setattr(quadrature, "_lag_sum", recording)
+        for factor in (1, 4):
+            values.append(synthesize_impulse(scene, component, lag,
+                                             QuadratureSpec(factor * budget)))
+        assert len(paths) == 2
+        assert paths[1].leg_nodes == paths[0].leg_nodes
+        assert paths[1].panels == 4 * paths[0].panels
+        assert abs(values[1] - values[0]) <= 1e-13 * abs(values[0])
+
+    def test_matrix_refinement(self):
+        """fig4 at 300 GHz with an explicit count ~4x past its budget keeps
+        the auto-sized spectra to round-off."""
+        auto = run_named("fig4", ExperimentConfig(frequency_ghz=300.0, antennas=16))
+        refined = run_named("fig4", ExperimentConfig(frequency_ghz=300.0, antennas=16,
+                                                     n_alpha=500000))
+        auto_rows = auto.table("eigenvalues").rows
+        refined_rows = refined.table("eigenvalues").rows
+        assert [row[:3] for row in refined_rows] == [row[:3] for row in auto_rows]
+        largest = max(row[3] for row in auto_rows)
+        assert max(abs(a[3] - b[3]) for a, b in zip(auto_rows, refined_rows)) <= 1e-12 * largest
 
 
 def test_first_synthesis_leaves_scipy_linalg_unimported():
