@@ -90,6 +90,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         raise ConfigError([f"--dz must be positive, got {args.dz!r}"])
     if args.lag < 0.0:
         raise ConfigError([f"--lag must be nonnegative, got {args.lag!r}"])
+    if not 0.0 < args.rel_tol < float("inf"):
+        raise ConfigError([f"--rel-tol must be positive and finite, got {args.rel_tol!r}"])
     material = material_by_name(args.material)
     medium = Medium(args.frequency_ghz * 1e9, material)
     component = (FieldComponent.LOS_ONLY if args.component == "los"

@@ -35,10 +35,6 @@ from .mimo import (
 from .quadrature import QuadratureSpec, SpatialLag, estimate_nodes, synthesize_impulse
 from .spectrum import FieldComponent, SceneConfig, oscillation_span
 
-EXPERIMENT_NAMES = (
-    "fig2", "fig3", "fig4", "fig5", "fresnel_sweep", "impulse_validate",
-)
-
 _EIGEN_COLUMNS = ("material", "spacing_rule", "index", "lambda", "lambda_db")
 _CAPACITY_COLUMNS = ("material", "spacing_rule", "snr_db", "bits_per_s_hz")
 _FRESNEL_COLUMNS = ("material", "theta_deg", "R", "T", "reflectivity")
@@ -301,6 +297,8 @@ _RUNNERS = {
     "fresnel_sweep": _run_fresnel_sweep,
     "impulse_validate": _run_impulse_validate,
 }
+
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_named(name: str, config: ExperimentConfig | None = None, *,

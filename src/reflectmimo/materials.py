@@ -98,8 +98,8 @@ class Medium:
     material: Material
 
     def __post_init__(self) -> None:
-        if not self.frequency > 0.0:
-            msg = f"frequency must be positive, got {self.frequency!r}"
+        if not 0.0 < self.frequency < math.inf:
+            msg = f"frequency must be positive and finite, got {self.frequency!r}"
             raise ValueError(msg)
 
     @property

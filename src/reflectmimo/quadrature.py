@@ -27,12 +27,9 @@ panel or a few on the leg, nearly independent of electrical size.  With
 so few nodes each term's phase k1z L is formed as kappa1 L, carried
 exactly once per term, minus delta L with delta = kappa1 - k1z taken from
 the polar angle, so the nodes do not inherit the round-off of the large
-phase.  The bend is taken only when the real nodes it saves outweigh the
-leg's complex Bessel evaluations; the path depends on the planes, the part
-and its oscillation budget, and counts past the budget only refine it.  A
-part is one exponential in k_z with one path length (direct wave, specular
-image or transmitted wave); a compound component is the sum of its parts,
-each on its own path.
+phase.  A part is one exponential in k_z with one path length (direct
+wave, specular image or transmitted wave); a compound component is the sum
+of its parts, each on its own path.
 
 The bend cannot leave the real axis before the specular angle, so a lag
 comparable to the span still costs a real segment that grows with
@@ -43,13 +40,16 @@ then J0 = (H0^(1) + H0^(2)) / 2, the H0^(2) half descending from a_c and
 the H0^(1) half crossing the specular saddle on its steepest-descent path,
 where the term is e^{i kappa1 R} e^{-kappa1 R s^2}, R = hypot(L, lag), times
 a slowly varying factor.  A few panels then serve any electrical size, and
-kappa1 R is carried exactly with R in double-double.  It is taken only for
-a positive lag clear of the saddle's approach to a = 0, when the node count
-resolves the call, and when its Hankel evaluations cost less than the
-shared path; calls of several lags keep the shared path, whose coefficients
-and Bessel matrix serve every lag.  A dielectric's image qualifies once its
-far-side branch points lie past the tail cutoff, so what lies beyond them
-is below e^{-36}; a material batch qualifies when every scene does.
+kappa1 R is carried exactly with R in double-double.  A dielectric's image
+qualifies once its far-side branch points lie past the tail cutoff, so
+what lies beyond them is below e^{-36}.
+
+One chooser, :func:`_path`, picks each part's path by its cost in real J0
+evaluations.  The shared path, straight or bent, is fixed by the part's
+oscillation budget, and counts past the budget only refine it.  A single
+positive lag in a call at or past its budget takes its own path where
+that is cheaper at the count evaluated, for every scene of a material
+batch or for none.
 
 The surface material enters only through the Fresnel coefficient inside the
 spectral coefficients: scenes that differ only in their material share the
@@ -188,11 +188,11 @@ def estimate_nodes(scene: SceneConfig, max_lag: float, dz_total: float) -> Quadr
     The polar-angle phase sweeps about kappa1 (dz_total + max_lag) radians,
     oversampled at ``OVERSAMPLING`` nodes per period.
     """
-    if max_lag < 0.0:
-        msg = f"max_lag must be >= 0, got {max_lag!r}"
+    if not 0.0 <= max_lag < math.inf:
+        msg = f"max_lag must be finite and >= 0, got {max_lag!r}"
         raise ValueError(msg)
-    if dz_total < 0.0:
-        msg = f"dz_total must be >= 0, got {dz_total!r}"
+    if not 0.0 <= dz_total < math.inf:
+        msg = f"dz_total must be finite and >= 0, got {dz_total!r}"
         raise ValueError(msg)
     kappa1 = scene.medium.kappa1
     budget_alpha = OVERSAMPLING * kappa1 * (dz_total + max_lag) / (2.0 * math.pi)
@@ -276,6 +276,13 @@ class _Path:
     def straight(self) -> bool:
         return self.angle == 0.5 * math.pi
 
+    @property
+    def cost(self) -> int:
+        """Cost in real J0 evaluations per lag: the real nodes, and the
+        leg's nodes at ``_COMPLEX_BESSEL_COST`` each off the branch cut."""
+        leg_cost = 1 if self.straight else _COMPLEX_BESSEL_COST
+        return self.panels * _PANEL + leg_cost * _nodes_used(self.leg_nodes)
+
 
 def _cos_sin(angle: float) -> tuple[float, float]:
     """cos and sin of a polar angle, exact at pi/2."""
@@ -305,66 +312,6 @@ def _leg_path(panels: int, angle: float, z_decay: float, span: float, rho_b: flo
     rate = (z_decay * sin_a + rho_b * cos_a) / depth
     leg_nodes = _leg_nodes(kappa1, depth, span * cos_a + rho_b * sin_a, rate)
     return _Path(panels, angle, depth, leg_nodes)
-
-
-def _cost(path: _Path) -> int:
-    """The path's cost in real J0 evaluations per lag: its real nodes, and
-    its leg's nodes at ``_COMPLEX_BESSEL_COST`` each off the branch cut."""
-    leg_cost = 1 if path.straight else _COMPLEX_BESSEL_COST
-    return path.panels * _PANEL + leg_cost * _nodes_used(path.leg_nodes)
-
-
-def _path(scenes: list[SceneConfig], component: FieldComponent, spec: QuadratureSpec,
-          budget: int, max_rho: float, *, bend: bool = True) -> _Path:
-    """The synthesis path of the single-term part ``component`` at its own
-    node count ``spec`` and oscillation budget ``budget`` (see
-    :func:`_part_specs`) for lags up to ``max_rho``: the part's one decay
-    distance and one span size it.  Its geometry is sized at n = min(spec,
-    budget) nodes and its real panels at ``spec``, so a count past the
-    budget refines the path and never moves it.
-
-    The leg is sized for rho_b, the larger of the largest lag and the
-    largest lag n resolves, so resolved calls take the same path whichever
-    lags share them.  The bend lies delta = asin(sqrt(52 / (kappa1 R)))
-    past the specular angle atan(rho_b / z), R = hypot(z, rho_b), rounded
-    up to an edge of the panels of n's disk rule: there the leg's phase
-    swing, about 648 / 52 radians, fits one panel.  It lies far enough
-    past the specular angle that J0 grows by at most e^600 on the leg,
-    below the overflow of its complex evaluation.
-
-    The real segment [0, a0] gets its own panels, sized like the disk rule
-    but for the segment's largest phase rate, kappa1 (span sin a0 +
-    rho_b), in place of the disk's kappa1 (span + rho_b): ``spec.n_alpha``
-    a0 (span sin a0 + rho_b) / (span + rho_b) nodes, rounded up to whole
-    panels.  Where rho_b is comparable to the span, that count exceeds the
-    disk rule's own panels on [0, a0], which are taken instead.  The bend
-    is taken only when, at n nodes, the real nodes it saves outweigh the
-    leg's complex Bessel evaluations; below the budget a larger count may
-    still switch that choice.  ``bend=False`` forces the straight path."""
-    kappa1 = scenes[0].medium.kappa1
-    z_decay = spectrum.decay_distance(scenes[0], component)
-    span = max(spectrum.oscillation_span(scene, component) for scene in scenes)
-    sizing = min(spec.n_alpha, budget)
-    rho_b = max(max_rho, 2.0 * math.pi * sizing / (OVERSAMPLING * kappa1) - span)
-    grid, panels = _panels_for(sizing), _panels_for(spec.n_alpha)
-    straight = _leg_path(panels, 0.5 * math.pi, z_decay, span, rho_b, kappa1)
-    sin_sq = _LEG_PHASE / (kappa1 * math.hypot(z_decay, rho_b))
-    if not bend or sin_sq >= 1.0:
-        return straight
-    a0 = max(math.atan2(rho_b, z_decay) + math.asin(math.sqrt(sin_sq)),
-             math.atan2(rho_b * (1.0 + _TAIL_CUTOFF / _LEG_GROWTH), z_decay))
-    first = math.ceil(a0 / (0.5 * math.pi) * grid)
-    if first >= grid:
-        return straight
-    angle = first * (0.5 * math.pi / grid)  # on the disk rule's grid, so short rules recur
-    share = (span * math.sin(angle) + rho_b) / (span + rho_b)
-    segment = min(first, _panels_for(math.ceil(sizing * angle * share)))
-    bent = _leg_path(segment, angle, z_decay, span, rho_b, kappa1)
-    if _cost(bent) >= _cost(straight) - (panels - grid) * _PANEL:  # the straight path at n
-        return straight
-    refined = _panels_for(math.ceil(spec.n_alpha * angle * share))
-    # capped by [0, a0] on spec's grid, in exact integers so the budget's cap is first
-    return dataclasses.replace(bent, panels=min(-(-first * panels // grid), refined))
 
 
 def _scale(kappa1: float) -> float:
@@ -476,28 +423,74 @@ def _lag_path(kappa1: float, length: float, rho: float, panels: int) -> _LagPath
     return _LagPath(rho, length, specular, start, depths, panels, leg_nodes)
 
 
-def _own_path(scenes: list[SceneConfig], part: FieldComponent, rho: np.ndarray,
-              panels: int, shared: _Path) -> _LagPath | None:
-    """The call's own per-lag path (:func:`_lag_path`), or None where the
-    part keeps its ``shared`` path.  It is taken for a single positive
-    lag, in a call resolved to ``panels`` >= 1, of a part every scene
-    admits (:func:`_entire`), so each part of a material batch runs on one
-    path, when the lag clears the saddle, fits one block of
-    ``_BESSEL_BLOCK_SCALARS`` nodes and costs less on its own path than on
-    the shared one.  Several lags keep the shared path, whose coefficients
-    and Bessel matrix serve them all."""
-    limit = _cost(shared)
-    # no per-lag path costs less than its start and saddle and two least legs
-    cheapest = panels * _PANEL * (1 + _COMPLEX_BESSEL_COST) + 2 * _COMPLEX_BESSEL_COST * _LEG_NODES
-    if not (rho.size == 1 and panels and limit > cheapest and rho[0] > 0.0
+def _path(scenes: list[SceneConfig], part: FieldComponent, spec: QuadratureSpec,
+          budget: int, rho: np.ndarray, *, bend: bool = True,
+          per_lag: bool = True) -> _Path | _LagPath:
+    """The path of the single-term part ``part`` for the lags ``rho`` of
+    one pair of planes at its node count ``spec`` and oscillation budget
+    ``budget`` (:func:`_part_specs`), sized by its decay distance and span.
+
+    The shared path serves every lag.  Its geometry is sized at n =
+    min(spec, budget) nodes and its real panels at ``spec``, so a count
+    past the budget refines it and never moves it.  Its leg is sized for
+    rho_b, the larger of the largest lag and the largest lag n resolves,
+    so resolved calls take the same path whichever lags share them.  The
+    bend lies delta = asin(sqrt(52 / (kappa1 R))) past the specular angle
+    atan(rho_b / z), R = hypot(z, rho_b), rounded up to an edge of the
+    panels of n's disk rule: there the leg's phase swing, about 648 / 52
+    radians, fits one panel.  It lies far enough past the specular angle
+    that J0 grows by at most e^600 on the leg, below the overflow of its
+    complex evaluation.  The real segment [0, a0] gets its own panels,
+    sized like the disk rule but for the segment's largest phase rate,
+    kappa1 (span sin a0 + rho_b), in place of the disk's kappa1 (span +
+    rho_b): ``spec.n_alpha`` a0 (span sin a0 + rho_b) / (span + rho_b)
+    nodes, rounded up to whole panels.  Where rho_b is comparable to the
+    span, that count exceeds the disk rule's own panels on [0, a0], which
+    are taken instead.  The bend is taken only when, at n nodes, the real
+    nodes it saves outweigh the leg's complex Bessel evaluations; below
+    the budget a larger count may still switch that choice.
+
+    A single positive lag of a part every scene admits (:func:`_entire`),
+    in a call at or past its budget, then takes its own path
+    (:func:`_lag_path`) with spec // budget panels on its start and saddle
+    path, where that costs less than the refined shared path and fits one
+    block of ``_BESSEL_BLOCK_SCALARS`` nodes; several lags keep the shared
+    path, whose coefficients and Bessel matrix serve them all.  The bend is
+    geometry that all lags of a call share, so the budget fixes it; this
+    choice is the call's alone, so it is made at the count evaluated, where
+    it is cheapest, and past the budget may switch.  ``bend=False`` forces
+    the straight path, ``per_lag=False`` the shared one."""
+    kappa1 = scenes[0].medium.kappa1
+    z_decay = spectrum.decay_distance(scenes[0], part)
+    span = max(spectrum.oscillation_span(scene, part) for scene in scenes)
+    sizing = min(spec.n_alpha, budget)
+    rho_b = max(float(rho.max()), 2.0 * math.pi * sizing / (OVERSAMPLING * kappa1) - span)
+    grid, panels = _panels_for(sizing), _panels_for(spec.n_alpha)
+    shared = straight = _leg_path(panels, 0.5 * math.pi, z_decay, span, rho_b, kappa1)
+    sin_sq = _LEG_PHASE / (kappa1 * math.hypot(z_decay, rho_b))
+    first = grid
+    if bend and sin_sq < 1.0:
+        a0 = max(math.atan2(rho_b, z_decay) + math.asin(math.sqrt(sin_sq)),
+                 math.atan2(rho_b * (1.0 + _TAIL_CUTOFF / _LEG_GROWTH), z_decay))
+        first = math.ceil(a0 / (0.5 * math.pi) * grid)
+    if first < grid:
+        angle = first * (0.5 * math.pi / grid)  # on the disk rule's grid, so short rules recur
+        share = (span * math.sin(angle) + rho_b) / (span + rho_b)
+        segment = min(first, _panels_for(math.ceil(sizing * angle * share)))
+        bent = _leg_path(segment, angle, z_decay, span, rho_b, kappa1)
+        if bent.cost < straight.cost - (panels - grid) * _PANEL:  # the straight path at n
+            refined = _panels_for(math.ceil(spec.n_alpha * angle * share))
+            # capped by [0, a0] on spec's grid, in exact integers so the budget's cap is first
+            shared = dataclasses.replace(bent, panels=min(-(-first * panels // grid), refined))
+    own_panels = spec.n_alpha // budget
+    if not (bend and per_lag and own_panels and rho.size == 1 and rho[0] > 0.0
             and all(_entire(scene, part) for scene in scenes)):
-        return None
-    path = _lag_path(scenes[0].medium.kappa1, spectrum.decay_distance(scenes[0], part),
-                     float(rho[0]), panels)
-    if (path is None or path.cost >= limit
-            or path.panels * _PANEL + path.hankel_nodes > _BESSEL_BLOCK_SCALARS):
-        return None
-    return path
+        return shared
+    own = _lag_path(kappa1, z_decay, float(rho[0]), own_panels)
+    if (own is None or own.cost >= shared.cost
+            or own.panels * _PANEL + own.hankel_nodes > _BESSEL_BLOCK_SCALARS):
+        return shared
+    return own
 
 
 def _scaled_hankel1(x: np.ndarray) -> np.ndarray:
@@ -601,13 +594,11 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
                           bend: bool = True, per_lag: bool = True) -> np.ndarray:
     """Every lag of every scene on the scenes' shared planes, as a
     (scene x lag) array: the sum over the parts of the component, each on
-    its own per-lag path (:func:`_own_path`) where every scene admits it,
-    and otherwise on the shared path its budget fixes (:func:`_path`),
-    block by block (:func:`_shared_sums`).  ``bend=False`` forces the
-    straight paths; ``per_lag=False`` keeps the shared ones."""
+    the path :func:`_path` picks, a lag's own (:func:`_lag_sum`) or the
+    shared one, block by block (:func:`_shared_sums`).  ``bend=False``
+    forces the straight paths; ``per_lag=False`` keeps the shared ones."""
     rho = np.array([lag.transverse for lag in lags])
-    max_rho = float(rho.max())
-    needed = max(_plane_budget(scene, component, max_rho).n_alpha for scene in scenes)
+    needed = max(_plane_budget(scene, component, float(rho.max())).n_alpha for scene in scenes)
     used = _nodes_used(spec.n_alpha)
     if used < needed:
         warnings.warn(
@@ -616,14 +607,12 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
             UnderResolvedWarning,
             stacklevel=3,
         )
-    panels = spec.n_alpha // needed if bend and per_lag else 0
     budgets = _part_specs(scenes, component, QuadratureSpec(needed))
     values = 0.0
     for (part, part_spec), (_, budget) in zip(_part_specs(scenes, component, spec), budgets):
-        path = _path(scenes, part, part_spec, budget.n_alpha, max_rho, bend=bend)
-        own = _own_path(scenes, part, rho, panels, path)
-        if own is not None:
-            values = values + _lag_sum(scenes, part, own, lags[0])[None, :]
+        path = _path(scenes, part, part_spec, budget.n_alpha, rho, bend=bend, per_lag=per_lag)
+        if isinstance(path, _LagPath):
+            values = values + _lag_sum(scenes, part, path, lags[0])[None, :]
         else:
             for piece in _shared_sums(scenes, part, path, rho):
                 values = values + piece
@@ -659,19 +648,19 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         cheaper, the direct wave and the image, off the conductor or off a
         dielectric whose far-side branch points lie past the tail cutoff,
         instead run a single positive lag on its own path across the
-        specular saddle, for every scene of the call or for none (see
-        :func:`_own_path`).
+        specular saddle, for every scene of the call or for none; one
+        chooser, :func:`_path`, makes both choices.
     spec:
         Node count of the disk rule over [0, pi/2]: it fixes the node
         spacing on the straight path, and on the real segment [0, a0] of a
         bent path it is scaled to that segment's phase rate.  The path
         itself is fixed at the smaller of the count and the oscillation
-        budget (see :func:`_path`), so a count past the budget refines the
-        real nodes and moves nothing.  Per-lag paths are taken only at
-        counts of at least the budget; their start and saddle path get
-        n_alpha // budget panels each.  Counts below the oscillation
-        budget of any scene trigger :class:`UnderResolvedWarning` but still
-        evaluate.
+        budget, so a count past the budget refines its real nodes and moves
+        nothing.  A per-lag path is taken only at counts of at least the
+        budget, and chosen at the count given, so past the budget a call
+        may switch to it; its start and saddle path get n_alpha // budget
+        panels each, per part.  Counts below the oscillation budget of any
+        scene trigger :class:`UnderResolvedWarning` but still evaluate.
     """
     scenes = _material_batch(scene)
     lags = [lag] if isinstance(lag, SpatialLag) else list(lag)
@@ -697,7 +686,8 @@ def convergence_study(scene: SceneConfig, component: FieldComponent,
     the under-resolved regime, then the spectral collapse; a bent path can
     be resolved already at the start.  Below the budget a doubling also
     raises the largest lag the count resolves, so the path may still
-    change; past it the path stays and a doubling refines its real nodes.
+    change; past it the shared path stays and a doubling refines its real
+    nodes, or the lag takes its own path where that has become cheaper.
     Stops once the successive relative change drops below ``rel_tol`` or
     the next doubling would exceed ``max_nodes`` (flagged via
     ``converged=False``).  The starting count is always evaluated, so the

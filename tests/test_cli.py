@@ -118,9 +118,18 @@ class TestConverge:
         final = lines[-1].split(",")
         assert abs(float(final[2])) + abs(float(final[3])) > 0.0
 
-    def test_bad_span_exits_2(self, tmp_path, capsys):
-        assert main(["converge", "--dz", "-1", "--lag", "0"]) == 2
-        assert "--dz" in capsys.readouterr().err
+    @pytest.mark.parametrize(("args", "named"), [
+        (["--dz", "-1", "--lag", "0"], "--dz"),
+        (["--dz", "inf", "--lag", "0"], "dz_total"),
+        (["--dz", "0.3", "--lag", "inf"], "max_lag"),
+        (["--dz", "0.3", "--lag", "nan"], "max_lag"),
+        (["--dz", "0.3", "--lag", "0", "--frequency-ghz", "inf"], "frequency"),
+        (["--dz", "0.3", "--lag", "0", "--rel-tol", "nan"], "--rel-tol"),
+    ], ids=["dz-negative", "dz-inf", "lag-inf", "lag-nan", "frequency-inf", "rel-tol-nan"])
+    def test_bad_span_exits_2(self, tmp_path, capsys, args, named):
+        assert main(["converge", *args, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_unknown_material_exits_2(self, capsys):
         code = main(["converge", "--dz", "0.3", "--lag", "0", "--material", "kryptonite"])

@@ -109,8 +109,9 @@ class TestMedium:
             assert kappa2 / 1e3 == pytest.approx(target, abs=5e-5)
 
     def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            Medium(0.0, VACUUM)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="frequency"):
+                Medium(bad, VACUUM)
 
     def test_longitudinal_pair(self):
         medium = Medium(FREQUENCY, CONCRETE)

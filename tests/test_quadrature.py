@@ -74,7 +74,8 @@ def _shared_rules(scene, component, spec, max_rho):
     kappa1 = scene.medium.kappa1
     blocks = []
     for part, part_spec in _part_specs([scene], component, spec):
-        path = _path([scene], part, part_spec, part_spec.n_alpha, max_rho)
+        path = _path([scene], part, part_spec, part_spec.n_alpha, np.array([max_rho]),
+                     per_lag=False)
         segment = _segment(kappa1, *_rule(path.panels * _PANEL, path.angle))
         leg = _leg(kappa1, path.angle, -1.0, path.depth, *_rule(path.leg_nodes, _TAIL_CUTOFF))
         for krho, k1z, weight, angle in (segment, leg):
@@ -148,10 +149,12 @@ class TestEstimateNodes:
 
     def test_negative_arguments_rejected(self, vacuum_medium):
         scene = _los_scene(vacuum_medium)
-        with pytest.raises(ValueError, match="max_lag"):
-            estimate_nodes(scene, -0.1, 1.0)
-        with pytest.raises(ValueError, match="dz_total"):
-            estimate_nodes(scene, 0.0, -1.0)
+        for bad in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="max_lag"):
+                estimate_nodes(scene, bad, 1.0)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="dz_total"):
+                estimate_nodes(scene, 0.0, bad)
 
 
 class TestAgainstClosedForms:
@@ -406,8 +409,8 @@ class TestConvergenceStudy:
         scene = _los_scene(free, dz=20.0)
         component, lag = FieldComponent.LOS_ONLY, SpatialLag(1.0)
         study = convergence_study(scene, component, lag, rel_tol=1e-10)
-        paths = [_path([scene], component, QuadratureSpec(row.n_alpha), row.n_alpha, lag.x)
-                 for row in study.rows]
+        paths = [_path([scene], component, QuadratureSpec(row.n_alpha), row.n_alpha,
+                       np.array([lag.x]), per_lag=False) for row in study.rows]
         assert not any(path.straight for path in paths)
         segments = [path.panels for path in paths]
         assert all(before < after for before, after in zip(segments, segments[1:]))
@@ -680,7 +683,8 @@ class TestBentPath:
                 expected = los_impulse(free, (lag_x, 0.0, span), (0.0, 0.0, 0.0))
             lag = SpatialLag(lag_x)
             spec = _auto_spec(scene, component, lag)
-            assert not _path([scene], component, spec, spec.n_alpha, lag_x).straight
+            assert not _path([scene], component, spec, spec.n_alpha, np.array([lag_x]),
+                             per_lag=False).straight
             value = synthesize_impulse(scene, component, lag, spec)
             assert abs(value - expected) <= 1e-9 * abs(expected)
 
@@ -693,7 +697,8 @@ class TestBentPath:
                             source_z=0.0, receiver_z=receiver_z)
         lags = [SpatialLag(0.0), SpatialLag(0.3), SpatialLag(1.0)]
         spec = _required_nodes(scene, component, lags)
-        assert not any(_path([scene], part, part_spec, part_spec.n_alpha, 1.0).straight
+        assert not any(_path([scene], part, part_spec, part_spec.n_alpha, np.array([1.0]),
+                             per_lag=False).straight
                        for part, part_spec in _part_specs([scene], component, spec))
         bent = _synthesize_on_planes([scene], component, lags, spec)[0]
         straight = _synthesize_on_planes([scene], component, lags, spec, bend=False)[0]
@@ -724,7 +729,8 @@ class TestBentPath:
             expected = [los_impulse(free, (lag.x, 0.0, span), (0.0, 0.0, 0.0))
                         for lag in lags]
         spec = _required_nodes(scene, component, lags)
-        assert not _path([scene], component, spec, spec.n_alpha, 20.0).straight
+        assert not _path([scene], component, spec, spec.n_alpha, np.array([20.0]),
+                         per_lag=False).straight
         values = synthesize_impulse(scene, component, lags, spec)
         assert np.all(np.isfinite(values))
         assert np.max(np.abs(values - expected) / np.abs(expected)) <= 2e-9
@@ -735,7 +741,8 @@ class TestBentPath:
         scene = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 20.0)
         component = FieldComponent.REFLECTION_ONLY
         spec = _auto_spec(scene, component, SpatialLag(1.0))
-        paths = {_path([scene], component, spec, spec.n_alpha, rho) for rho in (0.0, 0.3, 1.0)}
+        paths = {_path([scene], component, spec, spec.n_alpha, np.array([rho]), per_lag=False)
+                 for rho in (0.0, 0.3, 1.0)}
         assert len(paths) == 1 and not paths.pop().straight
 
     @pytest.mark.parametrize("reflected", [False, True], ids=["los", "conductor"])
@@ -759,7 +766,8 @@ class TestBentPath:
                     * _exact_wave(kappa1, length) / length)
         lag = SpatialLag(0.0)
         spec = _auto_spec(scene, component, lag)
-        assert not _path([scene], component, spec, spec.n_alpha, 0.0).straight
+        assert not _path([scene], component, spec, spec.n_alpha, np.array([0.0]),
+                         per_lag=False).straight
         value = synthesize_impulse(scene, component, lag, spec)
         assert abs(value - expected) <= 2e-13 * abs(expected)
 
@@ -785,7 +793,8 @@ class TestNodeCounts:
         component = FieldComponent.REFLECTION_ONLY
         lag = SpatialLag(1.0)
         spec = _auto_spec(scene, component, lag)
-        assert _path([scene], component, spec, spec.n_alpha, 1.0).straight
+        assert _path([scene], component, spec, spec.n_alpha, np.array([1.0]),
+                     per_lag=False).straight
         rules = _shared_rules(scene, component, spec, 1.0)
         assert not any(np.iscomplexobj(krho) for krho, _ in rules)
         counter = _count_nodes(monkeypatch)
@@ -958,16 +967,17 @@ class TestPerLagPath:
     @pytest.mark.parametrize(("experiment", "frequency_ghz"), [("fig4", 300.0), ("fig5", 57.5)])
     def test_ula_matrices_keep_the_shared_path(self, monkeypatch, experiment, frequency_ghz):
         """A parallel ULA's lags include 0 and share one path per part."""
-        decisions = []
-        original = quadrature._own_path
+        shared = {"sums": 0}
+        original = quadrature._shared_sums
 
-        def recording(*args):
-            decisions.append(original(*args))
-            return decisions[-1]
+        def counting(*args):
+            shared["sums"] += 1
+            return original(*args)
 
-        monkeypatch.setattr(quadrature, "_own_path", recording)
+        monkeypatch.setattr(quadrature, "_shared_sums", counting)
+        lags = _count_lag_sums(monkeypatch)
         run_named(experiment, ExperimentConfig(frequency_ghz=frequency_ghz, antennas=16))
-        assert decisions and all(decision is None for decision in decisions)
+        assert lags["lags"] == 0 and shared["sums"] > 0
 
     def test_offset_arrays_keep_the_shared_path(self, monkeypatch):
         """Arrays offset 3 m along the surface have only positive lags, but
@@ -1145,8 +1155,8 @@ class TestRefinementPastTheBudget:
     def test_resolved_geometry_does_not_follow_n_alpha(self, case):
         scene, component, lags, budget = _past_the_budget_case(case)
         max_rho = max(lag.transverse for lag in lags)
-        paths = [_path([scene], component, QuadratureSpec(factor * budget), budget, max_rho)
-                 for factor in (1, 2, 4, 16)]
+        paths = [_path([scene], component, QuadratureSpec(factor * budget), budget,
+                       np.array([max_rho]), per_lag=False) for factor in (1, 2, 4, 16)]
         geometry = {(p.angle, p.depth, p.leg_nodes, p.straight) for p in paths}
         assert len(geometry) == 1
         panels = [path.panels for path in paths]
@@ -1185,6 +1195,27 @@ class TestRefinementPastTheBudget:
         assert paths[1].leg_nodes == paths[0].leg_nodes
         assert paths[1].panels == 4 * paths[0].panels
         assert abs(values[1] - values[0]) <= 1e-13 * abs(values[0])
+
+    def test_per_lag_choice_is_made_at_the_count(self, monkeypatch):
+        """The bend is geometry that every lag of a call shares, so the
+        budget fixes it; taking a single lag's own path is that call's
+        choice alone, made at the count it evaluates, where it is cheapest.
+        The conductor's image at 140 GHz (d1 = 0.246 m, r_z = 0.164 m, lag
+        0.537 m) keeps the shared path at its budget and takes the per-lag
+        path at twice it (4.2e-14 off); deciding at the budget would keep
+        the shared path, 1.7e-13 off at twice the budget."""
+        scene = SceneConfig(medium=Medium(140e9, PERFECT_CONDUCTOR), surface_z=0.246,
+                            source_z=0.0, receiver_z=0.164)
+        component, lag = FieldComponent.REFLECTION_ONLY, SpatialLag(0.537)
+        budget = _auto_spec(scene, component, lag).n_alpha
+        expected = -los_impulse(Medium(140e9, VACUUM), (0.537, 0.0, 0.164),
+                                (0.0, 0.0, 2.0 * 0.246))
+        lags = _count_lag_sums(monkeypatch)
+        for factor, own in ((1, 0), (2, 1)):
+            lags["lags"] = 0
+            value = synthesize_impulse(scene, component, lag, QuadratureSpec(factor * budget))
+            assert lags["lags"] == own, factor
+            assert abs(value - expected) <= 1e-13 * abs(expected), factor
 
     def test_matrix_refinement(self):
         """fig4 at 300 GHz with an explicit count ~4x past its budget keeps
