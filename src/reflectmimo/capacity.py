@@ -49,30 +49,43 @@ def waterfill(spectrum: object, snr: float) -> CapacityResult:
     are sorted descending, the candidate level for the top k modes is
     (snr + sum 1/lambda) / k, and the largest k whose level still covers its
     weakest active mode wins.  No iteration tolerance is involved, so the
-    power constraint holds to round-off.
+    power constraint holds to round-off.  This is the one-row case of the
+    row-wise core that waterfills a whole SNR grid in one call.
     """
     if snr <= 0.0:
         msg = f"snr must be > 0, got {snr!r}"
         raise ValueError(msg)
     values = _spectrum_values(spectrum)
+    capacity, level, powers = _waterfill_rows(values[None, :], np.array([snr]))
+    if level[0] == 0.0:
+        raise ValueError("all-zero spectrum has no capacity")
+    return CapacityResult(snr=snr, capacity=float(capacity[0]), water_level=float(level[0]),
+                          powers=powers[0])
+
+
+def _waterfill_rows(values: np.ndarray, snr: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                                  np.ndarray]:
+    """Waterfilling of each row of the nonnegative eigenvalues ``values``
+    at its own total SNR ``snr[i]``: the capacities, water levels and
+    powers of :func:`waterfill`, row by row.  A row with no positive
+    eigenvalue gets capacity, level and powers 0."""
+    order = np.argsort(values, axis=1)[:, ::-1]
+    lam = np.take_along_axis(values, order, axis=1)
     # Eigenvalues so small that 1/lambda overflows can never rise above any
     # finite water level; treat them as zero modes.
-    positive = values > np.finfo(float).tiny
-    if not positive.any():
-        raise ValueError("all-zero spectrum has no capacity")
-    lam = np.sort(values[positive])[::-1]
-    inv_cum = np.cumsum(1.0 / lam)
-    k_range = np.arange(1, lam.size + 1)
-    levels = (snr + inv_cum) / k_range
-    feasible = levels >= 1.0 / lam
-    k = int(np.nonzero(feasible)[0][-1]) + 1
-    nu = float(levels[k - 1])
-
-    powers = np.zeros_like(values)
-    active_order = np.argsort(values)[::-1][:k]
-    powers[active_order] = nu - 1.0 / values[active_order]
-    capacity = float(np.sum(np.log2(nu * values[active_order])))
-    return CapacityResult(snr=snr, capacity=capacity, water_level=nu, powers=powers)
+    positive = lam > np.finfo(float).tiny
+    inverse = np.divide(1.0, lam, out=np.full(lam.shape, np.inf), where=positive)
+    levels = (snr[:, None] + np.cumsum(inverse, axis=1)) / np.arange(1, lam.shape[1] + 1)
+    feasible = positive & (levels >= inverse)
+    found = feasible.any(axis=1)
+    last = lam.shape[1] - 1 - np.argmax(feasible[:, ::-1], axis=1)  # the weakest active mode
+    level = np.where(found, levels[np.arange(len(lam)), last], 0.0)
+    active = found[:, None] & (np.arange(lam.shape[1]) <= last[:, None])
+    sorted_powers = np.where(active, level[:, None] - inverse, 0.0)
+    capacity = np.log2(level[:, None] * lam, out=np.zeros(lam.shape), where=active).sum(axis=1)
+    powers = np.empty_like(sorted_powers)
+    np.put_along_axis(powers, order, sorted_powers, axis=1)
+    return capacity, level, powers
 
 
 def dof_bound(count: int, snr: float) -> DofBound:

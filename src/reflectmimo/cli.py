@@ -86,10 +86,10 @@ def _cmd_materials_list() -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    if args.dz <= 0.0:
-        raise ConfigError([f"--dz must be positive, got {args.dz!r}"])
-    if args.lag < 0.0:
-        raise ConfigError([f"--lag must be nonnegative, got {args.lag!r}"])
+    if not 0.0 < args.dz < float("inf"):
+        raise ConfigError([f"--dz must be positive and finite, got {args.dz!r}"])
+    if not 0.0 <= args.lag < float("inf"):
+        raise ConfigError([f"--lag must be nonnegative and finite, got {args.lag!r}"])
     if not 0.0 < args.rel_tol < float("inf"):
         raise ConfigError([f"--rel-tol must be positive and finite, got {args.rel_tol!r}"])
     material = material_by_name(args.material)

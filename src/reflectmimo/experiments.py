@@ -10,12 +10,13 @@ orders are fixed, so identical configs yield identical tables.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
-from .capacity import dof_bound, waterfill
+from .capacity import _waterfill_rows, dof_bound
 from .closedform import los_impulse
 from .config import ConfigError, ExperimentConfig, config_to_text
 from .materials import PERFECT_CONDUCTOR, VACUUM, Material, Medium, material_by_name
@@ -26,8 +27,7 @@ from .mimo import (
     ArrayLayout,
     ChannelMatrix,
     EigenSpectrum,
-    build_channel_matrices,
-    build_channel_matrix,
+    _assemble,
     eigen_spectrum,
     spacing_rayleigh,
     spacing_snr,
@@ -66,7 +66,9 @@ class ResultSet:
 class _Context:
     """Per-run caches: channel matrices and their eigenvalue spectra are
     keyed by material and spacing so SNR sweeps reuse work across grid
-    points, and all materials at one spacing share one synthesis."""
+    points.  All materials at one spacing share one synthesis, and the
+    spacings asked for together share syntheses where the path cost model
+    finds that cheaper (:func:`mimo._assemble`)."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         config.validate()
@@ -85,30 +87,30 @@ class _Context:
             receiver_z=self.config.range_m,
         )
 
-    def channel(self, material_name: str, spacing: float) -> ChannelMatrix:
-        """The channel at ``spacing``; a miss on a reflecting material builds
-        every configured material at that spacing in one batch."""
-        spacing_key = round(spacing / 1e-15)
-        key = (material_name, spacing_key)
-        if key not in self._channels:
+    def channels(self, material_name: str, spacings: Sequence[float]) -> list[ChannelMatrix]:
+        """The channels at ``spacings``.  Those not cached yet are built in
+        one assembly: the direct channel for ``"los"``, otherwise every
+        configured material at once."""
+        keys = [round(spacing / 1e-15) for spacing in spacings]
+        missing = {key: spacing for key, spacing in zip(keys, spacings)
+                   if (material_name, key) not in self._channels}
+        if missing:
             n = self.config.antennas
-            tx = ArrayLayout.along_x(n, spacing, 0.0)
-            rx = ArrayLayout.along_x(n, spacing, self.config.range_m)
+            layouts = [(ArrayLayout.along_x(n, spacing, 0.0),
+                        ArrayLayout.along_x(n, spacing, self.config.range_m))
+                       for spacing in missing.values()]
             if material_name == "los":
-                self._channels[key] = build_channel_matrix(
-                    self.scene(VACUUM), tx, rx, FieldComponent.LOS_ONLY,
-                    self.config.quadrature,
-                )
+                names, component = ["los"], FieldComponent.LOS_ONLY
+                scenes = [self.scene(VACUUM)]
             else:
                 names = list(dict.fromkeys((*self.config.materials, material_name)))
+                component = FieldComponent.REFLECTION_ONLY
                 scenes = [self.scene(material_by_name(name)) for name in names]
-                channels = build_channel_matrices(
-                    scenes, tx, rx, FieldComponent.REFLECTION_ONLY,
-                    self.config.quadrature,
-                )
-                for name, channel in zip(names, channels):
-                    self._channels[(name, spacing_key)] = channel
-        return self._channels[key]
+            built = _assemble(scenes, layouts, component, self.config.quadrature)
+            for key, per_scene in zip(missing, built):
+                for name, channel in zip(names, per_scene):
+                    self._channels[(name, key)] = channel
+        return [self._channels[(material_name, key)] for key in keys]
 
     def spectrum(self, material_name: str, spacing: float,
                  normalization: str = SELF_SUM) -> EigenSpectrum:
@@ -118,7 +120,8 @@ class _Context:
         if key not in self._spectra:
             scale = self.spectrum("los", spacing).scale if normalization == RELATIVE else None
             self._spectra[key] = eigen_spectrum(
-                self.channel(material_name, spacing), normalization, reference_scale=scale,
+                self.channels(material_name, [spacing])[0], normalization,
+                reference_scale=scale,
             )
         return self._spectra[key]
 
@@ -158,45 +161,46 @@ def _spacing_of(context: _Context, rule: str, snr_linear: float | None) -> float
 def _eigen_table(context: _Context, los_rule: str, reflected_rule: str) -> ResultTable:
     rows: list[tuple] = []
     d_los = _spacing_of(context, los_rule, None)
-    context.record_nodes(f"los@{los_rule}", context.channel("los", d_los).spec)
+    context.record_nodes(f"los@{los_rule}", context.channels("los", [d_los])[0].spec)
     spectrum = context.spectrum("los", d_los)
     for index, (value, db) in enumerate(zip(spectrum.values, spectrum.db), start=1):
         rows.append(("los", los_rule, index, float(value), float(db)))
     d_ref = _spacing_of(context, reflected_rule, None)
     for name in context.config.materials:
-        context.record_nodes(f"{name}@{reflected_rule}", context.channel(name, d_ref).spec)
+        context.record_nodes(f"{name}@{reflected_rule}",
+                             context.channels(name, [d_ref])[0].spec)
         spectrum = context.reflected_spectrum(name, d_ref)
         for index, (value, db) in enumerate(zip(spectrum.values, spectrum.db), start=1):
             rows.append((name, reflected_rule, index, float(value), float(db)))
     return ResultTable("eigenvalues", _EIGEN_COLUMNS, tuple(rows))
 
 
-def _capacity_of(spectrum: EigenSpectrum, snr: float) -> float:
-    if float(np.max(spectrum.values, initial=0.0)) <= 0.0:
-        return 0.0
-    return waterfill(spectrum, snr).capacity
-
-
 def _capacity_table(context: _Context, los_rule: str, reflected_rule: str) -> ResultTable:
+    """Capacity over the SNR grid.  Each SNR's spacings are worked out
+    once; each (component, spacing rule) builds all of its spacings in one
+    assembly, and each material's grid is waterfilled in one call."""
     cfg = context.config
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_grid_db]
+    los_spacings = [_spacing_of(context, los_rule, snr) for snr in snrs]
+    reflected_spacings = [_spacing_of(context, reflected_rule, snr) for snr in snrs]
+    # The LOS rule's own group first: a spacing both rules share then keeps
+    # that group's node count, which provenance records under its label.
+    context.channels("los", los_spacings)
+    if cfg.normalization == "RelativeToLOS":
+        context.channels("los", reflected_spacings)  # the scale of the reflected spectra
     rows: list[tuple] = []
-    for snr_db in cfg.snr_grid_db:
-        snr = 10.0 ** (snr_db / 10.0)
-        d = _spacing_of(context, los_rule, snr)
-        context.record_nodes(f"los@{los_rule}", context.channel("los", d).spec)
-        capacity = _capacity_of(context.spectrum("los", d), snr)
-        rows.append(("los", los_rule, snr_db, capacity))
-    for name in cfg.materials:
-        for snr_db in cfg.snr_grid_db:
-            snr = 10.0 ** (snr_db / 10.0)
-            d = _spacing_of(context, reflected_rule, snr)
-            context.record_nodes(f"{name}@{reflected_rule}", context.channel(name, d).spec)
-            capacity = _capacity_of(context.reflected_spectrum(name, d), snr)
-            rows.append((name, reflected_rule, snr_db, capacity))
-    for snr_db in cfg.snr_grid_db:
-        snr = 10.0 ** (snr_db / 10.0)
-        bound = dof_bound(cfg.antennas, snr).bound
-        rows.append(("upper_bound", los_rule, snr_db, bound))
+    for name, rule, spacings in (("los", los_rule, los_spacings),
+                                 *((name, reflected_rule, reflected_spacings)
+                                   for name in cfg.materials)):
+        for channel in context.channels(name, spacings):
+            context.record_nodes(f"{name}@{rule}", channel.spec)
+        spectra = [context.spectrum("los", d) if name == "los"
+                   else context.reflected_spectrum(name, d) for d in spacings]
+        capacities = _waterfill_rows(np.stack([s.values for s in spectra]), np.array(snrs))[0]
+        rows.extend((name, rule, snr_db, float(capacity))
+                    for snr_db, capacity in zip(cfg.snr_grid_db, capacities))
+    for snr_db, snr in zip(cfg.snr_grid_db, snrs):
+        rows.append(("upper_bound", los_rule, snr_db, dof_bound(cfg.antennas, snr).bound))
     return ResultTable("capacity", _CAPACITY_COLUMNS, tuple(rows))
 
 

@@ -9,7 +9,11 @@ one pair of planes shares one set of spectral coefficients.  Parallel
 N-antenna arrays with equal spacings cost N evaluations instead of N^2.
 The material enters only through those coefficients, so the matrices of
 several surface materials on one geometry share one Bessel matrix
-(:func:`build_channel_matrices`).
+(:func:`build_channel_matrices`).  The layouts of one sweep, such as the
+SNR-matched spacings of a capacity table, share syntheses too: taken by
+largest lag, a layout joins the current synthesis while the quadrature's
+cost model, in real J0 evaluations, finds their union no dearer than the
+two apart plus the fixed cost of a call.
 """
 
 from __future__ import annotations
@@ -28,12 +32,20 @@ from .quadrature import (
     UnderResolvedWarning,
     _material_batch,
     _nodes_used,
-    _required_nodes,
+    _synthesis_cost,
     synthesize_impulse,
 )
 from .spectrum import FieldComponent, SceneConfig
 
 _LAG_QUANTUM = 1e-12  # m; samples equal up to float noise share one evaluation
+# Fixed work of one synthesis call (coefficients and bookkeeping) in real J0
+# evaluations: the intercept of synthesize_impulse's time against its lag
+# count on one path, over the time of one j0.  For the SNR-matched spacings
+# of fig5 (N = 16, 57.5 GHz, one BLAS thread, 2 to 31 lags) it is 8,000 to
+# 12,000 j0 for the four-material batch and 2,000 to 5,000 for the direct
+# channel, at 40 to 60 ns per j0; the N = 16 sweep merges fully for any
+# value from 6,000 to 25,000.
+_SYNTHESIS_COST = 12_000
 
 SELF_SUM = "self_sum"
 RELATIVE = "relative"
@@ -117,7 +129,7 @@ def build_channel_matrix(scene: SceneConfig, tx: ArrayLayout, rx: ArrayLayout,
     still evaluates, but the matrix is flagged and a single
     :class:`UnderResolvedWarning` is emitted for the whole assembly.
     """
-    return _assemble([scene], tx, rx, component, spec)[0]
+    return _assemble([scene], [(tx, rx)], component, spec)[0][0]
 
 
 def build_channel_matrices(scenes: Sequence[SceneConfig], tx: ArrayLayout,
@@ -130,12 +142,24 @@ def build_channel_matrices(scenes: Sequence[SceneConfig], tx: ArrayLayout,
     coefficients differ.  Node counts and the under-resolution flag follow
     :func:`build_channel_matrix`, taken over all scenes.
     """
-    return _assemble(scenes, tx, rx, component, spec)
+    return _assemble(scenes, [(tx, rx)], component, spec)[0]
 
 
-def _assemble(scenes: Sequence[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
-              component: FieldComponent, spec: QuadratureSpec | None) -> list[ChannelMatrix]:
-    scenes = _material_batch(scenes)
+@dataclass(frozen=True, eq=False)
+class _Samples:
+    """The distinct (receiver_z, source_z, rho) sample rows of one layout
+    pair with their lattice keys, each entry's position among them, the
+    node count they need and the cost of synthesizing them alone."""
+
+    rows: np.ndarray
+    keys: np.ndarray
+    index_of: np.ndarray
+    needed: QuadratureSpec
+    cost: int
+
+
+def _samples(scenes: list[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
+             component: FieldComponent, spec: QuadratureSpec | None) -> _Samples:
     tx_pos = tx.positions
     rx_pos = rx.positions
     shape = (rx.count, tx.count)
@@ -145,58 +169,104 @@ def _assemble(scenes: Sequence[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
         np.broadcast_to(tx_pos[None, :, 2], shape),
         np.hypot(delta[..., 0], delta[..., 1]),
     ], axis=-1).reshape(-1, 3)
-    first, index_of = _distinct_samples(np.rint(samples / _LAG_QUANTUM).astype(np.int64))
-    lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z)
-            for r_z, s_z, rho in samples[first].tolist()]
+    keys = np.rint(samples / _LAG_QUANTUM).astype(np.int64)
+    first, index_of = _distinct_samples(keys)
+    rows = samples[first]
+    return _Samples(rows, keys[first], index_of,
+                    *_synthesis_cost(scenes, component, rows, spec))
 
-    needed = QuadratureSpec(
-        n_alpha=max(_required_nodes(scene, component, lags).n_alpha for scene in scenes),
-    )
-    if spec is None:
-        spec = needed
-    under_resolved = _nodes_used(spec.n_alpha) < needed.n_alpha
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnderResolvedWarning)
-        values = synthesize_impulse(scenes, component, lags, spec)
+def _union(members: list[_Samples]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct sample rows of several layouts, and each layout's
+    entries' positions among them."""
+    first, index_of = _distinct_samples(np.concatenate([m.keys for m in members]))
+    offsets = np.cumsum([0] + [len(m.rows) for m in members])
+    rows = np.concatenate([m.rows for m in members])[first]
+    return rows, [index_of[at + m.index_of] for at, m in zip(offsets, members)]
 
-    if not np.all(np.isfinite(values)):
-        raise RuntimeError("channel matrix contains non-finite entries")
-    if under_resolved:
+
+def _batches(scenes: list[SceneConfig], component: FieldComponent,
+             spec: QuadratureSpec | None, samples: list[_Samples]) -> list[list[int]]:
+    """The layouts of each synthesis.  Taken by largest lag, largest
+    first, a layout joins the current synthesis while its union costs no
+    more than the synthesis and the layout apart plus the fixed cost of a
+    call, ``_SYNTHESIS_COST``; otherwise it starts the next one.  So alike
+    layouts share one synthesis, and a small lag rides the path of a much
+    larger one only where a call costs more than that detour."""
+    order = sorted(range(len(samples)), key=lambda i: -float(samples[i].rows[:, 2].max()))
+    batches: list[list[int]] = []
+    cost = 0
+    for i in order:
+        if batches:
+            rows, _ = _union([samples[j] for j in (*batches[-1], i)])
+            joined = _synthesis_cost(scenes, component, rows, spec)[1]
+            if joined <= cost + samples[i].cost + _SYNTHESIS_COST:
+                batches[-1].append(i)
+                cost = joined
+                continue
+        batches.append([i])
+        cost = samples[i].cost
+    return batches
+
+
+def _assemble(scenes: Sequence[SceneConfig], layouts: Sequence[tuple[ArrayLayout, ArrayLayout]],
+              component: FieldComponent,
+              spec: QuadratureSpec | None) -> list[list[ChannelMatrix]]:
+    """The channel matrix of every scene for every (tx, rx) layout pair,
+    one list of scenes per layout, in the order given.  Layouts share
+    syntheses as :func:`_batches` plans them; each synthesis runs at
+    ``spec``, or at the largest count its layouts need."""
+    scenes = _material_batch(scenes)
+    samples = [_samples(scenes, tx, rx, component, spec) for tx, rx in layouts]
+    matrices: list[list[ChannelMatrix]] = [[] for _ in layouts]
+    unmet = 0
+    for batch in _batches(scenes, component, spec, samples):
+        members = [samples[i] for i in batch]
+        rows, positions = _union(members)
+        lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z)
+                for r_z, s_z, rho in rows.tolist()]
+        used = spec or QuadratureSpec(max(m.needed.n_alpha for m in members))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnderResolvedWarning)
+            values = synthesize_impulse(scenes, component, lags, used)
+        if not np.all(np.isfinite(values)):
+            raise RuntimeError("channel matrix contains non-finite entries")
+        for i, member, at in zip(batch, members, positions):
+            tx, rx = layouts[i]
+            under_resolved = _nodes_used(used.n_alpha) < member.needed.n_alpha
+            if under_resolved:
+                unmet = max(unmet, member.needed.n_alpha)
+            matrices[i] = [
+                ChannelMatrix(
+                    entries=row[at].reshape(rx.count, tx.count), tx=tx, rx=rx,
+                    component=component, scene=scene, spec=used,
+                    under_resolved=under_resolved, distinct_evaluations=len(member.rows),
+                )
+                for scene, row in zip(scenes, values)
+            ]
+    if unmet:
         warnings.warn(
             f"matrix assembled with node counts below the oscillation budget "
-            f"(requested n_alpha={spec.n_alpha}, needed {needed.n_alpha})",
+            f"(requested n_alpha={spec.n_alpha}, needed {unmet})",
             UnderResolvedWarning,
             stacklevel=3,
         )
-    return [
-        ChannelMatrix(
-            entries=row[index_of].reshape(shape), tx=tx, rx=rx, component=component,
-            scene=scene, spec=spec, under_resolved=under_resolved,
-            distinct_evaluations=len(lags),
-        )
-        for scene, row in zip(scenes, values)
-    ]
+    return matrices
 
 
 def _distinct_samples(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First occurrence of each distinct (receiver_z, source_z, rho) key row,
     in sorted order, and each row's position among them: ``np.unique(keys,
-    axis=0)`` without its row-wise sort.  Rows are grouped by pair of
-    planes (few groups), then each group's rho keys are made unique."""
-    receiver_of = np.unique(keys[:, 0], return_inverse=True)[1]
-    source_of = np.unique(keys[:, 1], return_inverse=True)[1]
-    group = receiver_of * (int(source_of.max()) + 1) + source_of
-    order = np.argsort(group, kind="stable")
-    first: list[np.ndarray] = []
+    axis=0)`` from one stable lexicographic sort, so the rows on one pair
+    of planes come out next to each other."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
     index_of = np.empty(len(keys), dtype=np.intp)
-    found = 0
-    for members in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
-        _, at, inverse = np.unique(keys[members, 2], return_index=True, return_inverse=True)
-        first.append(members[at])
-        index_of[members] = found + inverse
-        found += len(at)
-    return np.concatenate(first), index_of
+    index_of[order] = np.cumsum(new) - 1
+    return order[new], index_of
 
 
 def _entries_of(channel: ChannelMatrix | np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflectmimo import dof_bound, optimal_stream_count, waterfill
+from reflectmimo.capacity import _waterfill_rows
 
 
 class TestWaterfill:
@@ -87,6 +88,32 @@ class TestWaterfill:
             waterfill([1.0, -0.5], 1.0)
         with pytest.raises(ValueError, match="1-D"):
             waterfill(np.eye(2), 1.0)
+
+
+def _spectrum_rows(count):
+    """Rows of ``count`` eigenvalues: all zero, a single mode, or modes
+    with zeros among them."""
+    mode = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+    single = st.tuples(st.integers(0, count - 1), st.floats(1e-6, 1e3)).map(
+        lambda pick: [pick[1] if i == pick[0] else 0.0 for i in range(count)])
+    return st.one_of(st.just([0.0] * count), single,
+                     st.lists(mode, min_size=count, max_size=count))
+
+
+class TestWaterfillRows:
+    @given(st.integers(1, 12).flatmap(lambda count: st.lists(
+        st.tuples(_spectrum_rows(count), st.floats(1e-3, 1e4)), min_size=1, max_size=8)))
+    @settings(max_examples=100, deadline=None)
+    def test_each_row_is_one_waterfill(self, rows):
+        values = np.array([row for row, _ in rows])
+        snr = np.array([s for _, s in rows])
+        capacity = _waterfill_rows(values, snr)[0]
+        for row, s, c in zip(values, snr, capacity):
+            if not np.any(row > 0.0):
+                assert c == 0.0
+            else:
+                expected = waterfill(row, s).capacity
+                assert abs(c - expected) <= 1e-14 * expected
 
 
 class TestDofBound:

@@ -120,12 +120,13 @@ class TestConverge:
 
     @pytest.mark.parametrize(("args", "named"), [
         (["--dz", "-1", "--lag", "0"], "--dz"),
-        (["--dz", "inf", "--lag", "0"], "dz_total"),
-        (["--dz", "0.3", "--lag", "inf"], "max_lag"),
-        (["--dz", "0.3", "--lag", "nan"], "max_lag"),
+        (["--dz", "inf", "--lag", "0"], "--dz"),
+        (["--dz", "nan", "--lag", "0"], "--dz"),
+        (["--dz", "0.3", "--lag", "inf"], "--lag"),
+        (["--dz", "0.3", "--lag", "nan"], "--lag"),
         (["--dz", "0.3", "--lag", "0", "--frequency-ghz", "inf"], "frequency"),
         (["--dz", "0.3", "--lag", "0", "--rel-tol", "nan"], "--rel-tol"),
-    ], ids=["dz-negative", "dz-inf", "lag-inf", "lag-nan", "frequency-inf", "rel-tol-nan"])
+    ], ids=["dz-negative", "dz-inf", "dz-nan", "lag-inf", "lag-nan", "frequency-inf", "rel-tol-nan"])
     def test_bad_span_exits_2(self, tmp_path, capsys, args, named):
         assert main(["converge", *args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -7,9 +7,15 @@ import pytest
 
 from reflectmimo import (
     EXPERIMENT_NAMES,
+    VACUUM,
+    ArrayLayout,
     ConfigError,
     ExperimentConfig,
+    FieldComponent,
+    build_channel_matrices,
+    build_channel_matrix,
     dof_bound,
+    material_by_name,
     parse_config,
     run_named,
 )
@@ -267,3 +273,30 @@ def test_one_eigensolve_per_channel(monkeypatch, normalization):
     result = run_named("fig5", ExperimentConfig(normalization=normalization))
     assert len(result.table("capacity").rows) > len(calls) > 0
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("frequency_ghz", [57.5, 300.0])
+def test_node_counts_are_each_labels_own_largest_need(frequency_ghz):
+    """Shared syntheses leave the provenance node counts as one build per
+    spacing gives them, also where the LOS and reflected rules share a
+    spacing: each label records the largest count its channels need."""
+    config = ExperimentConfig(frequency_ghz=frequency_ghz)
+    context = experiments._Context(config)
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
+    los = [experiments._spacing_of(context, "snr_dependent_D", snr) for snr in snrs]
+    reflected = [experiments._spacing_of(context, "snr_dependent_De", snr) for snr in snrs]
+    assert set(los) & set(reflected)  # the case where the rules share a spacing
+    n = config.antennas
+
+    def layout(d):
+        return (ArrayLayout.along_x(n, d, 0.0), ArrayLayout.along_x(n, d, config.range_m))
+
+    expected = {"los@snr_dependent_D": max(
+        build_channel_matrix(context.scene(VACUUM), *layout(d),
+                             FieldComponent.LOS_ONLY).spec.n_alpha for d in set(los))}
+    scenes = [context.scene(material_by_name(name)) for name in config.materials]
+    reflected_need = max(
+        build_channel_matrices(scenes, *layout(d), FieldComponent.REFLECTION_ONLY)[0].spec.n_alpha
+        for d in set(reflected))
+    expected.update({f"{name}@snr_dependent_De": reflected_need for name in config.materials})
+    assert run_named("fig5", config).provenance["node_counts"] == expected

@@ -26,10 +26,12 @@ from reflectmimo import (
     material_by_name,
     raw_eigenvalues,
     spacing_rayleigh,
+    run_named,
     spacing_snr,
     synthesize_impulse,
 )
-from reflectmimo.mimo import _distinct_samples
+from reflectmimo import mimo, quadrature
+from reflectmimo.mimo import _assemble, _distinct_samples
 
 RANGE = 2.0
 SURFACE = 3.0
@@ -272,6 +274,109 @@ class TestMaterialBatch:
         with pytest.raises(ValueError, match="differ only in their material"):
             build_channel_matrices([scenes[0], moved], tx, rx,
                                    FieldComponent.REFLECTION_ONLY)
+
+
+def _count_syntheses(monkeypatch):
+    """Count ``synthesize_impulse`` calls from matrix assembly and the real
+    J0 work inside them: j0 elements plus 15 per complex ``jv`` element."""
+    counts = {"calls": 0, "work": 0}
+    synthesize, j0, jv = mimo.synthesize_impulse, quadrature.j0, quadrature.jv
+
+    def counted(*args):
+        counts["calls"] += 1
+        return synthesize(*args)
+
+    def counted_j0(x):
+        counts["work"] += np.size(x)
+        return j0(x)
+
+    def counted_jv(order, x):
+        counts["work"] += 15 * np.size(x)
+        return jv(order, x)
+
+    monkeypatch.setattr(mimo, "synthesize_impulse", counted)
+    monkeypatch.setattr(quadrature, "j0", counted_j0)
+    monkeypatch.setattr(quadrature, "jv", counted_jv)
+    return counts
+
+
+class TestLayoutBatch:
+    """The spacings of an SNR sweep from shared syntheses, against one
+    build per spacing."""
+
+    @pytest.fixture(params=["los", "reflected"])
+    def case(self, request, vacuum_medium):
+        if request.param == "los":
+            scene = SceneConfig(medium=vacuum_medium, surface_z=RANGE + 1.0, source_z=0.0,
+                                receiver_z=RANGE)
+            return [scene], FieldComponent.LOS_ONLY, RANGE
+        scenes = [
+            SceneConfig(medium=Medium(vacuum_medium.frequency, material_by_name(name)),
+                        surface_z=SURFACE, source_z=0.0, receiver_z=RANGE)
+            for name in ExperimentConfig().materials
+        ]
+        return scenes, FieldComponent.REFLECTION_ONLY, EQUIVALENT_RANGE
+
+    @staticmethod
+    def _layouts(wavelength, distance, count):
+        spacings = dict.fromkeys(
+            spacing_snr(wavelength, distance, count, 10.0 ** (snr_db / 10.0))
+            for snr_db in ExperimentConfig().snr_grid_db)
+        return [(ArrayLayout.along_x(count, d, 0.0), ArrayLayout.along_x(count, d, RANGE))
+                for d in spacings]
+
+    @pytest.mark.parametrize("count", [8, 16])
+    def test_shared_syntheses_equal_one_build_per_layout(self, monkeypatch, case, count):
+        scenes, component, distance = case
+        layouts = self._layouts(scenes[0].medium.wavelength, distance, count)
+        counts = _count_syntheses(monkeypatch)
+        batch = _assemble(scenes, layouts, component, None)
+        assert counts["calls"] < len(layouts)
+        for (tx, rx), channels in zip(layouts, batch):
+            singles = build_channel_matrices(scenes, tx, rx, component)
+            for channel, single in zip(channels, singles):
+                assert channel.scene == single.scene
+                assert channel.distinct_evaluations == single.distinct_evaluations
+                assert not channel.under_resolved
+                scale = np.max(np.abs(single.entries))
+                assert np.max(np.abs(channel.entries - single.entries)) <= 1e-12 * scale
+
+    def test_layout_order_changes_no_entry(self, case):
+        scenes, component, distance = case
+        layouts = self._layouts(scenes[0].medium.wavelength, distance, 8)
+        forward = _assemble(scenes, layouts, component, None)
+        backward = _assemble(scenes, layouts[::-1], component, None)[::-1]
+        for channels, reversed_channels in zip(forward, backward):
+            for channel, other in zip(channels, reversed_channels):
+                scale = np.max(np.abs(channel.entries))
+                assert np.max(np.abs(channel.entries - other.entries)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name, syntheses", [("fig5", 3), ("fig3", 2)])
+def test_capacity_sweep_shares_syntheses(monkeypatch, name, syntheses):
+    """The default sweeps build every spacing of a (component, spacing
+    rule) in one synthesis: fig5 has LOS at its own rule, LOS at the
+    reflected rule for the relative scale and the materials; fig3 uses one
+    rule for both."""
+    counts = _count_syntheses(monkeypatch)
+    run_named(name, ExperimentConfig())
+    assert counts["calls"] == syntheses
+
+
+def test_wide_sweep_keeps_the_real_j0_work(monkeypatch):
+    """At N = 64 the spacings span lags so unalike that one synthesis would
+    put every small lag on the largest lag's path; the cost guard shares
+    syntheses and keeps the real-J0 work within 5% of one build per
+    spacing."""
+    counts = _count_syntheses(monkeypatch)
+    config = ExperimentConfig(antennas=64)
+    run_named("fig5", config)
+    shared = dict(counts)
+    counts.update(calls=0, work=0)
+    monkeypatch.setattr(mimo, "_batches", lambda *args: [[i] for i in range(len(args[-1]))])
+    run_named("fig5", config)
+    assert shared["calls"] < counts["calls"]
+    assert shared["work"] <= 1.05 * counts["work"]
 
 
 class TestEigenSpectrum:
