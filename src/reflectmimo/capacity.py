@@ -52,8 +52,8 @@ def waterfill(spectrum: object, snr: float) -> CapacityResult:
     power constraint holds to round-off.  This is the one-row case of the
     row-wise core that waterfills a whole SNR grid in one call.
     """
-    if snr <= 0.0:
-        msg = f"snr must be > 0, got {snr!r}"
+    if not 0.0 < snr < math.inf:
+        msg = f"snr must be finite and > 0, got {snr!r}"
         raise ValueError(msg)
     values = _spectrum_values(spectrum)
     capacity, level, powers = _waterfill_rows(values[None, :], np.array([snr]))
@@ -97,8 +97,8 @@ def dof_bound(count: int, snr: float) -> DofBound:
     if count < 1:
         msg = f"count must be >= 1, got {count}"
         raise ValueError(msg)
-    if snr <= 0.0:
-        msg = f"snr must be > 0, got {snr!r}"
+    if not 0.0 < snr < math.inf:
+        msg = f"snr must be finite and > 0, got {snr!r}"
         raise ValueError(msg)
     best_rho = 1
     best = -math.inf

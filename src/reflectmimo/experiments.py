@@ -67,8 +67,9 @@ class _Context:
     """Per-run caches: channel matrices and their eigenvalue spectra are
     keyed by material and spacing so SNR sweeps reuse work across grid
     points.  All materials at one spacing share one synthesis, and the
-    spacings asked for together share syntheses where the path cost model
-    finds that cheaper (:func:`mimo._assemble`)."""
+    spacings asked for together share syntheses where their plans' prices
+    say so (:func:`mimo._assemble`).  The relative scale is the LOS
+    matrix's N^2 / ||H_LOS||_F^2, which needs no eigensolve."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         config.validate()
@@ -115,10 +116,13 @@ class _Context:
     def spectrum(self, material_name: str, spacing: float,
                  normalization: str = SELF_SUM) -> EigenSpectrum:
         """The channel's eigenvalue spectrum, one eigensolve per channel
-        and normalization; ``relative`` takes the LOS self-sum scale."""
+        and normalization; ``relative`` takes the LOS scale N^2 / ||H_LOS||_F^2."""
         key = (material_name, round(spacing / 1e-15), normalization)
         if key not in self._spectra:
-            scale = self.spectrum("los", spacing).scale if normalization == RELATIVE else None
+            scale = None
+            if normalization == RELATIVE:
+                los = self.channels("los", [spacing])[0].entries
+                scale = los.size / np.vdot(los, los).real
             self._spectra[key] = eigen_spectrum(
                 self.channels(material_name, [spacing])[0], normalization,
                 reference_scale=scale,

@@ -10,10 +10,11 @@ N-antenna arrays with equal spacings cost N evaluations instead of N^2.
 The material enters only through those coefficients, so the matrices of
 several surface materials on one geometry share one Bessel matrix
 (:func:`build_channel_matrices`).  The layouts of one sweep, such as the
-SNR-matched spacings of a capacity table, share syntheses too: taken by
-largest lag, a layout joins the current synthesis while the quadrature's
-cost model, in real J0 evaluations, finds their union no dearer than the
-two apart plus the fixed cost of a call.
+SNR-matched spacings of a capacity table, share syntheses too.  Each
+layout is planned once, and its plan prices a lag in real J0 evaluations.
+Taken by largest lag, a layout on the current synthesis's one pair of
+planes joins it while the lags it adds, at that synthesis's price, cost no
+more than its own lags at its own price plus the fixed cost of a call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .quadrature import (
     UnderResolvedWarning,
     _material_batch,
     _nodes_used,
-    _synthesis_cost,
+    _on_planes,
+    _plan,
     synthesize_impulse,
 )
 from .spectrum import FieldComponent, SceneConfig
@@ -149,13 +151,16 @@ def build_channel_matrices(scenes: Sequence[SceneConfig], tx: ArrayLayout,
 class _Samples:
     """The distinct (receiver_z, source_z, rho) sample rows of one layout
     pair with their lattice keys, each entry's position among them, the
-    node count they need and the cost of synthesizing them alone."""
+    node count they need and, on a single pair of planes, that pair and
+    their price per lag in real J0 evaluations: the summed cost of their
+    paths."""
 
     rows: np.ndarray
     keys: np.ndarray
     index_of: np.ndarray
     needed: QuadratureSpec
-    cost: int
+    planes: tuple[float, float] | None
+    rate: int | None
 
 
 def _samples(scenes: list[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
@@ -172,8 +177,15 @@ def _samples(scenes: list[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
     keys = np.rint(samples / _LAG_QUANTUM).astype(np.int64)
     first, index_of = _distinct_samples(keys)
     rows = samples[first]
+    cuts = np.flatnonzero(np.any(rows[1:, :2] != rows[:-1, :2], axis=1)) + 1
+    plans = [_plan([_on_planes(scene, tuple(pair[0, :2].tolist())) for scene in scenes],
+                   component, pair[:, 2], spec)
+             for pair in np.split(rows, cuts)]
+    single = not cuts.size
     return _Samples(rows, keys[first], index_of,
-                    *_synthesis_cost(scenes, component, rows, spec))
+                    QuadratureSpec(max(need for need, _ in plans)),
+                    tuple(rows[0, :2].tolist()) if single else None,
+                    sum(path.cost for _, path in plans[0][1]) if single else None)
 
 
 def _union(members: list[_Samples]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -185,27 +197,28 @@ def _union(members: list[_Samples]) -> tuple[np.ndarray, list[np.ndarray]]:
     return rows, [index_of[at + m.index_of] for at, m in zip(offsets, members)]
 
 
-def _batches(scenes: list[SceneConfig], component: FieldComponent,
-             spec: QuadratureSpec | None, samples: list[_Samples]) -> list[list[int]]:
+def _batches(samples: list[_Samples]) -> list[list[int]]:
     """The layouts of each synthesis.  Taken by largest lag, largest
-    first, a layout joins the current synthesis while its union costs no
-    more than the synthesis and the layout apart plus the fixed cost of a
-    call, ``_SYNTHESIS_COST``; otherwise it starts the next one.  So alike
-    layouts share one synthesis, and a small lag rides the path of a much
-    larger one only where a call costs more than that detour."""
+    first, a layout on the current synthesis's single pair of planes joins
+    it while the lags it adds, at the synthesis's rate, cost no more than
+    its own lags at its own rate plus ``_SYNTHESIS_COST``, the fixed cost
+    of a call.  A path sees a pair's lags only through the largest and
+    whether there is one, so a union runs its first layout's path: the
+    price is exact, bar a first layout of one positive lag on its own path,
+    which no sweep builds."""
     order = sorted(range(len(samples)), key=lambda i: -float(samples[i].rows[:, 2].max()))
     batches: list[list[int]] = []
-    cost = 0
+    planes, rate, held = None, 0, None  # the current synthesis's pair, rate and rho keys
     for i in order:
-        if batches:
-            rows, _ = _union([samples[j] for j in (*batches[-1], i)])
-            joined = _synthesis_cost(scenes, component, rows, spec)[1]
-            if joined <= cost + samples[i].cost + _SYNTHESIS_COST:
+        layout = samples[i]
+        if layout.planes is not None and layout.planes == planes:
+            new = np.setdiff1d(layout.keys[:, 2], held, assume_unique=True)
+            if new.size * rate <= len(layout.rows) * layout.rate + _SYNTHESIS_COST:
                 batches[-1].append(i)
-                cost = joined
+                held = np.concatenate((held, new))
                 continue
         batches.append([i])
-        cost = samples[i].cost
+        planes, rate, held = layout.planes, layout.rate, layout.keys[:, 2]
     return batches
 
 
@@ -220,7 +233,7 @@ def _assemble(scenes: Sequence[SceneConfig], layouts: Sequence[tuple[ArrayLayout
     samples = [_samples(scenes, tx, rx, component, spec) for tx, rx in layouts]
     matrices: list[list[ChannelMatrix]] = [[] for _ in layouts]
     unmet = 0
-    for batch in _batches(scenes, component, spec, samples):
+    for batch in _batches(samples):
         members = [samples[i] for i in batch]
         rows, positions = _union(members)
         lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z)
@@ -324,9 +337,9 @@ def eigen_spectrum(channel: ChannelMatrix | np.ndarray,
 
 def spacing_rayleigh(wavelength: float, distance: float, count: int) -> float:
     """Spacing making the direct channel a scaled Fourier matrix."""
-    if wavelength <= 0.0 or distance <= 0.0 or count < 1:
+    if not (0.0 < wavelength < math.inf and 0.0 < distance < math.inf) or count < 1:
         msg = (
-            f"need positive wavelength/distance and count >= 1, got "
+            f"need finite positive wavelength/distance and count >= 1, got "
             f"({wavelength!r}, {distance!r}, {count})"
         )
         raise ValueError(msg)

@@ -589,46 +589,18 @@ def _shared_sums(scenes: list[SceneConfig], part: FieldComponent, path: _Path,
         yield total
 
 
-def _plane_need(scenes: list[SceneConfig], component: FieldComponent, max_lag: float) -> int:
-    """Oscillation budget of lags up to ``max_lag`` on the scenes' shared
-    planes, over every scene."""
-    return max(_plane_budget(scene, component, max_lag).n_alpha for scene in scenes)
-
-
-def _part_paths(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray,
-                spec: QuadratureSpec, need: int, *, bend: bool = True,
-                per_lag: bool = True) -> list[tuple[FieldComponent, _Path | _LagPath]]:
-    """Each part of ``component`` with the path :func:`_path` picks for the
-    lags ``rho`` on the scenes' shared planes at ``spec``, given their
-    oscillation budget ``need`` (:func:`_plane_need`)."""
+def _plan(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray,
+          spec: QuadratureSpec | None = None, *, bend: bool = True,
+          per_lag: bool = True) -> tuple[int, list[tuple[FieldComponent, _Path | _LagPath]]]:
+    """The oscillation budget of the lags ``rho`` on the scenes' shared
+    planes, over every scene, and each part of ``component`` with the path
+    :func:`_path` picks for them at ``spec``, or at that budget when None."""
+    need = max(_plane_budget(scene, component, float(rho.max())).n_alpha for scene in scenes)
     budgets = _part_specs(scenes, component, QuadratureSpec(need))
-    return [(part, _path(scenes, part, part_spec, budget.n_alpha, rho, bend=bend,
-                         per_lag=per_lag))
-            for (part, part_spec), (_, budget) in zip(_part_specs(scenes, component, spec),
-                                                      budgets)]
-
-
-def _synthesis_cost(scenes: list[SceneConfig], component: FieldComponent,
-                    samples: np.ndarray,
-                    spec: QuadratureSpec | None = None) -> tuple[QuadratureSpec, int]:
-    """The node count the distinct (receiver_z, source_z, rho) rows
-    ``samples`` need, and the cost in real J0 evaluations of synthesizing
-    them for the material batch ``scenes`` at ``spec``, or at that count
-    when None.  The rows on one pair of planes lie next to each other.  On
-    each pair the cost is its lags times the per-lag cost of the path
-    :func:`_path` picks for each part of the component, one call per pair
-    and part, never one per lag."""
-    cuts = np.flatnonzero(np.any(samples[1:, :2] != samples[:-1, :2], axis=1)) + 1
-    pairs = []
-    for start, stop in zip((0, *cuts.tolist()), (*cuts.tolist(), len(samples))):
-        r_z, s_z, _ = samples[start].tolist()
-        on = [_on_planes(scene, (r_z, s_z)) for scene in scenes]
-        rho = samples[start:stop, 2]
-        pairs.append((on, rho, _plane_need(on, component, float(rho.max()))))
-    needed = QuadratureSpec(max(need for *_, need in pairs))
-    cost = sum(rho.size * path.cost for on, rho, need in pairs
-               for _, path in _part_paths(on, component, rho, spec or needed, need))
-    return needed, cost
+    specs = budgets if spec is None else _part_specs(scenes, component, spec)
+    return need, [(part, _path(scenes, part, part_spec, budget.n_alpha, rho, bend=bend,
+                               per_lag=per_lag))
+                  for (part, part_spec), (_, budget) in zip(specs, budgets)]
 
 
 def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
@@ -640,7 +612,7 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
     shared one, block by block (:func:`_shared_sums`).  ``bend=False``
     forces the straight paths; ``per_lag=False`` keeps the shared ones."""
     rho = np.array([lag.transverse for lag in lags])
-    needed = _plane_need(scenes, component, float(rho.max()))
+    needed, paths = _plan(scenes, component, rho, spec, bend=bend, per_lag=per_lag)
     used = _nodes_used(spec.n_alpha)
     if used < needed:
         warnings.warn(
@@ -650,8 +622,7 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
             stacklevel=3,
         )
     values = 0.0
-    for part, path in _part_paths(scenes, component, rho, spec, needed, bend=bend,
-                                  per_lag=per_lag):
+    for part, path in paths:
         if isinstance(path, _LagPath):
             values = values + _lag_sum(scenes, part, path, lags[0])[None, :]
         else:

@@ -82,6 +82,9 @@ class TestWaterfill:
     def test_error_paths(self):
         with pytest.raises(ValueError, match="snr"):
             waterfill([1.0], 0.0)
+        for snr in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="snr"):
+                waterfill([4.0, 1.0], snr)
         with pytest.raises(ValueError, match="zero"):
             waterfill([0.0, 0.0], 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -178,3 +181,8 @@ class TestDofBound:
             dof_bound(0, 1.0)
         with pytest.raises(ValueError, match="snr"):
             dof_bound(8, -1.0)
+        for snr in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="snr"):
+                dof_bound(8, snr)
+            with pytest.raises(ValueError, match="snr"):
+                optimal_stream_count(8, snr)

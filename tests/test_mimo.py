@@ -30,7 +30,7 @@ from reflectmimo import (
     spacing_snr,
     synthesize_impulse,
 )
-from reflectmimo import mimo, quadrature
+from reflectmimo import experiments, mimo, quadrature
 from reflectmimo.mimo import _assemble, _distinct_samples
 
 RANGE = 2.0
@@ -379,6 +379,89 @@ def test_wide_sweep_keeps_the_real_j0_work(monkeypatch):
     assert shared["work"] <= 1.05 * counts["work"]
 
 
+def _planned_cost(scenes, component, rows):
+    """Real-J0 cost of synthesizing ``rows``, each pair of planes planned
+    afresh: its lags times the summed cost of its parts' paths."""
+    cuts = np.flatnonzero(np.any(rows[1:, :2] != rows[:-1, :2], axis=1)) + 1
+    total = 0
+    for pair in np.split(rows, cuts):
+        on = [quadrature._on_planes(scene, tuple(pair[0, :2].tolist())) for scene in scenes]
+        _, paths = quadrature._plan(on, component, pair[:, 2])
+        total += len(pair) * sum(path.cost for _, path in paths)
+    return total
+
+
+def _reference_batches(scenes, component, samples):
+    """Batches priced by planning every union afresh: taken by largest
+    lag, a layout joins while the union costs no more than the synthesis
+    and the layout apart plus the fixed cost of a call."""
+    order = sorted(range(len(samples)), key=lambda i: -float(samples[i].rows[:, 2].max()))
+    batches, cost = [], 0
+    for i in order:
+        alone = _planned_cost(scenes, component, samples[i].rows)
+        if batches:
+            rows, _ = mimo._union([samples[j] for j in (*batches[-1], i)])
+            joined = _planned_cost(scenes, component, rows)
+            if joined <= cost + alone + mimo._SYNTHESIS_COST:
+                batches[-1].append(i)
+                cost = joined
+                continue
+        batches.append([i])
+        cost = alone
+    return batches
+
+
+@pytest.mark.parametrize("count", [8, 16, 64])
+@pytest.mark.parametrize("rule", ["snr_dependent_D", "snr_dependent_De"])
+@pytest.mark.parametrize("group", ["los", "materials"])
+def test_batches_price_unions_by_arithmetic(monkeypatch, count, rule, group):
+    """The fig3/fig5 SNR sweeps batch as a fresh plan of every union says,
+    though ``_batches`` prices a union from its layouts' own plans and
+    plans nothing itself."""
+    config = ExperimentConfig(antennas=count)
+    context = experiments._Context(config)
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
+    spacings = sorted({experiments._spacing_of(context, rule, snr) for snr in snrs})
+    layouts = [(ArrayLayout.along_x(count, spacing, 0.0),
+                ArrayLayout.along_x(count, spacing, config.range_m)) for spacing in spacings]
+    if group == "los":
+        scenes = [context.scene(material_by_name("vacuum"))]
+        component = FieldComponent.LOS_ONLY
+    else:
+        scenes = [context.scene(material_by_name(name)) for name in config.materials]
+        component = FieldComponent.REFLECTION_ONLY
+    samples = [mimo._samples(scenes, tx, rx, component, None) for tx, rx in layouts]
+    expected = _reference_batches(scenes, component, samples)
+
+    def unplanned(*args, **kwargs):
+        raise AssertionError("_batches planned a path")
+
+    monkeypatch.setattr(quadrature, "_path", unplanned)
+    assert mimo._batches(samples) == expected
+
+
+def test_sweep_plans_each_layout_and_synthesis_once(monkeypatch):
+    """fig5 at N = 16 plans each layout once and each synthesis once; both
+    of its components have a single part, so 20 layouts and 3 syntheses
+    take 23 path choices."""
+    counts = _count_syntheses(monkeypatch)
+    plans = {"paths": 0, "layouts": 0}
+    path, samples = quadrature._path, mimo._samples
+
+    def counted_path(*args, **kwargs):
+        plans["paths"] += 1
+        return path(*args, **kwargs)
+
+    def counted_samples(*args):
+        plans["layouts"] += 1
+        return samples(*args)
+
+    monkeypatch.setattr(quadrature, "_path", counted_path)
+    monkeypatch.setattr(mimo, "_samples", counted_samples)
+    run_named("fig5", ExperimentConfig(antennas=16))
+    assert plans["paths"] == plans["layouts"] + counts["calls"] == 23
+
+
 class TestEigenSpectrum:
     def test_self_sum_total(self, pc_reflection_channel):
         spectrum = eigen_spectrum(pc_reflection_channel)
@@ -495,6 +578,13 @@ class TestSpacingRules:
             spacing_rayleigh(0.0, 10.0, 8)
         with pytest.raises(ValueError):
             spacing_rayleigh(1.0, -1.0, 8)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                spacing_rayleigh(bad, 10.0, 8)
+            with pytest.raises(ValueError):
+                spacing_rayleigh(1e-3, bad, 8)
+            with pytest.raises(ValueError, match="snr"):
+                spacing_snr(1e-3, 10.0, 8, bad)
 
 
 class TestReciprocity:
