@@ -21,6 +21,8 @@ NORMALIZATIONS = ("SelfSum", "RelativeToLOS")
 
 _DEFAULT_MATERIALS = ("perfect_conductor", "concrete", "floor_board", "plaster_board")
 _DEFAULT_SNR_GRID = tuple(float(db) for db in range(-10, 41, 2))
+MAX_SNR_POINTS = 10_000
+"""Most points an ``snr_grid_db`` range start:stop:step may expand to."""
 
 
 class ConfigError(ValueError):
@@ -88,6 +90,13 @@ class ExperimentConfig:
             problems.append("snr_grid_db must be non-empty")
         elif any(not math.isfinite(db) for db in self.snr_grid_db):
             problems.append("snr_grid_db entries must be finite")
+        else:
+            outside = [db for db in self.snr_grid_db if not 0.0 < _linear(db) < math.inf]
+            if outside:
+                problems.append(
+                    f"snr_grid_db entries must have a positive, finite 10^(dB/10), "
+                    f"got {outside[0]!r}"
+                )
         if self.spacing_rule != "default" and self.spacing_rule not in SPACING_RULES:
             problems.append(
                 f"spacing_rule must be 'default' or one of {SPACING_RULES}, "
@@ -116,22 +125,38 @@ class ExperimentConfig:
             raise ConfigError(problems)
 
 
+def _linear(db: float) -> float:
+    """10^(dB/10), or inf where that overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
+    """A comma list, or a range start:stop:step of at most
+    ``MAX_SNR_POINTS`` points, counted before any is built."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            msg = f"SNR range must be start:stop:step, got {text!r}"
+            msg = f"snr_grid_db range must be start:stop:step, got {text!r}"
             raise ValueError(msg)
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            msg = f"snr_grid_db range must be finite, got {text!r}"
+            raise ValueError(msg)
         if step <= 0.0:
-            msg = f"SNR range step must be positive, got {step!r}"
+            msg = f"snr_grid_db range step must be positive, got {step!r}"
             raise ValueError(msg)
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if count < 1:
-            msg = f"empty SNR range {text!r}"
+        steps = (stop - start) / step + 1e-9  # may overflow to +-inf
+        if not steps < MAX_SNR_POINTS:
+            msg = f"snr_grid_db range {text!r} has more than {MAX_SNR_POINTS} points"
             raise ValueError(msg)
-        return tuple(start + i * step for i in range(count))
+        if steps < 0.0:
+            msg = f"empty snr_grid_db range {text!r}"
+            raise ValueError(msg)
+        return tuple(start + i * step for i in range(math.floor(steps) + 1))
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 

@@ -51,6 +51,15 @@ positive lag in a call at or past its budget takes its own path where
 that is cheaper at the count evaluated, for every scene of a material
 batch or for none.
 
+On the bent leg J0 takes complex arguments x = rho k.  For a block of
+several lags it is taken from Hankel's expansion J0(x) = sqrt(2 / (pi x))
+(P cos chi - Q sin chi), chi = x - pi/4, wherever |x| >= 18, where 28 terms
+of P and Q fall below 2^-53 of J0's envelope: x^-n = rho^-n k^-n, so P and
+Q of the whole block are two real matrix products, and cos chi and sin chi
+come from one complex exponential.  Nearer arguments, and blocks of fewer
+than four lags (every single-lag call), whose matrix would cost more than
+it saves, go element by element through scipy's ``jv`` (AMOS).
+
 The surface material enters only through the Fresnel coefficient inside the
 spectral coefficients: scenes that differ only in their material share the
 nodes, the transverse wavenumbers and the Bessel factors, so they are
@@ -82,13 +91,19 @@ _TAIL_CUTOFF = 36.0  # e^{-36} ~ 2e-16: truncation point of the decaying tail
 _BESSEL_BLOCK_SCALARS = 1 << 17  # Bessel factors per (node block x lags) matrix
 _CACHED_PANELS = 128  # longest rule, in panels, kept for reuse across calls
 _LEG_PHASE = 52.0  # kappa1 R sin^2(a0 - specular angle): a leg of about one panel
-_COMPLEX_BESSEL_COST = 15  # one complex-argument jv(0, .) or Hankel costs about 15 real j0
+# One complex-argument jv(0, .) or Hankel costs about 15 real j0.  The bent leg's matrix
+# (_leg_j0) now costs about half that per element in blocks of several lags; the price
+# stays at 15 on purpose, as re-pricing moves path choices and needs its own measurement.
+_COMPLEX_BESSEL_COST = 15
 _LEG_GROWTH = 600.0  # largest |Im(k_rho rho)| on the leg; complex jv overflows near 700
 _PANEL_DECAY = 12.0  # a panel on [0, 36] resolves e^{-rate u} up to about this rate
 _LEG_NODES = 48  # fewest nodes on a leg
 _START_ARGUMENT = 4.0  # kappa1 rho sin(a_c): the Hankel halves start this far from their log point
 _SADDLE_CLEARANCE = 10.0  # least kappa1 R sin^2(a_s): the saddle path stays clear of a = 0
 _HANKEL_NEAR = 40.0  # hankel1e loses |x| 2^-53 up to ~10 below the real axis; take hankel1 to here
+_HANKEL_FAR = 18.0  # |x| from which Hankel's expansion of J0 meets 2^-53 in _HANKEL_TERMS terms
+_HANKEL_TERMS = 28
+_HANKEL_LAGS = 4  # fewest lags whose Hankel Bessel matrix costs less than jv's (64-node leg)
 _Nodes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]  # k_rho, k1z, weight, angle
 
 
@@ -570,8 +585,8 @@ def _shared_sums(scenes: list[SceneConfig], part: FieldComponent, path: _Path,
     vector is built, and each block's Bessel matrix serves every scene.  A
     real Bessel matrix multiplies the real and imaginary parts of the
     coefficients as one real matrix product; the bent leg's complex
-    wavenumbers go through ``jv``.  On a bent path each term's phase is
-    carried exactly."""
+    Bessel matrix comes from :func:`_leg_j0`.  On a bent path each term's
+    phase is carried exactly."""
     kappa1 = scenes[0].medium.kappa1
     step = _PANEL * max(1, _BESSEL_BLOCK_SCALARS // rho.size // _PANEL)
     pieces = ((_rule(path.panels * _PANEL, path.angle), partial(_segment, kappa1)),
@@ -584,9 +599,61 @@ def _shared_sums(scenes: list[SceneConfig], part: FieldComponent, path: _Path,
                                               weights[start:start + step])
             coeffs = _coefficients(scenes, part, k1z, weight,
                                    None if path.straight else angle)
-            total = total + ((jv(0, rho[:, None] * krho) @ coeffs) if np.iscomplexobj(krho)
+            total = total + ((_leg_j0(rho, krho) @ coeffs) if np.iscomplexobj(krho)
                              else (j0(rho[:, None] * krho) @ coeffs.view(float)).view(complex))
         yield total
+
+
+@lru_cache(maxsize=None)
+def _hankel_series() -> np.ndarray:
+    """The coefficients c_n of P = sum_even c_n x^-n and Q = sum_odd c_n
+    x^-n in Hankel's expansion of J0 (DLMF 10.17.3), n < ``_HANKEL_TERMS``,
+    times the sqrt(2 / pi) of its prefactor."""
+    c = np.empty(_HANKEL_TERMS)
+    a = math.sqrt(2.0 / math.pi)  # times a_n(0) = prod_{m <= n} -(2m - 1)^2 / (8m)
+    for n in range(_HANKEL_TERMS):
+        c[n] = a if n % 4 < 2 else -a  # (-1)^floor(n/2) a_n(0)
+        a *= -(2 * n + 1) ** 2 / (8.0 * (n + 1))
+    return c
+
+
+def _leg_j0(rho: np.ndarray, krho: np.ndarray) -> np.ndarray:
+    """J0(rho_j krho_i) for lags rho >= 0 and the complex leg wavenumbers
+    ``krho``, as a (lag x node) array.  Where |x| = rho |k| >=
+    ``_HANKEL_FAR``, Hankel's expansion J0(x) = sqrt(2 / (pi x)) (P cos chi
+    - Q sin chi), chi = x - pi/4, to ``_HANKEL_TERMS`` terms errs below
+    2^-53 of J0's envelope.  Its powers x^-n = (rho s)^-n (k / s)^-n, s =
+    max |k|, separate in lag and node, so P and Q of a whole block are two
+    real matrix products; the lag powers stay below 18^-n and only rows
+    with a far element take them.  cos chi and sin chi come from one
+    complex exponential, e^{i x}, rotated by the constant e^{-i pi/4}.
+    Nearer elements, and every element of a block of fewer than
+    ``_HANKEL_LAGS`` lags, whose matrix would cost more than ``jv`` does
+    (every single-lag call), go through ``jv``."""
+    x = rho[:, None] * krho
+    if rho.size < _HANKEL_LAGS:
+        return jv(0, x)
+    size = np.abs(krho)
+    far = rho[:, None] * size >= _HANKEL_FAR
+    rows = np.flatnonzero(far.any(axis=1))
+    scale = size.max()
+    lag_powers = np.empty((rows.size, _HANKEL_TERMS))
+    lag_powers[:, 0] = 1.0 / np.sqrt(rho[rows])
+    lag_powers[:, 1:] = 1.0 / (scale * rho[rows, None])
+    lag_powers = np.cumprod(lag_powers, axis=1) * _hankel_series()
+    node_powers = np.empty((_HANKEL_TERMS, krho.size), dtype=complex)
+    node_powers[0] = 1.0 / np.sqrt(krho)
+    node_powers[1:] = scale / krho
+    node_powers = np.cumprod(node_powers, axis=0)
+    p, q = ((lag_powers[:, part] @ node_powers[part].view(float)).view(complex)
+            for part in (slice(0, None, 2), slice(1, None, 2)))
+    turn = np.exp(1j * x[rows]) * cmath.exp(-0.25j * math.pi)  # e^{i chi}
+    back = 1.0 / turn
+    values = np.empty_like(x)
+    values[rows] = 0.5 * (p * (turn + back) + 1j * q * (turn - back))
+    near = ~far
+    values[near] = jv(0, x[near])
+    return values
 
 
 def _plan(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray,

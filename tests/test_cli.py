@@ -71,6 +71,15 @@ class TestRun:
         assert "invalid configuration" in err
         assert "antennas" in err
 
+    @pytest.mark.parametrize("grid", ["3100", "0:inf:2", "-4000", "0:1e12:1e-6"])
+    def test_unusable_snr_grid_exits_2(self, tmp_path, capsys, grid):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"snr_grid_db = {grid}\n")
+        assert main(["run", "fig5", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "snr_grid_db" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["run", "fig9"])

@@ -12,6 +12,7 @@ from reflectmimo import (
     load_config,
     parse_config,
 )
+from reflectmimo.config import MAX_SNR_POINTS
 
 
 class TestDefaults:
@@ -106,6 +107,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match="step"):
             parse_config("snr_grid_db = 0:10:-2\n")
 
+    @pytest.mark.parametrize("grid", [
+        "3100", "-4000", "0, 3100", "0:inf:2", "nan:10:2", "0:10:inf", "0:1e12:1e-6",
+        "-1e308:1e308:1", "0:2500:0.25", "10:0:1", "1e308",
+    ])
+    def test_unusable_snr_grid_names_the_key(self, grid):
+        """Grids whose linear SNR overflows or underflows to 0, whose range
+        bounds are not finite, or whose range is empty or past
+        ``MAX_SNR_POINTS``, fail as a configuration error, counted before
+        any point is built."""
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            parse_config(f"snr_grid_db = {grid}\n")
+
+    def test_snr_range_up_to_the_point_limit(self):
+        config = parse_config(f"snr_grid_db = 0:{(MAX_SNR_POINTS - 1) / 4}:0.25\n")
+        assert len(config.snr_grid_db) == MAX_SNR_POINTS
+        assert config.snr_grid_db[-1] == (MAX_SNR_POINTS - 1) / 4
+
 
 class TestValidation:
     def test_violations_accumulate(self):
@@ -132,6 +150,9 @@ class TestValidation:
     def test_bad_spacing_rule(self):
         with pytest.raises(ConfigError, match="spacing_rule"):
             ExperimentConfig(spacing_rule="tight").validate()
+
+    def test_extreme_but_representable_snr_accepted(self):
+        ExperimentConfig(snr_grid_db=(-3200.0, 3000.0)).validate()
 
 
 class TestLoadConfig:

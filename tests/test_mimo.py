@@ -278,9 +278,11 @@ class TestMaterialBatch:
 
 def _count_syntheses(monkeypatch):
     """Count ``synthesize_impulse`` calls from matrix assembly and the real
-    J0 work inside them: j0 elements plus 15 per complex ``jv`` element."""
+    J0 work inside them: j0 elements plus ``_COMPLEX_BESSEL_COST`` per
+    complex element of the bent leg's Bessel matrix, counted where it
+    enters ``_leg_j0``, which takes it through ``jv`` or Hankel's series."""
     counts = {"calls": 0, "work": 0}
-    synthesize, j0, jv = mimo.synthesize_impulse, quadrature.j0, quadrature.jv
+    synthesize, j0, leg_j0 = mimo.synthesize_impulse, quadrature.j0, quadrature._leg_j0
 
     def counted(*args):
         counts["calls"] += 1
@@ -290,13 +292,13 @@ def _count_syntheses(monkeypatch):
         counts["work"] += np.size(x)
         return j0(x)
 
-    def counted_jv(order, x):
-        counts["work"] += 15 * np.size(x)
-        return jv(order, x)
+    def counted_leg_j0(rho, krho):
+        counts["work"] += quadrature._COMPLEX_BESSEL_COST * rho.size * krho.size
+        return leg_j0(rho, krho)
 
     monkeypatch.setattr(mimo, "synthesize_impulse", counted)
     monkeypatch.setattr(quadrature, "j0", counted_j0)
-    monkeypatch.setattr(quadrature, "jv", counted_jv)
+    monkeypatch.setattr(quadrature, "_leg_j0", counted_leg_j0)
     return counts
 
 

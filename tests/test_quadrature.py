@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import jv
 
 from reflectmimo import (
     CONCRETE,
@@ -45,11 +48,14 @@ from reflectmimo import (
 from reflectmimo import quadrature, spectrum
 from reflectmimo.closedform import _reflection_series
 from reflectmimo.quadrature import (
+    _HANKEL_FAR,
+    _HANKEL_LAGS,
     _PANEL,
     _TAIL_CUTOFF,
     _coefficients,
     _lag_path,
     _leg,
+    _leg_j0,
     _nodes_used,
     _part_specs,
     _path,
@@ -873,6 +879,119 @@ class TestNodeBlocks:
         entries = build_channel_matrix(scene, tx, rx, FieldComponent.LOS_ONLY).entries
         assert blocks == ([_PANEL] * 34 if block_scalars == 1 else [33 * _PANEL, _PANEL])
         assert np.max(np.abs(entries - default)) <= 1e-13 * np.max(np.abs(default))
+
+
+# J0 to 30 digits at the double arguments, from tests/reference/make_j0_reference.py
+_J0_REFERENCE = [  # (Re x, Im x, Re J0(x), Im J0(x))
+    (18.0, 0.0, -0.013355805721984110885, 0.0),
+    (12.75, -12.75, 31786.274345549477556, -6913.7535703456302068),
+    (0.0, -18.0, 6218412.4207810029499, 0.0),
+    (18.25, -2.0, 0.1609197295149081913, -0.65716598898101497482),
+    (25.0, -7.5, 100.79465020846115692, -99.124813733220009518),
+    (40.0, -30.0, -157808141422.22007995, 582834056164.05285884),
+    (100.0, 0.0, 0.019985850304223122424, 0.0),
+    (100.0, -60.0, 2.1110272695376900746e+24, -3.6553845513343198352e+24),
+    (5.0, -99.0, 1.0288486412470044725e+41, -3.8318010721512636736e+41),
+    (300.0, -1.0, -0.051319847596182422022, -0.037494423855087705726),
+    (250.0, -250.0, -1.1847392344209746358e+106, -7.8620507112186507721e+106),
+    (50.0, -590.0, 2.6769525503522620581e+254, -8.5093053604983977559e+253),
+    (0.0, -600.0, 6.1463054039368448035e+258, -4.315736253857075822e-263),
+    (600.0, -600.0, -4.6822183756617645782e+258, 2.1871624848181516725e+258),
+    (1000.0, -0.25, 0.025565163484307587646, 0.0011944947535348062035),
+    (1234.5678, -345.678, -1.1127519688066040556e+148, 9.9002676886555851274e+147),
+    (1000.0, -599.0, 1.4548773867877367462e+258, 7.169940734406181788e+257),
+    (3000.0, -20.0, -1900087.4004534881717, 2979425.0101713117036),
+    (3000.0, -600.0, -1.675098723609099232e+258, 2.1447067295040384128e+258),
+    (10000.0, 0.0, -0.0070961603533888014773, 0.0),
+    (9981.0, -600.0, -1.2463945410415502941e+258, 8.4404131707761926698e+257),
+]
+
+
+def _j0_envelope(x):
+    """sqrt(2 / (pi |x|)) cosh(Im x): the size of J0's two exponential halves."""
+    return np.sqrt(2.0 / (np.pi * np.abs(x))) * np.cosh(x.imag)
+
+
+def _bent_leg_nodes(frequency, span, rho):
+    """The complex k_rho of the bent leg the direct wave over ``span`` takes
+    for the lags ``rho`` at their oscillation budget."""
+    scene = _los_scene(Medium(frequency, VACUUM), span)
+    spec = _required_nodes(scene, FieldComponent.LOS_ONLY, [SpatialLag(float(rho.max()))])
+    path = _path([scene], FieldComponent.LOS_ONLY, spec, spec.n_alpha, rho, per_lag=False)
+    assert not path.straight
+    kappa1 = scene.medium.kappa1
+    return _leg(kappa1, path.angle, -1.0, path.depth, *_rule(path.leg_nodes, _TAIL_CUTOFF))[0]
+
+
+def _count_jv(monkeypatch):
+    """The sizes of the arguments ``_leg_j0`` hands to ``jv``."""
+    sizes = []
+
+    def counted(order, x):
+        sizes.append(np.size(x))
+        return jv(order, x)
+
+    monkeypatch.setattr(quadrature, "jv", counted)
+    return sizes
+
+
+class TestLegBessel:
+    """The bent leg's complex Bessel matrix: Hankel's expansion from |x| =
+    18 in blocks of several lags, ``jv`` below it and for fewer lags."""
+
+    def test_against_30_digit_values(self, monkeypatch):
+        sizes = _count_jv(monkeypatch)
+        x = np.array([complex(re, im) for re, im, _, _ in _J0_REFERENCE])
+        expected = np.array([complex(re, im) for _, _, re, im in _J0_REFERENCE])
+        values = _leg_j0(np.ones(_HANKEL_LAGS), x)
+        assert sum(sizes) == 0
+        assert np.all(np.abs(values - expected) <= 1e-15 * _j0_envelope(x))
+
+    def test_below_18_takes_jv(self):
+        x = np.array([17.99, 12.7 - 12.7j, 1.0 - 17.9j, 2.0, 0.5 - 0.1j])
+        assert np.all(np.abs(x) < 18.0)
+        assert np.array_equal(_leg_j0(np.ones(_HANKEL_LAGS), x)[0], jv(0, x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(frequency=st.sampled_from([57.5e9, 140e9, 300e9]),
+           span=st.floats(3.0, 20.0),
+           rho=st.lists(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(1e-3, 20.0)),
+                        min_size=_HANKEL_LAGS, max_size=40))
+    def test_matches_jv_on_leg_nodes(self, frequency, span, rho):
+        """Real leg nodes at 57.5, 140 and 300 GHz: far elements within 4e-15
+        of J0's envelope, near ones exactly ``jv``'s."""
+        rho = np.array(rho)
+        krho = _bent_leg_nodes(frequency, span, np.append(rho, 1e-3))
+        x = rho[:, None] * krho
+        values = _leg_j0(rho, krho)
+        reference = jv(0, x)
+        far = np.abs(x) >= _HANKEL_FAR
+        assert np.array_equal(values[~far], reference[~far])
+        assert np.all(np.abs(values - reference)[far] <= 4e-15 * _j0_envelope(x[far]))
+
+    @pytest.mark.parametrize("rho, far_rows", [
+        ([0.0, 1e-12, 1e-6, 1e-3], [False] * 4),
+        ([5.0, 10.0, 15.0, 20.0], [True] * 4),
+        ([0.0, 1e-12, 0.5, 20.0], [False, False, True, True]),
+    ], ids=["all-near", "all-far", "zero-row"])
+    def test_no_overflow_or_warning(self, rho, far_rows):
+        rho = np.array(rho)
+        krho = _bent_leg_nodes(300e9, 20.0, rho)
+        far = np.abs(rho[:, None] * krho) >= _HANKEL_FAR
+        assert far.all(axis=1).tolist() == far.any(axis=1).tolist() == far_rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = _leg_j0(rho, krho)
+        assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("lags", [1, _HANKEL_LAGS - 1])
+    def test_blocks_of_few_lags_take_jv(self, monkeypatch, lags):
+        rho = np.linspace(5.0, 20.0, lags)
+        krho = _bent_leg_nodes(300e9, 20.0, rho)
+        sizes = _count_jv(monkeypatch)
+        values = _leg_j0(rho, krho)
+        assert sizes == [rho.size * krho.size]
+        assert np.array_equal(values, jv(0, rho[:, None] * krho))
 
 
 def _off_axis_case(frequency, reflected, span):
