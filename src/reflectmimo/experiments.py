@@ -1,10 +1,11 @@
 """Named experiments over the reflected-channel model.
 
 Each experiment produces ordered tables of plain rows, ready for CSV or
-JSON emission.  Eigenvalue experiments report the direct channel under
-self-sum normalization and, by default, reflected channels on the same
-scale so the material-dependent power loss stays visible.  All iteration
-orders are fixed, so identical configs yield identical tables.
+JSON emission.  A spectrum or capacity table walks its groups in a fixed
+order: the direct channel, then each material.  The direct channel's
+spectrum sums to N^2.  By default the reflected spectra share its scale,
+so the material-dependent power loss stays visible.  Identical configs
+yield identical tables.
 """
 
 from __future__ import annotations
@@ -64,12 +65,12 @@ class ResultSet:
 
 
 class _Context:
-    """Per-run caches: channel matrices and their eigenvalue spectra are
-    keyed by material and spacing so SNR sweeps reuse work across grid
-    points.  All materials at one spacing share one synthesis, and the
-    spacings asked for together share syntheses where their plans' prices
-    say so (:func:`mimo._assemble`).  The relative scale is the LOS
-    matrix's N^2 / ||H_LOS||_F^2, which needs no eigensolve."""
+    """Per-run channel cache.  Channels are keyed by group and spacing,
+    so an SNR sweep builds each spacing once.  All materials at one
+    spacing share one synthesis, and the spacings asked for together share
+    syntheses where their plans' prices say so (:func:`mimo._assemble`).
+    :meth:`spectra` turns one group's channels into spectra on the scale
+    the configuration asks for."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         config.validate()
@@ -78,7 +79,6 @@ class _Context:
         self.wavelength = self.vacuum_medium.wavelength
         self.node_counts: dict[str, int] = {}
         self._channels: dict[tuple[str, int], ChannelMatrix] = {}
-        self._spectra: dict[tuple[str, int, str], EigenSpectrum] = {}
 
     def scene(self, material: Material) -> SceneConfig:
         return SceneConfig(
@@ -113,34 +113,30 @@ class _Context:
                     self._channels[(name, key)] = channel
         return [self._channels[(material_name, key)] for key in keys]
 
-    def spectrum(self, material_name: str, spacing: float,
-                 normalization: str = SELF_SUM) -> EigenSpectrum:
-        """The channel's eigenvalue spectrum, one eigensolve per channel
-        and normalization; ``relative`` takes the LOS scale N^2 / ||H_LOS||_F^2."""
-        key = (material_name, round(spacing / 1e-15), normalization)
-        if key not in self._spectra:
-            scale = None
-            if normalization == RELATIVE:
-                los = self.channels("los", [spacing])[0].entries
-                scale = los.size / np.vdot(los, los).real
-            self._spectra[key] = eigen_spectrum(
-                self.channels(material_name, [spacing])[0], normalization,
-                reference_scale=scale,
-            )
-        return self._spectra[key]
-
-    def reflected_spectrum(self, material_name: str, spacing: float) -> EigenSpectrum:
-        relative = self.config.normalization == "RelativeToLOS"
-        return self.spectrum(material_name, spacing, RELATIVE if relative else SELF_SUM)
+    def spectra(self, name: str, rule: str, spacings: Sequence[float]) -> list[EigenSpectrum]:
+        """The spectra of group ``name`` at ``spacings``, each distinct
+        channel eigensolved once, with its largest node count recorded
+        under ``name@rule``.  The direct channel sums to N^2; a material
+        does too under ``SelfSum``, and otherwise takes the scale
+        N^2 / ||H_LOS||_F^2 of the direct channel at its spacing."""
+        channels = self.channels(name, spacings)
+        for channel in channels:
+            self.record_nodes(f"{name}@{rule}", channel.spec)
+        relative = name != "los" and self.config.normalization == "RelativeToLOS"
+        references = self.channels("los", spacings) if relative else channels
+        solved: dict[int, EigenSpectrum] = {}
+        for channel, reference in zip(channels, references):
+            if id(channel) not in solved:
+                los = reference.entries
+                solved[id(channel)] = eigen_spectrum(
+                    channel, RELATIVE if relative else SELF_SUM,
+                    reference_scale=los.size / np.vdot(los, los).real if relative else None,
+                )
+        return [solved[id(channel)] for channel in channels]
 
     def record_nodes(self, label: str, spec: QuadratureSpec) -> None:
         """Keep the largest ``n_alpha`` used under ``label``."""
         self.node_counts[label] = max(spec.n_alpha, self.node_counts.get(label, 0))
-
-
-def _reflected_rule(context: _Context, default_rule: str) -> str:
-    rule = context.config.spacing_rule
-    return default_rule if rule == "default" else rule
 
 
 def _spacing_of(context: _Context, rule: str, snr_linear: float | None) -> float:
@@ -162,74 +158,48 @@ def _spacing_of(context: _Context, rule: str, snr_linear: float | None) -> float
     raise ConfigError([f"unknown spacing rule {rule!r}"])
 
 
+def _walk(context: _Context, los_rule: str, reflected_rule: str,
+          snrs: Sequence[float | None]) -> list[tuple[str, str, list[float]]]:
+    """A table's groups in row order, each with its spacing rule and its
+    spacings at ``snrs``: the direct channel under ``los_rule``, then each
+    material under ``reflected_rule`` or the configured override.  It is
+    all worked out, and checked, before anything is built; the direct
+    channel goes first, so a spacing both rules share keeps its node count."""
+    cfg = context.config
+    rule = reflected_rule if cfg.spacing_rule == "default" else cfg.spacing_rule
+    blank = [name for name in cfg.materials if material_by_name(name).is_homogeneous]
+    if blank and cfg.normalization == "SelfSum":
+        raise ConfigError([f"material {blank[0]!r} reflects nothing, so its channel "
+                           f"is zero and normalization = SelfSum cannot scale it"])
+    spacings = {r: [_spacing_of(context, r, snr) for snr in snrs] for r in (los_rule, rule)}
+    return [("los", los_rule, spacings[los_rule]),
+            *((name, rule, spacings[rule]) for name in cfg.materials)]
+
+
 def _eigen_table(context: _Context, los_rule: str, reflected_rule: str) -> ResultTable:
     rows: list[tuple] = []
-    d_los = _spacing_of(context, los_rule, None)
-    context.record_nodes(f"los@{los_rule}", context.channels("los", [d_los])[0].spec)
-    spectrum = context.spectrum("los", d_los)
-    for index, (value, db) in enumerate(zip(spectrum.values, spectrum.db), start=1):
-        rows.append(("los", los_rule, index, float(value), float(db)))
-    d_ref = _spacing_of(context, reflected_rule, None)
-    for name in context.config.materials:
-        context.record_nodes(f"{name}@{reflected_rule}",
-                             context.channels(name, [d_ref])[0].spec)
-        spectrum = context.reflected_spectrum(name, d_ref)
-        for index, (value, db) in enumerate(zip(spectrum.values, spectrum.db), start=1):
-            rows.append((name, reflected_rule, index, float(value), float(db)))
+    for name, rule, spacings in _walk(context, los_rule, reflected_rule, [None]):
+        (spectrum,) = context.spectra(name, rule, spacings)
+        rows.extend((name, rule, index, float(value), float(db))
+                    for index, (value, db) in enumerate(zip(spectrum.values, spectrum.db),
+                                                        start=1))
     return ResultTable("eigenvalues", _EIGEN_COLUMNS, tuple(rows))
 
 
 def _capacity_table(context: _Context, los_rule: str, reflected_rule: str) -> ResultTable:
-    """Capacity over the SNR grid.  Each SNR's spacings are worked out
-    once; each (component, spacing rule) builds all of its spacings in one
-    assembly, and each material's grid is waterfilled in one call."""
+    """Capacity over the SNR grid, each group's grid waterfilled in one
+    call."""
     cfg = context.config
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_grid_db]
-    los_spacings = [_spacing_of(context, los_rule, snr) for snr in snrs]
-    reflected_spacings = [_spacing_of(context, reflected_rule, snr) for snr in snrs]
-    # The LOS rule's own group first: a spacing both rules share then keeps
-    # that group's node count, which provenance records under its label.
-    context.channels("los", los_spacings)
-    if cfg.normalization == "RelativeToLOS":
-        context.channels("los", reflected_spacings)  # the scale of the reflected spectra
     rows: list[tuple] = []
-    for name, rule, spacings in (("los", los_rule, los_spacings),
-                                 *((name, reflected_rule, reflected_spacings)
-                                   for name in cfg.materials)):
-        for channel in context.channels(name, spacings):
-            context.record_nodes(f"{name}@{rule}", channel.spec)
-        spectra = [context.spectrum("los", d) if name == "los"
-                   else context.reflected_spectrum(name, d) for d in spacings]
+    for name, rule, spacings in _walk(context, los_rule, reflected_rule, snrs):
+        spectra = context.spectra(name, rule, spacings)
         capacities = _waterfill_rows(np.stack([s.values for s in spectra]), np.array(snrs))[0]
         rows.extend((name, rule, snr_db, float(capacity))
                     for snr_db, capacity in zip(cfg.snr_grid_db, capacities))
     for snr_db, snr in zip(cfg.snr_grid_db, snrs):
         rows.append(("upper_bound", los_rule, snr_db, dof_bound(cfg.antennas, snr).bound))
     return ResultTable("capacity", _CAPACITY_COLUMNS, tuple(rows))
-
-
-def _run_fig2(context: _Context) -> list[ResultTable]:
-    return [_eigen_table(context, "rayleigh_D", _reflected_rule(context, "rayleigh_D"))]
-
-
-def _run_fig4(context: _Context) -> list[ResultTable]:
-    return [_eigen_table(context, "rayleigh_D", _reflected_rule(context, "rayleigh_De"))]
-
-
-def _run_fig3(context: _Context) -> list[ResultTable]:
-    return [
-        _capacity_table(
-            context, "snr_dependent_D", _reflected_rule(context, "snr_dependent_D"),
-        )
-    ]
-
-
-def _run_fig5(context: _Context) -> list[ResultTable]:
-    return [
-        _capacity_table(
-            context, "snr_dependent_D", _reflected_rule(context, "snr_dependent_De"),
-        )
-    ]
 
 
 def _run_fresnel_sweep(context: _Context) -> list[ResultTable]:
@@ -298,10 +268,10 @@ def _run_impulse_validate(context: _Context) -> list[ResultTable]:
 
 
 _RUNNERS = {
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig5": _run_fig5,
+    "fig2": lambda context: [_eigen_table(context, "rayleigh_D", "rayleigh_D")],
+    "fig3": lambda context: [_capacity_table(context, "snr_dependent_D", "snr_dependent_D")],
+    "fig4": lambda context: [_eigen_table(context, "rayleigh_D", "rayleigh_De")],
+    "fig5": lambda context: [_capacity_table(context, "snr_dependent_D", "snr_dependent_De")],
     "fresnel_sweep": _run_fresnel_sweep,
     "impulse_validate": _run_impulse_validate,
 }

@@ -46,11 +46,11 @@ class Material:
                 msg = "the perfect conductor variant requires permeability_ratio == 0"
                 raise ValueError(msg)
             return
-        if not self.refractive_index >= 1.0:
-            msg = f"refractive index must be >= 1, got {self.refractive_index!r}"
+        if not 1.0 <= self.refractive_index < math.inf:
+            msg = f"refractive index must be finite and >= 1, got {self.refractive_index!r}"
             raise ValueError(msg)
-        if not self.permeability_ratio > 0.0:
-            msg = f"permeability ratio must be positive, got {self.permeability_ratio!r}"
+        if not 0.0 < self.permeability_ratio < math.inf:
+            msg = f"permeability ratio must be positive and finite, got {self.permeability_ratio!r}"
             raise ValueError(msg)
 
     @property

@@ -67,11 +67,14 @@ class ArrayLayout:
         if self.count < 1:
             msg = f"count must be >= 1, got {self.count}"
             raise ValueError(msg)
-        if not (self.spacing > 0.0):
-            msg = f"spacing must be > 0, got {self.spacing!r}"
+        if not 0.0 < self.spacing < math.inf:
+            msg = f"spacing must be positive and finite, got {self.spacing!r}"
+            raise ValueError(msg)
+        if not all(math.isfinite(c) for c in self.center):
+            msg = f"center must be finite, got {self.center!r}"
             raise ValueError(msg)
         norm = math.sqrt(sum(a * a for a in self.axis))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             msg = f"axis must be a unit vector, got norm {norm!r}"
             raise ValueError(msg)
 

@@ -66,6 +66,7 @@ class SceneConfig:
     """Link geometry: medium, surface position, and the two link planes.
 
     Guards:
+      * the planes and the radius must be finite;
       * the source plane must sit in the left half-space, at least
         ``MIN_CLEARANCE_WAVELENGTHS`` wavelengths clear of the surface so no
         evanescent source content survives the crossing;
@@ -80,7 +81,11 @@ class SceneConfig:
     source_radius: float = 0.0
 
     def __post_init__(self) -> None:
-        violations: list[str] = []
+        violations = [f"{name} must be finite, got {getattr(self, name)!r}"
+                      for name in ("surface_z", "source_z", "receiver_z", "source_radius")
+                      if not math.isfinite(getattr(self, name))]
+        if violations:
+            raise SceneError(violations)
         guard = MIN_CLEARANCE_WAVELENGTHS * self.medium.wavelength
         if not self.source_z < self.surface_z:
             violations.append(

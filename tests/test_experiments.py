@@ -1,5 +1,6 @@
 """Tests for the named experiments and their result tables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -300,3 +301,42 @@ def test_node_counts_are_each_labels_own_largest_need(frequency_ghz):
         for d in set(reflected))
     expected.update({f"{name}@snr_dependent_De": reflected_need for name in config.materials})
     assert run_named("fig5", config).provenance["node_counts"] == expected
+
+
+def _unbuilt(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a channel was built")
+
+    monkeypatch.setattr(experiments, "_assemble", refuse)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4"])
+@pytest.mark.parametrize("rule", ["snr_dependent_D", "snr_dependent_De"])
+def test_snr_rule_on_spectrum_table_fails_before_any_build(monkeypatch, name, rule):
+    _unbuilt(monkeypatch)
+    with pytest.raises(ConfigError, match="SNR-dependent"):
+        run_named(name, ExperimentConfig(spacing_rule=rule))
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+def test_self_sum_of_a_surface_that_reflects_nothing_fails_before_any_build(
+        monkeypatch, name):
+    """Vacuum reflects nothing, so ``SelfSum`` has no sum to scale by."""
+    _unbuilt(monkeypatch)
+    config = ExperimentConfig(materials=("concrete", "vacuum"), normalization="SelfSum")
+    with pytest.raises(ConfigError) as err:
+        run_named(name, config)
+    assert "'vacuum'" in str(err.value)
+    assert "normalization" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["fresnel_sweep", "impulse_validate"])
+def test_self_sum_with_vacuum_still_runs_experiments_without_spectra(name):
+    config = dataclasses.replace(SMALL, materials=("vacuum",), normalization="SelfSum")
+    assert run_named(name, config).tables
+
+
+def test_relative_scale_keeps_vacuum_at_zero():
+    config = dataclasses.replace(SMALL, materials=("vacuum",))
+    rows = run_named("fig2", config).table("eigenvalues").rows
+    assert [row[3] for row in rows if row[0] == "vacuum"] == [0.0, 0.0]

@@ -83,6 +83,16 @@ class TestMaterial:
         with pytest.raises(ValueError):
             Material("odd", 2.0, -1.0)
 
+    @pytest.mark.parametrize("index", [math.inf, math.nan])
+    def test_non_finite_refractive_index_rejected(self, index):
+        with pytest.raises(ValueError, match="refractive index"):
+            Material("odd", index)
+
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan])
+    def test_non_finite_permeability_rejected(self, ratio):
+        with pytest.raises(ValueError, match="permeability ratio"):
+            Material("odd", 2.0, ratio)
+
 
 class TestMedium:
     def test_kappa1(self, vacuum_medium):

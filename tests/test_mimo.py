@@ -86,6 +86,20 @@ class TestArrayLayout:
         with pytest.raises(ValueError, match="axis"):
             ArrayLayout(count=2, spacing=1.0, axis=(1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize(("field", "fields"), [
+        ("spacing", {"spacing": np.inf}),
+        ("spacing", {"spacing": np.nan}),
+        ("axis", {"axis": (np.nan, 0.0, 0.0)}),
+        ("axis", {"axis": (1.0, np.nan, 0.0)}),
+        ("axis", {"axis": (np.inf, 0.0, 0.0)}),
+        ("center", {"center": (np.nan, 0.0, 0.0)}),
+        ("center", {"center": (0.0, 0.0, np.inf)}),
+        ("center", {"center": (0.0, -np.inf, 1.0)}),
+    ])
+    def test_non_finite_geometry_names_its_field(self, field, fields):
+        with pytest.raises(ValueError, match=field):
+            ArrayLayout(**{"count": 2, "spacing": 1.0, **fields})
+
 
 class TestChannelAssembly:
     def test_parallel_arrays_give_toeplitz_entries(self, pc_reflection_channel):

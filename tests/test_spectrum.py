@@ -67,6 +67,20 @@ class TestSceneConfig:
             _scene(surface_z=1.0, source_z=2.0, radius=-1.0)
         assert len(err.value.violations) == 2
 
+    @pytest.mark.parametrize(("fields", "names"), [
+        ({"surface_z": np.inf}, ["surface_z"]),
+        ({"surface_z": np.inf, "source_z": -np.inf}, ["surface_z", "source_z"]),
+        ({"receiver_z": np.nan}, ["receiver_z"]),
+        ({"radius": np.inf}, ["source_radius"]),
+        ({"surface_z": np.nan, "source_z": np.nan, "receiver_z": np.inf, "radius": np.nan},
+         ["surface_z", "source_z", "receiver_z", "source_radius"]),
+    ])
+    def test_non_finite_fields_each_named(self, fields, names):
+        with pytest.raises(SceneError) as err:
+            _scene(**fields)
+        assert [v.split()[0] for v in err.value.violations] == names
+        assert all("finite" in v for v in err.value.violations)
+
 
 class TestComponentValidation:
     def test_transmission_needs_far_side(self):
