@@ -3,7 +3,10 @@
 The free-space impulse between two points is an outgoing spherical wave,
 and above a perfectly conducting plane the reflected part equals the field
 of a mirrored source with flipped sign.  Both are exact, independent of
-the quadrature path, and serve as oracles in the test-suite.  Above a
+the quadrature path, and serve as oracles in the test-suite and in
+``impulse_validate``.  The experiments take one more value from here: the
+power of the direct channel between two arrays (:func:`los_power`), which
+scales relative spectra.  Above a
 dielectric half-space the reflected part is the mirrored source's wave
 weighted by the plane-wave reflection coefficient at the specular angle,
 plus its first correction in 1 / (kappa1 R): an asymptotic oracle whose
@@ -89,6 +92,15 @@ def los_impulse(medium: Medium, receiver, source) -> complex:
     separation = _exact_distance(_as_point(receiver), _as_point(source))
     _check_ten_wavelengths(medium, separation)
     return _scale(medium) * _wave(medium.kappa1, separation)
+
+
+def los_power(medium: Medium, tx, rx) -> float:
+    """||H_LOS||_F^2 of the free-space channel from array ``tx`` to array
+    ``rx`` (anything with an (n, 3) ``positions``): the sum over antenna
+    pairs of |los_impulse|^2 = (kappa1 eta1 / 4 pi)^2 / R^2.  The phase
+    drops out, so plain float arithmetic is exact to round-off."""
+    delta = rx.positions[:, None, :] - tx.positions[None, :, :]
+    return abs(_scale(medium)) ** 2 * float(np.sum(1.0 / np.sum(delta * delta, axis=-1)))
 
 
 def _above_surface(receiver, source, surface_z: float) -> tuple[np.ndarray, np.ndarray]:

@@ -81,11 +81,17 @@ class ExperimentConfig:
             problems.append(f"antennas must be >= 1, got {self.antennas}")
         if not self.materials:
             problems.append("materials must be non-empty")
+        spelled: dict[str, str] = {}  # catalog name -> the entry that named it first
         for name in self.materials:
             try:
-                material_by_name(name)
+                canonical = material_by_name(name).name
             except ValueError:
                 problems.append(f"unknown material {name!r}")
+                continue
+            if canonical in spelled:
+                problems.append(f"materials lists {spelled[canonical]!r} and {name!r}, "
+                                f"which name the same material {canonical!r}")
+            spelled.setdefault(canonical, name)
         if not self.snr_grid_db:
             problems.append("snr_grid_db must be non-empty")
         elif any(not math.isfinite(db) for db in self.snr_grid_db):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._version import __version__
 from .capacity import _waterfill_rows, dof_bound
-from .closedform import los_impulse
+from .closedform import los_impulse, los_power
 from .config import ConfigError, ExperimentConfig, config_to_text
 from .materials import PERFECT_CONDUCTOR, VACUUM, Material, Medium, material_by_name
 from .materials import fresnel_reflection, fresnel_transmission
@@ -104,7 +104,7 @@ class _Context:
                 names, component = ["los"], FieldComponent.LOS_ONLY
                 scenes = [self.scene(VACUUM)]
             else:
-                names = list(dict.fromkeys((*self.config.materials, material_name)))
+                names = list(self.config.materials)
                 component = FieldComponent.REFLECTION_ONLY
                 scenes = [self.scene(material_by_name(name)) for name in names]
             built = _assemble(scenes, layouts, component, self.config.quadrature)
@@ -118,19 +118,19 @@ class _Context:
         channel eigensolved once, with its largest node count recorded
         under ``name@rule``.  The direct channel sums to N^2; a material
         does too under ``SelfSum``, and otherwise takes the scale
-        N^2 / ||H_LOS||_F^2 of the direct channel at its spacing."""
+        N^2 / ||H_LOS||_F^2 of the direct channel between its own arrays,
+        in closed form (:func:`closedform.los_power`)."""
         channels = self.channels(name, spacings)
         for channel in channels:
             self.record_nodes(f"{name}@{rule}", channel.spec)
         relative = name != "los" and self.config.normalization == "RelativeToLOS"
-        references = self.channels("los", spacings) if relative else channels
         solved: dict[int, EigenSpectrum] = {}
-        for channel, reference in zip(channels, references):
+        for channel in channels:
             if id(channel) not in solved:
-                los = reference.entries
+                scale = (channel.entries.size / los_power(self.vacuum_medium, channel.tx, channel.rx)
+                         if relative else None)
                 solved[id(channel)] = eigen_spectrum(
-                    channel, RELATIVE if relative else SELF_SUM,
-                    reference_scale=los.size / np.vdot(los, los).real if relative else None,
+                    channel, RELATIVE if relative else SELF_SUM, reference_scale=scale,
                 )
         return [solved[id(channel)] for channel in channels]
 
@@ -163,8 +163,9 @@ def _walk(context: _Context, los_rule: str, reflected_rule: str,
     """A table's groups in row order, each with its spacing rule and its
     spacings at ``snrs``: the direct channel under ``los_rule``, then each
     material under ``reflected_rule`` or the configured override.  It is
-    all worked out, and checked, before anything is built; the direct
-    channel goes first, so a spacing both rules share keeps its node count."""
+    all worked out, and checked, before anything is built.  The direct
+    channel goes first as the table's reference rows; the materials' scale
+    builds no direct channel, so the order changes no value or node count."""
     cfg = context.config
     rule = reflected_rule if cfg.spacing_rule == "default" else cfg.spacing_rule
     blank = [name for name in cfg.materials if material_by_name(name).is_homogeneous]

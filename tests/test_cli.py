@@ -71,6 +71,14 @@ class TestRun:
         assert "invalid configuration" in err
         assert "antennas" in err
 
+    def test_repeated_material_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("materials = concrete,concrete\n")
+        assert main(["run", "fig2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "materials" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("grid", ["3100", "0:inf:2", "-4000", "0:1e12:1e-6"])
     def test_unusable_snr_grid_exits_2(self, tmp_path, capsys, grid):
         cfg = tmp_path / "bad.cfg"

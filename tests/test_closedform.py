@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectmimo import (
     CONCRETE,
     FREE_SPACE_IMPEDANCE,
     PLASTER_BOARD,
     VACUUM,
+    ArrayLayout,
     Material,
     Medium,
     dielectric_image_impulse,
@@ -19,7 +22,7 @@ from reflectmimo import (
     los_impulse,
     spherical_wave,
 )
-from reflectmimo.closedform import _reflection_series
+from reflectmimo.closedform import _reflection_series, los_power
 
 
 class TestSphericalWave:
@@ -103,6 +106,36 @@ class TestLosImpulse:
         assert los_impulse(vacuum_medium, receiver, source) == los_impulse(
             conductor_medium, receiver, source
         )
+
+
+def _unit(polar: float, azimuth: float) -> tuple[float, float, float]:
+    return (math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth),
+            math.cos(polar))
+
+
+_ARRAYS = st.tuples(
+    st.integers(1, 8), st.floats(0.002, 0.05),
+    st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.5, 5.0),
+    st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi),
+)
+
+
+class TestLosPower:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([57.5e9, 140e9, 300e9]), st.integers(1, 8), st.floats(0.002, 0.05),
+           _ARRAYS, st.booleans())
+    def test_sums_the_closed_form_entries(self, frequency, n_tx, d_tx, rx_args, parallel):
+        """Parallel, tilted and offset arrays of unequal counts, at least
+        0.3 m (over ten wavelengths) apart: the power equals the sum of
+        |los_impulse|^2 over every antenna pair."""
+        medium = Medium(frequency, VACUUM)
+        n_rx, d_rx, x, y, z, polar, azimuth = rx_args
+        tx = ArrayLayout(n_tx, d_tx)
+        rx = ArrayLayout(n_rx, d_rx, center=(x, y, z),
+                         axis=(1.0, 0.0, 0.0) if parallel else _unit(polar, azimuth))
+        expected = math.fsum(abs(los_impulse(medium, r, s)) ** 2
+                             for r in rx.positions for s in tx.positions)
+        assert los_power(medium, tx, rx) == pytest.approx(expected, rel=1e-13)
 
 
 class TestImageImpulse:

@@ -138,6 +138,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown material"):
             ExperimentConfig(materials=("granite",)).validate()
 
+    @pytest.mark.parametrize("first, second", [
+        ("concrete", "concrete"), ("Concrete", "concrete"), ("floor-board", "floor_board"),
+    ])
+    def test_repeated_material_names_both_spellings(self, first, second):
+        """Two entries that name one catalog material would give one
+        material two row groups, so the config is refused naming both."""
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(f"materials = {first}, plaster_board, {second}\n")
+        (violation,) = excinfo.value.violations
+        assert "materials" in violation
+        assert repr(first) in violation and repr(second) in violation
+
     def test_range_beyond_surface(self):
         with pytest.raises(ConfigError, match="range_m"):
             ExperimentConfig(range_m=20.0, d1_m=15.0).validate()

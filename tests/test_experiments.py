@@ -340,3 +340,22 @@ def test_relative_scale_keeps_vacuum_at_zero():
     config = dataclasses.replace(SMALL, materials=("vacuum",))
     rows = run_named("fig2", config).table("eigenvalues").rows
     assert [row[3] for row in rows if row[0] == "vacuum"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(), ExperimentConfig(frequency_ghz=300.0), ExperimentConfig(antennas=64),
+], ids=["default", "300ghz", "n64"])
+def test_relative_scale_is_the_synthesized_direct_channels(config):
+    """The closed-form relative scale at fig4's reflected spacing equals
+    N^2 / ||H||_F^2 of the direct channel synthesized between the same
+    arrays."""
+    context = experiments._Context(config)
+    spacing = experiments._spacing_of(context, "rayleigh_De", None)
+    (spectrum,) = context.spectra("concrete", "rayleigh_De", [spacing])
+    n = config.antennas
+    los = build_channel_matrix(
+        context.scene(VACUUM), ArrayLayout.along_x(n, spacing, 0.0),
+        ArrayLayout.along_x(n, spacing, config.range_m), FieldComponent.LOS_ONLY,
+    ).entries
+    synthesized = los.size / np.vdot(los, los).real
+    assert abs(spectrum.scale - synthesized) <= 1e-12 * synthesized
