@@ -79,6 +79,7 @@ class _Context:
         self.wavelength = self.vacuum_medium.wavelength
         self.node_counts: dict[str, int] = {}
         self._channels: dict[tuple[str, int], ChannelMatrix] = {}
+        self._scales: dict[int, float] = {}
 
     def scene(self, material: Material) -> SceneConfig:
         return SceneConfig(
@@ -119,18 +120,21 @@ class _Context:
         under ``name@rule``.  The direct channel sums to N^2; a material
         does too under ``SelfSum``, and otherwise takes the scale
         N^2 / ||H_LOS||_F^2 of the direct channel between its own arrays,
-        in closed form (:func:`closedform.los_power`)."""
+        in closed form (:func:`closedform.los_power`), once per spacing."""
         channels = self.channels(name, spacings)
         for channel in channels:
             self.record_nodes(f"{name}@{rule}", channel.spec)
         relative = name != "los" and self.config.normalization == "RelativeToLOS"
         solved: dict[int, EigenSpectrum] = {}
         for channel in channels:
+            key = round(channel.tx.spacing / 1e-15)
+            if relative and key not in self._scales:
+                self._scales[key] = channel.entries.size / los_power(
+                    self.vacuum_medium, channel.tx, channel.rx)
             if id(channel) not in solved:
-                scale = (channel.entries.size / los_power(self.vacuum_medium, channel.tx, channel.rx)
-                         if relative else None)
                 solved[id(channel)] = eigen_spectrum(
-                    channel, RELATIVE if relative else SELF_SUM, reference_scale=scale,
+                    channel, RELATIVE if relative else SELF_SUM,
+                    reference_scale=self._scales[key] if relative else None,
                 )
         return [solved[id(channel)] for channel in channels]
 

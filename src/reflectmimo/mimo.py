@@ -11,10 +11,11 @@ The material enters only through those coefficients, so the matrices of
 several surface materials on one geometry share one Bessel matrix
 (:func:`build_channel_matrices`).  The layouts of one sweep, such as the
 SNR-matched spacings of a capacity table, share syntheses too.  Each
-layout is planned once, and its plan prices a lag in real J0 evaluations.
-Taken by largest lag, a layout on the current synthesis's one pair of
-planes joins it while the lags it adds, at that synthesis's price, cost no
-more than its own lags at its own price plus the fixed cost of a call.
+layout is planned once: a stable sort of its rho keys within each pair of
+planes gives its distinct lags, and its plan prices a lag in real J0
+evaluations.  Taken by largest lag, a layout on the current synthesis's one
+pair of planes joins it while the lags it adds, at that synthesis's price,
+cost no more than its own lags at its own price plus the fixed cost of a call.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ _LAG_QUANTUM = 1e-12  # m; samples equal up to float noise share one evaluation
 # Fixed work of one synthesis call (coefficients and bookkeeping) in real J0
 # evaluations: the intercept of synthesize_impulse's time against its lag
 # count on one path, over the time of one j0.  For the SNR-matched spacings
-# of fig5 (N = 16, 57.5 GHz, one BLAS thread, 2 to 31 lags) it is 8,000 to
-# 12,000 j0 for the four-material batch and 2,000 to 5,000 for the direct
-# channel, at 40 to 60 ns per j0; the N = 16 sweep merges fully for any
-# value from 6,000 to 25,000.
+# of fig5 (N = 16, 57.5 GHz, 2 to 16 lags, one BLAS thread on a 2-core Xeon,
+# 18 ns per j0) it is 14,000 to 15,500 j0 for the four-material batch and
+# 6,700 to 7,900 for the direct channel; the N = 16 sweep merges fully for
+# any value from 3,000 up.  The value stays 12,000: 7,000 or 15,000 regroup
+# the N = 64 sweeps (15,000 the N = 128 ones too), and so move outputs.
 _SYNTHESIS_COST = 12_000
 
 SELF_SUM = "self_sum"
@@ -84,10 +86,8 @@ class ArrayLayout:
 
     @property
     def positions(self) -> np.ndarray:
-        center = np.asarray(self.center, dtype=float)
-        axis = np.asarray(self.axis, dtype=float)
         offsets = (np.arange(self.count) - (self.count - 1) / 2.0) * self.spacing
-        return center[None, :] + offsets[:, None] * axis[None, :]
+        return np.add(np.multiply.outer(offsets, self.axis), self.center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,29 +172,33 @@ def _samples(scenes: list[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
     rx_pos = rx.positions
     shape = (rx.count, tx.count)
     delta = rx_pos[:, None, :2] - tx_pos[None, :, :2]
-    samples = np.stack([
-        np.broadcast_to(rx_pos[:, None, 2], shape),
-        np.broadcast_to(tx_pos[None, :, 2], shape),
-        np.hypot(delta[..., 0], delta[..., 1]),
-    ], axis=-1).reshape(-1, 3)
-    keys = np.rint(samples / _LAG_QUANTUM).astype(np.int64)
-    first, index_of = _distinct_samples(keys)
-    rows = samples[first]
-    cuts = np.flatnonzero(np.any(rows[1:, :2] != rows[:-1, :2], axis=1)) + 1
-    plans = [_plan([_on_planes(scene, tuple(pair[0, :2].tolist())) for scene in scenes],
-                   component, pair[:, 2], spec)
-             for pair in np.split(rows, cuts)]
-    single = not cuts.size
-    return _Samples(rows, keys[first], index_of,
+    rho = np.hypot(delta[..., 0], delta[..., 1])
+    # An axis with no z component keeps an array on one plane, so only a tilted
+    # array keys its planes, and only its lags can split among pairs of them.
+    planes = [np.broadcast_to(z, shape) for z, layout in
+              ((rx_pos[:, None, 2], rx), (tx_pos[:, 2], tx)) if layout.axis[2]]
+    keys = np.rint(np.stack([*planes, rho]).reshape(len(planes) + 1, -1) / _LAG_QUANTUM)
+    first, index_of = _distinct_samples(keys.astype(np.int64).T)
+    at_rx, at_tx = np.divmod(first, tx.count)
+    rows = np.stack([rx_pos[at_rx, 2], tx_pos[at_tx, 2], rho.ravel()[first]], axis=1)
+    pairs = (np.split(rows, np.flatnonzero(np.any(rows[1:, :2] != rows[:-1, :2], axis=1)) + 1)
+             if planes else [rows])
+    plans = [_plan([_on_planes(scene, tuple(on[0, :2].tolist())) for scene in scenes],
+                   component, on[:, 2], spec)
+             for on in pairs]
+    single = len(pairs) == 1
+    return _Samples(rows, np.rint(rows / _LAG_QUANTUM).astype(np.int64), index_of,
                     QuadratureSpec(max(need for need, _ in plans)),
                     tuple(rows[0, :2].tolist()) if single else None,
                     sum(path.cost for _, path in plans[0][1]) if single else None)
 
 
 def _union(members: list[_Samples]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The distinct sample rows of several layouts, and each layout's
-    entries' positions among them."""
-    first, index_of = _distinct_samples(np.concatenate([m.keys for m in members]))
+    """The distinct sample rows of the layouts of one synthesis, which share
+    a pair of planes, and each layout's entries' positions among them."""
+    if len(members) == 1:
+        return members[0].rows, [members[0].index_of]
+    first, index_of = _distinct_samples(np.concatenate([m.keys[:, 2:] for m in members]))
     offsets = np.cumsum([0] + [len(m.rows) for m in members])
     rows = np.concatenate([m.rows for m in members])[first]
     return rows, [index_of[at + m.index_of] for at, m in zip(offsets, members)]
@@ -211,17 +215,18 @@ def _batches(samples: list[_Samples]) -> list[list[int]]:
     which no sweep builds."""
     order = sorted(range(len(samples)), key=lambda i: -float(samples[i].rows[:, 2].max()))
     batches: list[list[int]] = []
-    planes, rate, held = None, 0, None  # the current synthesis's pair, rate and rho keys
+    planes, rate, held = None, 0, set()  # the current synthesis's pair, rate and rho keys
     for i in order:
         layout = samples[i]
+        lags = set(layout.keys[:, 2].tolist())
         if layout.planes is not None and layout.planes == planes:
-            new = np.setdiff1d(layout.keys[:, 2], held, assume_unique=True)
-            if new.size * rate <= len(layout.rows) * layout.rate + _SYNTHESIS_COST:
+            new = lags - held
+            if len(new) * rate <= len(layout.rows) * layout.rate + _SYNTHESIS_COST:
                 batches[-1].append(i)
-                held = np.concatenate((held, new))
+                held |= new
                 continue
         batches.append([i])
-        planes, rate, held = layout.planes, layout.rate, layout.keys[:, 2]
+        planes, rate, held = layout.planes, layout.rate, lags
     return batches
 
 
@@ -271,15 +276,16 @@ def _assemble(scenes: Sequence[SceneConfig], layouts: Sequence[tuple[ArrayLayout
 
 
 def _distinct_samples(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First occurrence of each distinct (receiver_z, source_z, rho) key row,
-    in sorted order, and each row's position among them: ``np.unique(keys,
-    axis=0)`` from one stable lexicographic sort, so the rows on one pair
-    of planes come out next to each other."""
+    """First occurrence of each distinct key row, in sorted order, and each
+    row's position among them: ``np.unique(keys, axis=0)`` from one stable
+    lexicographic sort, compared column by column.  The rho keys come last,
+    so on one pair of planes this is a 1-D sort of them."""
     order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    new = np.empty(len(keys), dtype=bool)
+    new = np.zeros(len(keys), dtype=bool)
     new[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    for column in keys.T:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
     index_of = np.empty(len(keys), dtype=np.intp)
     index_of[order] = np.cumsum(new) - 1
     return order[new], index_of

@@ -359,3 +359,35 @@ def test_relative_scale_is_the_synthesized_direct_channels(config):
     ).entries
     synthesized = los.size / np.vdot(los, los).real
     assert abs(spectrum.scale - synthesized) <= 1e-12 * synthesized
+
+
+class _Unshared(dict):
+    """A relative-scale cache that never holds a spacing, so every channel
+    takes its own scale."""
+
+    def __contains__(self, key):
+        return False
+
+
+@pytest.mark.parametrize("name, rule, spacings", [
+    ("fig5", "snr_dependent_De", 7), ("fig4", "rayleigh_De", 1),
+])
+def test_one_los_power_per_reflected_spacing(monkeypatch, name, rule, spacings):
+    """Every material at one spacing shares that spacing's relative scale:
+    ||H_LOS||_F^2 is taken once per distinct reflected spacing, and the
+    RelativeToLOS table is the one a scale taken per channel gives."""
+    config = ExperimentConfig()
+    shared, unshared = experiments._Context(config), experiments._Context(config)
+    unshared._scales = _Unshared()
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db] if name == "fig5" else [None]
+    assert len({experiments._spacing_of(shared, rule, snr) for snr in snrs}) == spacings
+    per_channel = experiments._RUNNERS[name](unshared)
+    power, calls = experiments.los_power, []
+
+    def counted(*args):
+        calls.append(args)
+        return power(*args)
+
+    monkeypatch.setattr(experiments, "los_power", counted)
+    assert experiments._RUNNERS[name](shared) == per_channel
+    assert len(calls) == spacings

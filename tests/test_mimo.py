@@ -1,6 +1,7 @@
 """Tests for channel-matrix assembly and eigenvalue normalization."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -230,6 +231,83 @@ class TestDistanceKeying:
         grouped_first, grouped_index = _distinct_samples(keys)
         assert np.array_equal(grouped_first, first)
         assert np.array_equal(grouped_index, index_of.ravel())
+
+
+_KEYED_SCENE = SceneConfig(medium=Medium(57.5e9, PERFECT_CONDUCTOR), surface_z=SURFACE,
+                           source_z=0.0, receiver_z=RANGE)
+
+
+def _axis(kind, azimuth, polar):
+    if kind == "parallel":
+        return (1.0, 0.0, 0.0)
+    if kind == "in_plane":
+        return (math.cos(azimuth), math.sin(azimuth), 0.0)
+    return (math.cos(azimuth) * math.sin(polar), math.sin(azimuth) * math.sin(polar),
+            math.cos(polar))
+
+
+def _array(kind, counts, z):
+    """ULAs at height ``z`` with axes of ``kind``, ``counts`` antennas."""
+    return st.builds(
+        lambda count, spacing, x, azimuth, polar: ArrayLayout(
+            count, spacing, center=(x, 0.5 * x, z), axis=_axis(kind, azimuth, polar)),
+        st.integers(*counts), st.floats(0.01, 0.1), st.floats(-0.05, 0.05),
+        st.floats(0.0, 2.0 * math.pi), st.floats(0.3, 2.8))
+
+
+def _lattice(tx, rx):
+    """Every entry's (receiver_z, source_z, rho) sample and its key, row by
+    row of the channel matrix."""
+    samples = np.array([(r[2], t[2], np.hypot(r[0] - t[0], r[1] - t[1]))
+                        for r in rx.positions for t in tx.positions])
+    return samples, np.rint(samples / 1e-12).astype(np.int64)
+
+
+def _row_wise_unique(keys):
+    _, first, index_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, index_of.ravel()  # the inverse's shape differs across numpy 2.x
+
+
+@pytest.mark.parametrize("tx_kind, rx_kind, counts", [
+    ("parallel", "parallel", (2, 6)),
+    ("in_plane", "parallel", (2, 6)),
+    ("out_of_plane", "in_plane", (2, 6)),
+    ("out_of_plane", "out_of_plane", (2, 6)),
+    ("in_plane", "out_of_plane", (1, 1)),
+])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_layout_samples_match_the_row_wise_unique(tx_kind, rx_kind, counts, data):
+    """A layout's distinct rows, their keys and each entry's position among
+    them are ``np.unique`` of its lattice keys, by row: parallel, in-plane
+    and out-of-plane axes (several pairs of planes), unequal counts and
+    single antennas."""
+    tx = data.draw(_array(tx_kind, counts, 0.0))
+    rx = data.draw(_array(rx_kind, counts, RANGE))
+    samples, keys = _lattice(tx, rx)
+    first, index_of = _row_wise_unique(keys)
+    planned = mimo._samples([_KEYED_SCENE], tx, rx, FieldComponent.REFLECTION_ONLY, None)
+    assert np.array_equal(planned.rows, samples[first])
+    assert np.array_equal(planned.keys, keys[first])
+    assert np.array_equal(planned.index_of, index_of)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.tuples(_array("in_plane", (1, 6), 0.0), _array("parallel", (1, 6), RANGE)),
+                min_size=1, max_size=4))
+def test_union_on_one_pair_matches_the_row_wise_unique(layouts):
+    """Layouts on one pair of planes merge as ``np.unique`` of their
+    lattice keys together, by row, and each layout's entries land on their
+    own samples."""
+    lattices = [_lattice(tx, rx) for tx, rx in layouts]
+    first, index_of = _row_wise_unique(np.concatenate([keys for _, keys in lattices]))
+    starts = np.cumsum([0] + [len(keys) for _, keys in lattices])
+    rows, positions = mimo._union([
+        mimo._samples([_KEYED_SCENE], tx, rx, FieldComponent.REFLECTION_ONLY, None)
+        for tx, rx in layouts])
+    assert np.array_equal(rows, np.concatenate([samples for samples, _ in lattices])[first])
+    for at, end, position in zip(starts, starts[1:], positions):
+        assert np.array_equal(position, index_of[at:end])
 
 
 class TestMaterialBatch:
