@@ -66,9 +66,9 @@ class ResultSet:
 
 class _Context:
     """Per-run channel cache.  Channels are keyed by group and spacing,
-    so an SNR sweep builds each spacing once.  All materials at one
-    spacing share one synthesis, and the spacings asked for together share
-    syntheses where their plans' prices say so (:func:`mimo._assemble`).
+    so an SNR sweep builds each spacing once.  All materials and all the
+    spacings asked for together share one synthesis, which cuts their lags
+    into runs by cost (:func:`mimo._assemble`).
     :meth:`spectra` turns one group's channels into spectra on the scale
     the configuration asks for."""
 

@@ -10,12 +10,11 @@ N-antenna arrays with equal spacings cost N evaluations instead of N^2.
 The material enters only through those coefficients, so the matrices of
 several surface materials on one geometry share one Bessel matrix
 (:func:`build_channel_matrices`).  The layouts of one sweep, such as the
-SNR-matched spacings of a capacity table, share syntheses too.  Each
-layout is planned once: a stable sort of its rho keys within each pair of
-planes gives its distinct lags, and its plan prices a lag in real J0
-evaluations.  Taken by largest lag, a layout on the current synthesis's one
-pair of planes joins it while the lags it adds, at that synthesis's price,
-cost no more than its own lags at its own price plus the fixed cost of a call.
+SNR-matched spacings of a capacity table, go to one synthesis: their
+distinct samples come from one stable sort of picometre keys, each key
+evaluated at the smallest sample it merges, and the synthesis cuts their
+lags into runs by cost (:func:`quadrature._runs`).  No layout is planned
+here; a matrix records its layout's oscillation budget.
 """
 
 from __future__ import annotations
@@ -35,21 +34,13 @@ from .quadrature import (
     _material_batch,
     _nodes_used,
     _on_planes,
-    _plan,
+    _plane_budget,
     synthesize_impulse,
 )
 from .spectrum import FieldComponent, SceneConfig
 
 _LAG_QUANTUM = 1e-12  # m; samples equal up to float noise share one evaluation
-# Fixed work of one synthesis call (coefficients and bookkeeping) in real J0
-# evaluations: the intercept of synthesize_impulse's time against its lag
-# count on one path, over the time of one j0.  For the SNR-matched spacings
-# of fig5 (N = 16, 57.5 GHz, 2 to 16 lags, one BLAS thread on a 2-core Xeon,
-# 18 ns per j0) it is 14,000 to 15,500 j0 for the four-material batch and
-# 6,700 to 7,900 for the direct channel; the N = 16 sweep merges fully for
-# any value from 3,000 up.  The value stays 12,000: 7,000 or 15,000 regroup
-# the N = 64 sweeps (15,000 the N = 128 ones too), and so move outputs.
-_SYNTHESIS_COST = 12_000
+_COORDINATES = ("receiver plane", "source plane", "lag")  # the columns of a sample row
 
 SELF_SUM = "self_sum"
 RELATIVE = "relative"
@@ -129,10 +120,11 @@ def build_channel_matrix(scene: SceneConfig, tx: ArrayLayout, rx: ArrayLayout,
                          spec: QuadratureSpec | None = None) -> ChannelMatrix:
     """Sample the impulse response at every transmit/receive antenna pair.
 
-    With ``spec=None`` node counts are sized automatically from the largest
-    oscillation budget over all pairs.  An explicit undersized ``spec``
-    still evaluates, but the matrix is flagged and a single
-    :class:`UnderResolvedWarning` is emitted for the whole assembly.
+    With ``spec=None`` each run of lags is sized at its own oscillation
+    budget, and the matrix records the largest budget over its pairs.  An
+    explicit undersized ``spec`` still evaluates, but the matrix is flagged
+    and a single :class:`UnderResolvedWarning` is emitted for the whole
+    assembly.
     """
     return _assemble([scene], [(tx, rx)], component, spec)[0][0]
 
@@ -152,126 +144,111 @@ def build_channel_matrices(scenes: Sequence[SceneConfig], tx: ArrayLayout,
 
 @dataclass(frozen=True, eq=False)
 class _Samples:
-    """The distinct (receiver_z, source_z, rho) sample rows of one layout
-    pair with their lattice keys, each entry's position among them, the
-    node count they need and, on a single pair of planes, that pair and
-    their price per lag in real J0 evaluations: the summed cost of their
-    paths."""
+    """The distinct (receiver_z, source_z, rho) sample rows of one or more
+    layout pairs, with their lattice keys and each entry's position among
+    them.  A key merges samples equal up to float noise; its row holds
+    their smallest coordinates, which no order of the entries changes."""
 
     rows: np.ndarray
     keys: np.ndarray
     index_of: np.ndarray
-    needed: QuadratureSpec
-    planes: tuple[float, float] | None
-    rate: int | None
 
 
-def _samples(scenes: list[SceneConfig], tx: ArrayLayout, rx: ArrayLayout,
-             component: FieldComponent, spec: QuadratureSpec | None) -> _Samples:
+def _samples(tx: ArrayLayout, rx: ArrayLayout) -> _Samples:
     tx_pos = tx.positions
     rx_pos = rx.positions
-    shape = (rx.count, tx.count)
     delta = rx_pos[:, None, :2] - tx_pos[None, :, :2]
-    rho = np.hypot(delta[..., 0], delta[..., 1])
+    rows = np.empty((rx.count, tx.count, 3))
+    rows[..., 0] = rx_pos[:, None, 2]
+    rows[..., 1] = tx_pos[:, 2]
+    rows[..., 2] = np.hypot(delta[..., 0], delta[..., 1])
     # An axis with no z component keeps an array on one plane, so only a tilted
     # array keys its planes, and only its lags can split among pairs of them.
-    planes = [np.broadcast_to(z, shape) for z, layout in
-              ((rx_pos[:, None, 2], rx), (tx_pos[:, 2], tx)) if layout.axis[2]]
-    keys = np.rint(np.stack([*planes, rho]).reshape(len(planes) + 1, -1) / _LAG_QUANTUM)
-    first, index_of = _distinct_samples(keys.astype(np.int64).T)
-    at_rx, at_tx = np.divmod(first, tx.count)
-    rows = np.stack([rx_pos[at_rx, 2], tx_pos[at_tx, 2], rho.ravel()[first]], axis=1)
-    pairs = (np.split(rows, np.flatnonzero(np.any(rows[1:, :2] != rows[:-1, :2], axis=1)) + 1)
-             if planes else [rows])
-    plans = [_plan([_on_planes(scene, tuple(on[0, :2].tolist())) for scene in scenes],
-                   component, on[:, 2], spec)
-             for on in pairs]
-    single = len(pairs) == 1
-    return _Samples(rows, np.rint(rows / _LAG_QUANTUM).astype(np.int64), index_of,
-                    QuadratureSpec(max(need for need, _ in plans)),
-                    tuple(rows[0, :2].tolist()) if single else None,
-                    sum(path.cost for _, path in plans[0][1]) if single else None)
+    return _distinct(rows.reshape(-1, 3),
+                     [i for i, layout in ((0, rx), (1, tx)) if layout.axis[2]] + [2])
 
 
-def _union(members: list[_Samples]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The distinct sample rows of the layouts of one synthesis, which share
-    a pair of planes, and each layout's entries' positions among them."""
+def _distinct(rows: np.ndarray, keyed: list[int]) -> _Samples:
+    """The distinct sample rows among ``rows`` by the picometre keys of
+    their ``keyed`` columns (the others are constant)."""
+    first, index_of = _distinct_samples(_keys(rows[:, keyed], keyed))
+    merged = rows[first]
+    for i in keyed:
+        np.minimum.at(merged[:, i], index_of, rows[:, i])
+    return _Samples(merged, _keys(merged, range(3)), index_of)
+
+
+def _keys(values: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+    """The picometre lattice keys of ``values``, whose columns hold the
+    sample coordinates ``columns`` (positions in a sample row), refusing a
+    coordinate whose key overflows int64, beyond about 9,223 km."""
+    scaled = np.rint(values / _LAG_QUANTUM)
+    within = np.abs(scaled) < 2.0**63
+    if not within.all():
+        at = int(np.argmin(within.all(axis=0)))
+        raise ValueError(f"{_COORDINATES[columns[at]]} {float(np.max(np.abs(values[:, at])))!r} "
+                         f"m lies beyond the 9,223 km reach of the picometre sample keys")
+    return scaled.astype(np.int64)
+
+
+def _union(members: list[_Samples]) -> tuple[_Samples, list[np.ndarray]]:
+    """The distinct sample rows of several layouts and each layout's
+    entries' positions among them; one layout is returned as it is."""
     if len(members) == 1:
-        return members[0].rows, [members[0].index_of]
-    first, index_of = _distinct_samples(np.concatenate([m.keys[:, 2:] for m in members]))
+        return members[0], [members[0].index_of]
+    union = _distinct(np.concatenate([m.rows for m in members]), [0, 1, 2])
     offsets = np.cumsum([0] + [len(m.rows) for m in members])
-    rows = np.concatenate([m.rows for m in members])[first]
-    return rows, [index_of[at + m.index_of] for at, m in zip(offsets, members)]
+    return union, [union.index_of[at + m.index_of] for at, m in zip(offsets, members)]
 
 
-def _batches(samples: list[_Samples]) -> list[list[int]]:
-    """The layouts of each synthesis.  Taken by largest lag, largest
-    first, a layout on the current synthesis's single pair of planes joins
-    it while the lags it adds, at the synthesis's rate, cost no more than
-    its own lags at its own rate plus ``_SYNTHESIS_COST``, the fixed cost
-    of a call.  A path sees a pair's lags only through the largest and
-    whether there is one, so a union runs its first layout's path: the
-    price is exact, bar a first layout of one positive lag on its own path,
-    which no sweep builds."""
-    order = sorted(range(len(samples)), key=lambda i: -float(samples[i].rows[:, 2].max()))
-    batches: list[list[int]] = []
-    planes, rate, held = None, 0, set()  # the current synthesis's pair, rate and rho keys
-    for i in order:
-        layout = samples[i]
-        lags = set(layout.keys[:, 2].tolist())
-        if layout.planes is not None and layout.planes == planes:
-            new = lags - held
-            if len(new) * rate <= len(layout.rows) * layout.rate + _SYNTHESIS_COST:
-                batches[-1].append(i)
-                held |= new
-                continue
-        batches.append([i])
-        planes, rate, held = layout.planes, layout.rate, lags
-    return batches
+def _budget(scenes: list[SceneConfig], component: FieldComponent, samples: _Samples) -> int:
+    """The oscillation budget of a layout's samples: the largest over the
+    scenes and the pairs of planes, each pair at its largest lag, its last
+    row, as the rows are sorted by planes, then lag."""
+    planes = samples.keys[:, :2]
+    ends = ([] if planes[0].tolist() == planes[-1].tolist()
+            else np.flatnonzero(np.any(planes[1:] != planes[:-1], axis=1)).tolist())
+    return max(_plane_budget(_on_planes(scene, (r_z, s_z)), component, rho).n_alpha
+               for r_z, s_z, rho in samples.rows[[*ends, -1]].tolist() for scene in scenes)
 
 
 def _assemble(scenes: Sequence[SceneConfig], layouts: Sequence[tuple[ArrayLayout, ArrayLayout]],
               component: FieldComponent,
               spec: QuadratureSpec | None) -> list[list[ChannelMatrix]]:
     """The channel matrix of every scene for every (tx, rx) layout pair,
-    one list of scenes per layout, in the order given.  Layouts share
-    syntheses as :func:`_batches` plans them; each synthesis runs at
-    ``spec``, or at the largest count its layouts need."""
+    one list of scenes per layout, in the order given, from one synthesis
+    of their distinct samples at ``spec``, or, when None, with each run of
+    lags at its own budget.  Each matrix records ``spec``, or its own
+    layout's budget."""
     scenes = _material_batch(scenes)
-    samples = [_samples(scenes, tx, rx, component, spec) for tx, rx in layouts]
-    matrices: list[list[ChannelMatrix]] = [[] for _ in layouts]
+    samples = [_samples(tx, rx) for tx, rx in layouts]
+    union, positions = _union(samples)
+    lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z)
+            for r_z, s_z, rho in union.rows.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderResolvedWarning)
+        values = synthesize_impulse(scenes, component, lags, spec)
+    if not np.all(np.isfinite(values)):
+        raise RuntimeError("channel matrix contains non-finite entries")
+    matrices: list[list[ChannelMatrix]] = []
     unmet = 0
-    for batch in _batches(samples):
-        members = [samples[i] for i in batch]
-        rows, positions = _union(members)
-        lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z)
-                for r_z, s_z, rho in rows.tolist()]
-        used = spec or QuadratureSpec(max(m.needed.n_alpha for m in members))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnderResolvedWarning)
-            values = synthesize_impulse(scenes, component, lags, used)
-        if not np.all(np.isfinite(values)):
-            raise RuntimeError("channel matrix contains non-finite entries")
-        for i, member, at in zip(batch, members, positions):
-            tx, rx = layouts[i]
-            under_resolved = _nodes_used(used.n_alpha) < member.needed.n_alpha
-            if under_resolved:
-                unmet = max(unmet, member.needed.n_alpha)
-            matrices[i] = [
-                ChannelMatrix(
-                    entries=row[at].reshape(rx.count, tx.count), tx=tx, rx=rx,
-                    component=component, scene=scene, spec=used,
-                    under_resolved=under_resolved, distinct_evaluations=len(member.rows),
-                )
-                for scene, row in zip(scenes, values)
-            ]
+    for (tx, rx), member, at in zip(layouts, samples, positions):
+        needed = _budget(scenes, component, member)
+        used = spec or QuadratureSpec(needed)
+        under_resolved = _nodes_used(used.n_alpha) < needed
+        unmet = max(unmet, needed if under_resolved else 0)
+        matrices.append([
+            ChannelMatrix(
+                entries=row[at].reshape(rx.count, tx.count), tx=tx, rx=rx,
+                component=component, scene=scene, spec=used,
+                under_resolved=under_resolved, distinct_evaluations=len(member.rows),
+            )
+            for scene, row in zip(scenes, values)
+        ])
     if unmet:
-        warnings.warn(
-            f"matrix assembled with node counts below the oscillation budget "
-            f"(requested n_alpha={spec.n_alpha}, needed {unmet})",
-            UnderResolvedWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"matrix assembled with node counts below the oscillation budget "
+                      f"(requested n_alpha={spec.n_alpha}, needed {unmet})",
+                      UnderResolvedWarning, stacklevel=3)
     return matrices
 
 

@@ -49,7 +49,9 @@ evaluations.  The shared path, straight or bent, is fixed by the part's
 oscillation budget, and counts past the budget only refine it.  A single
 positive lag in a call at or past its budget takes its own path where
 that is cheaper at the count evaluated, for every scene of a material
-batch or for none.
+batch or for none.  Several lags on one pair of planes are sorted and cut
+into runs, each on the shared paths of its largest lag, where the real J0
+evaluations saved outweigh a run's fixed cost (:func:`_runs`).
 
 On the bent leg J0 takes complex arguments x = rho k.  For a block of
 several lags it is taken from Hankel's expansion J0(x) = sqrt(2 / (pi x))
@@ -104,6 +106,11 @@ _HANKEL_NEAR = 40.0  # hankel1e loses |x| 2^-53 up to ~10 below the real axis; t
 _HANKEL_FAR = 18.0  # |x| from which Hankel's expansion of J0 meets 2^-53 in _HANKEL_TERMS terms
 _HANKEL_TERMS = 28
 _HANKEL_LAGS = 4  # fewest lags whose Hankel Bessel matrix costs less than jv's (64-node leg)
+# Fixed cost of a run (_runs) in real J0: the intercept of its time against its lag count,
+# over its time per lag per unit of its paths' cost.  For the fig3/fig5 spacings (57.5-300
+# GHz, N = 16-64, one BLAS thread, 2-core Xeon) 2,500-6,300 for the direct channel and
+# 11,700-18,800 for four materials; 6,000 and 20,000 made fig5 passes up to 6% slower.
+_RUN_COST = 12_000
 _Nodes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]  # k_rho, k1z, weight, angle
 
 
@@ -656,13 +663,17 @@ def _leg_j0(rho: np.ndarray, krho: np.ndarray) -> np.ndarray:
     return values
 
 
+_Plan = tuple[int, list[tuple[FieldComponent, _Path | _LagPath]]]  # budget, each part's path
+
+
 def _plan(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray,
           spec: QuadratureSpec | None = None, *, bend: bool = True,
-          per_lag: bool = True) -> tuple[int, list[tuple[FieldComponent, _Path | _LagPath]]]:
+          per_lag: bool = True) -> _Plan:
     """The oscillation budget of the lags ``rho`` on the scenes' shared
     planes, over every scene, and each part of ``component`` with the path
     :func:`_path` picks for them at ``spec``, or at that budget when None."""
-    need = max(_plane_budget(scene, component, float(rho.max())).n_alpha for scene in scenes)
+    largest = float(rho.max())
+    need = max(_plane_budget(scene, component, largest).n_alpha for scene in scenes)
     budgets = _part_specs(scenes, component, QuadratureSpec(need))
     specs = budgets if spec is None else _part_specs(scenes, component, spec)
     return need, [(part, _path(scenes, part, part_spec, budget.n_alpha, rho, bend=bend,
@@ -670,24 +681,47 @@ def _plan(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray,
                   for (part, part_spec), (_, budget) in zip(specs, budgets)]
 
 
-def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
-                          lags: list[SpatialLag], spec: QuadratureSpec, *,
-                          bend: bool = True, per_lag: bool = True) -> np.ndarray:
-    """Every lag of every scene on the scenes' shared planes, as a
-    (scene x lag) array: the sum over the parts of the component, each on
-    the path :func:`_path` picks, a lag's own (:func:`_lag_sum`) or the
-    shared one, block by block (:func:`_shared_sums`).  ``bend=False``
-    forces the straight paths; ``per_lag=False`` keeps the shared ones."""
-    rho = np.array([lag.transverse for lag in lags])
-    needed, paths = _plan(scenes, component, rho, spec, bend=bend, per_lag=per_lag)
-    used = _nodes_used(spec.n_alpha)
-    if used < needed:
-        warnings.warn(
-            f"node count n_alpha={used} below the oscillation budget "
-            f"n_alpha={needed}",
-            UnderResolvedWarning,
-            stacklevel=3,
-        )
+def _runs(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray,
+          spec: QuadratureSpec | None, *, bend: bool = True) -> list[tuple[int, _Plan]]:
+    """Cut the ascending lags ``rho`` into runs, each on the shared paths
+    :func:`_plan` picks for its largest lag, at the least price: a run's
+    lags times the summed cost of its paths, plus ``_RUN_COST``.  A path
+    steps with the largest lag, so not every lag is planned: the last and
+    the first are, then the middle of two planned lags wherever the lags
+    between them, priced at the lower of their two rates, would save more
+    than a run costs.  A dynamic program over the planned lags (Bellman,
+    Comm. ACM 4(6), 1961) picks the cuts.  Returns each run's stop and
+    plan, in order."""
+    plans: dict[int, tuple[_Plan, int]] = {}  # a planned lag's plan and rate
+
+    def rate(i: int) -> int:
+        if i not in plans:
+            plan = _plan(scenes, component, rho[i:i + 1], spec, bend=bend, per_lag=False)
+            plans[i] = plan, sum(path.cost for _, path in plan[1])
+        return plans[i][1]
+
+    spans = [(0, rho.size - 1)]
+    while spans:
+        lo, hi = spans.pop()
+        if (hi - lo - 1) * (rate(hi) - rate(lo)) > _RUN_COST:
+            spans += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+    ends = sorted(plans)
+    best = {-1: (0, None)}  # the least price of the lags up to an end, and the end before
+    for end in ends:
+        best[end] = min((best[j][0] + (end - j) * plans[end][1] + _RUN_COST, j)
+                        for j in (-1, *ends) if j < end)
+    runs, end = [], ends[-1]
+    while end >= 0:
+        runs.insert(0, (end + 1, plans[end][0]))
+        end = best[end][1]
+    return runs
+
+
+def _sums(scenes: list[SceneConfig], paths: list[tuple[FieldComponent, _Path | _LagPath]],
+          rho: np.ndarray, lags: list[SpatialLag]) -> np.ndarray:
+    """The (lag x scene) sum over the parts of the lags ``rho`` of one run
+    on its paths: a single lag's own (:func:`_lag_sum`) or the shared one,
+    block by block (:func:`_shared_sums`)."""
     values = 0.0
     for part, path in paths:
         if isinstance(path, _LagPath):
@@ -695,12 +729,48 @@ def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
         else:
             for piece in _shared_sums(scenes, part, path, rho):
                 values = values + piece
-    return values.T
+    return values
+
+
+def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
+                          lags: list[SpatialLag], spec: QuadratureSpec | None, *,
+                          bend: bool = True, per_lag: bool = True) -> np.ndarray:
+    """Every lag of every scene on the scenes' shared planes, as a
+    (scene x lag) array.  A single lag is one run, on the paths
+    :func:`_path` picks for it, its own or the shared one.  Several lags
+    are sorted and cut into runs on shared paths (:func:`_runs`), each
+    synthesized on the plan that priced it.  Each run is sized at
+    ``spec``, or at its own budget when None.  ``bend=False`` forces the
+    straight paths; ``per_lag=False`` keeps the shared ones."""
+    rho = np.array([lag.transverse for lag in lags])
+    order = None
+    if rho.size == 1:
+        runs = [(1, _plan(scenes, component, rho, spec, bend=bend, per_lag=per_lag))]
+    else:
+        if np.any(rho[1:] < rho[:-1]):
+            order = np.argsort(rho, kind="stable")
+            rho = rho[order]
+        runs = _runs(scenes, component, rho, spec, bend=bend)
+    needed = runs[-1][1][0]
+    if spec is not None and _nodes_used(spec.n_alpha) < needed:
+        warnings.warn(f"node count n_alpha={_nodes_used(spec.n_alpha)} below the oscillation "
+                      f"budget n_alpha={needed}", UnderResolvedWarning, stacklevel=3)
+    if len(runs) == 1:
+        values = _sums(scenes, runs[0][1][1], rho, lags).T
+    else:
+        starts = [0, *(stop for stop, _ in runs)]
+        values = np.concatenate([_sums(scenes, paths, rho[start:stop], lags)
+                                 for start, (stop, (_, paths)) in zip(starts, runs)]).T
+    if order is None:
+        return values
+    unsorted = np.empty_like(values)
+    unsorted[:, order] = values
+    return unsorted
 
 
 def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: FieldComponent,
                        lag: SpatialLag | Sequence[SpatialLag],
-                       spec: QuadratureSpec) -> complex | np.ndarray:
+                       spec: QuadratureSpec | None) -> complex | np.ndarray:
     """Spatial impulse response at one or many receiver/source sample pairs.
 
     Parameters
@@ -718,17 +788,19 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         Transverse receiver-minus-source offsets, with optional plane
         overrides: one :class:`SpatialLag` or a sequence of them (a lag
         axis, in the same order).  One scene and one lag return a complex.
-        Lags on the same pair of planes share one synthesis path per part
-        of the component, its nodes and its coefficient vector.  Where the
-        polar-angle segment is electrically long, the path leaves the real
-        axis a little past the specular angle of the pair's largest lag
-        and descends on a short leg of complex angles; otherwise it runs
-        the whole disk and the branch cut, sized for the largest lag.  Where
+        The lags of a pair of planes are sorted and cut into runs by cost
+        (:func:`_runs`): each run shares one synthesis path per part of
+        the component, sized for its largest lag, with its nodes and its
+        coefficient vector.  Where the polar-angle segment is electrically
+        long, the path leaves the real axis a little past the specular
+        angle of the run's largest lag and descends on a short leg of
+        complex angles; otherwise it runs the whole disk and the branch
+        cut.  A single lag on its pair of planes is one run.  Where
         cheaper, the direct wave and the image, off the conductor or off a
         dielectric whose far-side branch points lie past the tail cutoff,
-        instead run a single positive lag on its own path across the
-        specular saddle, for every scene of the call or for none; one
-        chooser, :func:`_path`, makes both choices.
+        instead run that lag on its own path across the specular saddle,
+        for every scene of the call or for none; one chooser,
+        :func:`_path`, makes both choices.
     spec:
         Node count of the disk rule over [0, pi/2]: it fixes the node
         spacing on the straight path, and on the real segment [0, a0] of a
@@ -739,7 +811,8 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         budget, and chosen at the count given, so past the budget a call
         may switch to it; its start and saddle path get n_alpha // budget
         panels each, per part.  Counts below the oscillation budget of any
-        scene trigger :class:`UnderResolvedWarning` but still evaluate.
+        lag trigger :class:`UnderResolvedWarning` but still evaluate.
+        None sizes each run at the budget of its own largest lag.
     """
     scenes = _material_batch(scene)
     lags = [lag] if isinstance(lag, SpatialLag) else list(lag)

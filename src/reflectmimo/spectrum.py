@@ -249,7 +249,7 @@ def _lengths(scene: SceneConfig, part: FieldComponent) -> tuple[float, float]:
         index = scene.medium.material.refractive_index
         beyond = 0.0 if index is None else index * (r_z - d1)
         return (d1 - s_z) + beyond, d1 - s_z
-    image = 2.0 * d1 - r_z - s_z
+    image = 2.0 * d1 - (r_z + s_z)  # rounded as _term's phase, whichever plane is the source
     return image, image
 
 

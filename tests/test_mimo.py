@@ -263,9 +263,16 @@ def _lattice(tx, rx):
     return samples, np.rint(samples / 1e-12).astype(np.int64)
 
 
-def _row_wise_unique(keys):
+def _row_wise_unique(keys, samples):
+    """``np.unique`` of lattice keys by row: the first occurrences, each
+    row's position among them, and each distinct key's smallest
+    coordinates."""
     _, first, index_of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first, index_of.ravel()  # the inverse's shape differs across numpy 2.x
+    index_of = index_of.ravel()  # the inverse's shape differs across numpy 2.x
+    smallest = samples[first]
+    for column in range(samples.shape[1]):
+        np.minimum.at(smallest[:, column], index_of, samples[:, column])
+    return first, index_of, smallest
 
 
 @pytest.mark.parametrize("tx_kind, rx_kind, counts", [
@@ -279,33 +286,38 @@ def _row_wise_unique(keys):
 @given(data=st.data())
 def test_layout_samples_match_the_row_wise_unique(tx_kind, rx_kind, counts, data):
     """A layout's distinct rows, their keys and each entry's position among
-    them are ``np.unique`` of its lattice keys, by row: parallel, in-plane
-    and out-of-plane axes (several pairs of planes), unequal counts and
-    single antennas."""
+    them are ``np.unique`` of its lattice keys, by row, each row holding
+    its key's smallest coordinates: parallel, in-plane and out-of-plane
+    axes (several pairs of planes), unequal counts and single antennas."""
     tx = data.draw(_array(tx_kind, counts, 0.0))
     rx = data.draw(_array(rx_kind, counts, RANGE))
     samples, keys = _lattice(tx, rx)
-    first, index_of = _row_wise_unique(keys)
-    planned = mimo._samples([_KEYED_SCENE], tx, rx, FieldComponent.REFLECTION_ONLY, None)
-    assert np.array_equal(planned.rows, samples[first])
-    assert np.array_equal(planned.keys, keys[first])
-    assert np.array_equal(planned.index_of, index_of)
+    first, index_of, smallest = _row_wise_unique(keys, samples)
+    layout = mimo._samples(tx, rx)
+    assert np.array_equal(layout.rows, smallest)
+    assert np.array_equal(layout.keys, keys[first])
+    assert np.array_equal(layout.index_of, index_of)
+
+
+_ANY_ARRAY = st.sampled_from(["parallel", "in_plane", "out_of_plane"])
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.lists(st.tuples(_array("in_plane", (1, 6), 0.0), _array("parallel", (1, 6), RANGE)),
+@given(st.lists(st.tuples(_ANY_ARRAY.flatmap(lambda kind: _array(kind, (1, 6), 0.0)),
+                          _ANY_ARRAY.flatmap(lambda kind: _array(kind, (1, 6), RANGE))),
                 min_size=1, max_size=4))
 def test_union_on_one_pair_matches_the_row_wise_unique(layouts):
-    """Layouts on one pair of planes merge as ``np.unique`` of their
-    lattice keys together, by row, and each layout's entries land on their
-    own samples."""
+    """Layouts merge as ``np.unique`` of their lattice keys together, by
+    row, on one pair of planes or on several, each row holding its key's
+    smallest coordinates, and each layout's entries land on their own
+    samples."""
     lattices = [_lattice(tx, rx) for tx, rx in layouts]
-    first, index_of = _row_wise_unique(np.concatenate([keys for _, keys in lattices]))
+    samples = np.concatenate([samples for samples, _ in lattices])
+    _, index_of, smallest = _row_wise_unique(np.concatenate([keys for _, keys in lattices]),
+                                             samples)
     starts = np.cumsum([0] + [len(keys) for _, keys in lattices])
-    rows, positions = mimo._union([
-        mimo._samples([_KEYED_SCENE], tx, rx, FieldComponent.REFLECTION_ONLY, None)
-        for tx, rx in layouts])
-    assert np.array_equal(rows, np.concatenate([samples for samples, _ in lattices])[first])
+    union, positions = mimo._union([mimo._samples(tx, rx) for tx, rx in layouts])
+    assert np.array_equal(union.rows, smallest)
     for at, end, position in zip(starts, starts[1:], positions):
         assert np.array_equal(position, index_of[at:end])
 
@@ -457,61 +469,9 @@ def test_capacity_sweep_shares_syntheses(monkeypatch, name, syntheses):
     assert counts["calls"] == syntheses
 
 
-def test_wide_sweep_keeps_the_real_j0_work(monkeypatch):
-    """At N = 64 the spacings span lags so unalike that one synthesis would
-    put every small lag on the largest lag's path; the cost guard shares
-    syntheses and keeps the real-J0 work within 5% of one build per
-    spacing."""
-    counts = _count_syntheses(monkeypatch)
-    config = ExperimentConfig(antennas=64)
-    run_named("fig5", config)
-    shared = dict(counts)
-    counts.update(calls=0, work=0)
-    monkeypatch.setattr(mimo, "_batches", lambda *args: [[i] for i in range(len(args[-1]))])
-    run_named("fig5", config)
-    assert shared["calls"] < counts["calls"]
-    assert shared["work"] <= 1.05 * counts["work"]
-
-
-def _planned_cost(scenes, component, rows):
-    """Real-J0 cost of synthesizing ``rows``, each pair of planes planned
-    afresh: its lags times the summed cost of its parts' paths."""
-    cuts = np.flatnonzero(np.any(rows[1:, :2] != rows[:-1, :2], axis=1)) + 1
-    total = 0
-    for pair in np.split(rows, cuts):
-        on = [quadrature._on_planes(scene, tuple(pair[0, :2].tolist())) for scene in scenes]
-        _, paths = quadrature._plan(on, component, pair[:, 2])
-        total += len(pair) * sum(path.cost for _, path in paths)
-    return total
-
-
-def _reference_batches(scenes, component, samples):
-    """Batches priced by planning every union afresh: taken by largest
-    lag, a layout joins while the union costs no more than the synthesis
-    and the layout apart plus the fixed cost of a call."""
-    order = sorted(range(len(samples)), key=lambda i: -float(samples[i].rows[:, 2].max()))
-    batches, cost = [], 0
-    for i in order:
-        alone = _planned_cost(scenes, component, samples[i].rows)
-        if batches:
-            rows, _ = mimo._union([samples[j] for j in (*batches[-1], i)])
-            joined = _planned_cost(scenes, component, rows)
-            if joined <= cost + alone + mimo._SYNTHESIS_COST:
-                batches[-1].append(i)
-                cost = joined
-                continue
-        batches.append([i])
-        cost = alone
-    return batches
-
-
-@pytest.mark.parametrize("count", [8, 16, 64])
-@pytest.mark.parametrize("rule", ["snr_dependent_D", "snr_dependent_De"])
-@pytest.mark.parametrize("group", ["los", "materials"])
-def test_batches_price_unions_by_arithmetic(monkeypatch, count, rule, group):
-    """The fig3/fig5 SNR sweeps batch as a fresh plan of every union says,
-    though ``_batches`` prices a union from its layouts' own plans and
-    plans nothing itself."""
+def _sweep(count, rule, group):
+    """The layouts of a fig3/fig5 SNR sweep's group under ``rule``, with
+    the group's scenes and component."""
     config = ExperimentConfig(antennas=count)
     context = experiments._Context(config)
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
@@ -519,41 +479,79 @@ def test_batches_price_unions_by_arithmetic(monkeypatch, count, rule, group):
     layouts = [(ArrayLayout.along_x(count, spacing, 0.0),
                 ArrayLayout.along_x(count, spacing, config.range_m)) for spacing in spacings]
     if group == "los":
-        scenes = [context.scene(material_by_name("vacuum"))]
-        component = FieldComponent.LOS_ONLY
-    else:
-        scenes = [context.scene(material_by_name(name)) for name in config.materials]
-        component = FieldComponent.REFLECTION_ONLY
-    samples = [mimo._samples(scenes, tx, rx, component, None) for tx, rx in layouts]
-    expected = _reference_batches(scenes, component, samples)
+        return layouts, [context.scene(material_by_name("vacuum"))], FieldComponent.LOS_ONLY
+    scenes = [context.scene(material_by_name(name)) for name in config.materials]
+    return layouts, scenes, FieldComponent.REFLECTION_ONLY
 
-    def unplanned(*args, **kwargs):
-        raise AssertionError("_batches planned a path")
 
-    monkeypatch.setattr(quadrature, "_path", unplanned)
-    assert mimo._batches(samples) == expected
+def test_wide_sweep_keeps_the_real_j0_work(monkeypatch):
+    """At N = 64 the spacings span lags so unalike that one path for all of
+    them would put every small lag on the largest lag's path; the synthesis
+    cuts the lags into runs instead, so fig5's two syntheses do no more
+    real-J0 work than one build per spacing."""
+    counts = _count_syntheses(monkeypatch)
+    run_named("fig5", ExperimentConfig(antennas=64))
+    shared = dict(counts)
+    counts.update(calls=0, work=0)
+    for rule, group in (("snr_dependent_D", "los"), ("snr_dependent_De", "materials")):
+        layouts, scenes, component = _sweep(64, rule, group)
+        for tx, rx in layouts:
+            build_channel_matrices(scenes, tx, rx, component)
+    assert shared["calls"] == 2 < counts["calls"]
+    assert shared["work"] <= counts["work"]
+
+
+def _counted_paths(monkeypatch):
+    """The (scene count, part, largest lag) of every path choice."""
+    planned = []
+    path = quadrature._path
+
+    def counted(scenes, part, spec, budget, rho, **kwargs):
+        planned.append((len(scenes), part, float(rho.max())))
+        return path(scenes, part, spec, budget, rho, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_path", counted)
+    return planned
+
+
+@pytest.mark.parametrize("count", [8, 16, 64])
+@pytest.mark.parametrize("rule", ["snr_dependent_D", "snr_dependent_De"])
+@pytest.mark.parametrize("group", ["los", "materials"])
+def test_batches_price_unions_by_arithmetic(monkeypatch, count, rule, group):
+    """The union of a fig3/fig5 sweep's layouts goes to one synthesis,
+    which prices its runs by arithmetic on plans made once: a run's lags
+    times the summed cost of its paths.  Each path choice is for a lag of
+    its own, fewer lags are planned than the union holds, and the chosen
+    runs synthesize on their pricing plans, planning nothing again."""
+    layouts, scenes, component = _sweep(count, rule, group)
+    lags = len(mimo._union([mimo._samples(tx, rx) for tx, rx in layouts])[0].rows)
+    planned = _counted_paths(monkeypatch)
+    _assemble(scenes, layouts, component, None)
+    assert len(set(planned)) == len(planned) < lags
 
 
 def test_sweep_plans_each_layout_and_synthesis_once(monkeypatch):
-    """fig5 at N = 16 plans each layout once and each synthesis once; both
-    of its components have a single part, so 16 layouts and 2 syntheses
-    take 18 path choices."""
-    counts = _count_syntheses(monkeypatch)
-    plans = {"paths": 0, "layouts": 0}
-    path, samples = quadrature._path, mimo._samples
-
-    def counted_path(*args, **kwargs):
-        plans["paths"] += 1
-        return path(*args, **kwargs)
-
-    def counted_samples(*args):
-        plans["layouts"] += 1
-        return samples(*args)
-
-    monkeypatch.setattr(quadrature, "_path", counted_path)
-    monkeypatch.setattr(mimo, "_samples", counted_samples)
+    """fig5 at N = 16 plans no layout: each synthesis plans each lag it
+    prices once and runs each chosen run on its pricing plan.  Both of its
+    components have a single part, so it takes no more than the 18 path
+    choices of planning each of its 16 layouts and 2 syntheses once."""
+    planned = _counted_paths(monkeypatch)
     run_named("fig5", ExperimentConfig(antennas=16))
-    assert plans["paths"] == plans["layouts"] + counts["calls"] == 18
+    assert len(set(planned)) == len(planned) <= 18
+
+
+def test_far_samples_name_the_coordinate_their_key_cannot_hold():
+    """A lag or plane beyond the ~9,223 km reach of the int64 picometre
+    keys is refused by name, not merged or misordered."""
+    medium = Medium(1e6, PERFECT_CONDUCTOR)
+    scene = SceneConfig(medium=medium, surface_z=1e5, source_z=0.0, receiver_z=5e4)
+    with pytest.raises(ValueError, match="lag 12000000.0 m"):
+        build_channel_matrix(scene, ArrayLayout.along_x(3, 6e6, 0.0),
+                             ArrayLayout.along_x(3, 6e6, 5e4), FieldComponent.REFLECTION_ONLY)
+    scene = SceneConfig(medium=medium, surface_z=2e7, source_z=0.0, receiver_z=1e7)
+    with pytest.raises(ValueError, match="receiver plane 10000000.0 m"):
+        build_channel_matrix(scene, ArrayLayout.along_x(3, 1.0, 0.0),
+                             ArrayLayout.along_x(3, 1.0, 1e7), FieldComponent.REFLECTION_ONLY)
 
 
 class TestEigenSpectrum:
@@ -681,6 +679,22 @@ class TestSpacingRules:
                 spacing_snr(1e-3, 10.0, 8, bad)
 
 
+def _reciprocity_gap(material, source_z, receiver_z, gap, count, spacing, offset):
+    """The upgoing channel against the transposed downgoing one, relative
+    to its largest entry."""
+    medium = Medium(57.5e9, material)
+    surface_z = receiver_z + 11.0 * medium.wavelength + gap
+    tx = ArrayLayout(count, spacing, center=(0.0, 0.0, source_z))
+    rx = ArrayLayout(count + 1, 1.5 * spacing, center=(offset, 0.0, receiver_z))
+    up = SceneConfig(medium=medium, surface_z=surface_z, source_z=source_z,
+                     receiver_z=receiver_z)
+    down = dataclasses.replace(up, source_z=receiver_z, receiver_z=source_z)
+    forward = build_channel_matrix(up, tx, rx, FieldComponent.LOS_PLUS_REFLECTION)
+    backward = build_channel_matrix(down, rx, tx, FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION)
+    scale = np.max(np.abs(forward.entries))
+    return np.max(np.abs(forward.entries - backward.entries.T)) / scale
+
+
 class TestReciprocity:
     """Swapping transmitter and receiver transposes the channel: the upgoing
     direct-plus-reflected field from the source plane to the receiver plane
@@ -699,15 +713,24 @@ class TestReciprocity:
     )
     def test_upgoing_is_the_transposed_downgoing(self, material, source_z, receiver_z,
                                                  gap, count, spacing, offset):
-        medium = Medium(57.5e9, material)
-        surface_z = receiver_z + 11.0 * medium.wavelength + gap
-        tx = ArrayLayout(count, spacing, center=(0.0, 0.0, source_z))
-        rx = ArrayLayout(count + 1, 1.5 * spacing, center=(offset, 0.0, receiver_z))
-        up = SceneConfig(medium=medium, surface_z=surface_z, source_z=source_z,
-                         receiver_z=receiver_z)
-        down = dataclasses.replace(up, source_z=receiver_z, receiver_z=source_z)
-        forward = build_channel_matrix(up, tx, rx, FieldComponent.LOS_PLUS_REFLECTION)
-        backward = build_channel_matrix(
-            down, rx, tx, FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION)
-        scale = np.max(np.abs(forward.entries))
-        assert np.max(np.abs(forward.entries - backward.entries.T)) <= 1e-12 * scale
+        assert _reciprocity_gap(material, source_z, receiver_z, gap, count, spacing,
+                                offset) <= 1e-12
+
+    def test_image_length_is_the_same_from_either_plane(self):
+        """2 d1 - (r_z + s_z) rounds alike whichever plane is the source:
+        formed as 2 d1 - r_z - s_z, this example's direct part took 576
+        nodes one way and 577 the other, and differed by 6.6e-12."""
+        assert _reciprocity_gap(PERFECT_CONDUCTOR, -0.427734375, 0.05, 0.0, 4, 0.005,
+                                0.0) <= 1e-12
+
+    def test_merged_lag_key_is_evaluated_at_its_smallest_member(self):
+        """The lags 0.0625 -+ 3.8e-14 m share a picometre key.  Each
+        direction lists them in its own order, and both evaluate the key at
+        the smaller one: taken at its first occurrence, the two channels
+        differed by 4.2e-12."""
+        tx = ArrayLayout(2, 0.03125, center=(0.0, 0.0, -1.0))
+        rx = ArrayLayout(3, 0.046875, center=(3.8e-14, 0.0, 1.0))
+        forward, backward = mimo._samples(tx, rx), mimo._samples(rx, tx)
+        assert np.array_equal(forward.rows[:, 2], backward.rows[:, 2])
+        assert _reciprocity_gap(PERFECT_CONDUCTOR, -1.0, 1.0, 0.0, 2, 0.03125,
+                                3.8e-14) <= 1e-12

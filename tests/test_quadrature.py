@@ -856,8 +856,9 @@ class TestNodeBlocks:
     @pytest.mark.parametrize("block_scalars", [1, 1 << 40], ids=["one-panel", "one-block"])
     def test_block_size_leaves_the_matrix_unchanged(self, monkeypatch, block_scalars):
         """fig4's 64-element LOS channel at 300 GHz, at the spacing of its
-        reflected arrays: by default its 64 lags split the 33-panel real
-        segment into two blocks."""
+        reflected arrays: its 64 lags run in 3 runs, on real segments of
+        11, 21 and 33 panels, each with a one-panel leg, and by default
+        each piece of each run is one block."""
         config = ExperimentConfig(frequency_ghz=300.0, antennas=64)
         scene = SceneConfig(medium=Medium(config.frequency_hz, VACUUM), surface_z=config.d1_m,
                             source_z=0.0, receiver_z=config.range_m)
@@ -868,17 +869,99 @@ class TestNodeBlocks:
         original = quadrature._coefficients
 
         def counting(scenes, part, k1z, *args):
-            blocks.append(k1z.size)
+            blocks.append(k1z.size // _PANEL)
             return original(scenes, part, k1z, *args)
 
         monkeypatch.setattr(quadrature, "_coefficients", counting)
         default = build_channel_matrix(scene, tx, rx, FieldComponent.LOS_ONLY).entries
-        assert len(blocks) == 3 and sum(blocks) == 34 * _PANEL
+        assert blocks == [11, 1, 21, 1, 33, 1]
         blocks.clear()
         monkeypatch.setattr(quadrature, "_BESSEL_BLOCK_SCALARS", block_scalars)
         entries = build_channel_matrix(scene, tx, rx, FieldComponent.LOS_ONLY).entries
-        assert blocks == ([_PANEL] * 34 if block_scalars == 1 else [33 * _PANEL, _PANEL])
+        assert blocks == ([1] * 68 if block_scalars == 1 else [11, 1, 21, 1, 33, 1])
         assert np.max(np.abs(entries - default)) <= 1e-13 * np.max(np.abs(default))
+
+
+_RUN_SCENES = {
+    "los_57.5GHz": ([SceneConfig(medium=Medium(57.5e9, VACUUM), surface_z=11.0, source_z=0.0,
+                                 receiver_z=10.0)], FieldComponent.LOS_ONLY),
+    "materials_300GHz": ([SceneConfig(medium=Medium(300e9, material), surface_z=15.0,
+                                      source_z=0.0, receiver_z=10.0)
+                          for material in (PERFECT_CONDUCTOR, CONCRETE)],
+                         FieldComponent.REFLECTION_ONLY),
+    "compound_140GHz": ([SceneConfig(medium=Medium(140e9, PLASTER_BOARD), surface_z=1.2,
+                                     source_z=0.0, receiver_z=0.6)],
+                        FieldComponent.LOS_PLUS_REFLECTION),
+}
+
+
+def _rate(plan):
+    return sum(path.cost for _, path in plan[1])
+
+
+class TestRuns:
+    """The lags of a call cut into runs on shared paths by their price."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(sorted(_RUN_SCENES)),
+           rho=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=60),
+           n_alpha=st.sampled_from([None, 4096, 100_000]))
+    def test_runs_cover_the_lags_on_their_largest_lags_plans(self, case, rho, n_alpha):
+        """Runs cover the sorted lags once, in order; each runs on the plan
+        of its largest lag; and their price, lags times the summed cost of
+        their paths plus ``_RUN_COST`` each, is at most one run's."""
+        scenes, component = _RUN_SCENES[case]
+        rho = np.sort(np.array(rho))
+        spec = None if n_alpha is None else QuadratureSpec(n_alpha)
+        runs = quadrature._runs(scenes, component, rho, spec)
+        stops = [stop for stop, _ in runs]
+        assert stops == sorted(set(stops)) and stops[0] > 0 and stops[-1] == rho.size
+        price = 0
+        for start, (stop, plan) in zip([0, *stops], runs):
+            assert plan == quadrature._plan(scenes, component, rho[stop - 1:stop], spec,
+                                            per_lag=False)
+            assert not any(isinstance(path, quadrature._LagPath) for _, path in plan[1])
+            price += (stop - start) * _rate(plan) + quadrature._RUN_COST
+        assert price <= rho.size * _rate(runs[-1][1]) + quadrature._RUN_COST
+
+    @pytest.mark.parametrize("lag_x", [0.0, 0.3, 1.0])
+    def test_single_lag_call_plans_once(self, monkeypatch, lag_x):
+        """A single-lag call is one run: it plans once and prices nothing.
+        Two lags price two plans, the smaller's and the larger's, and
+        synthesize on those."""
+        scene = _image_scene(Medium(300e9, PERFECT_CONDUCTOR), 20.0)
+        component = FieldComponent.REFLECTION_ONLY
+        lag = SpatialLag(lag_x)
+        spec = _auto_spec(scene, component, SpatialLag(2.0))
+        plans = []
+        plan, runs = quadrature._plan, quadrature._runs
+
+        def counted(*args, **kwargs):
+            plans.append(args)
+            return plan(*args, **kwargs)
+
+        def unpriced(*args, **kwargs):
+            raise AssertionError("a single lag was cut into runs")
+
+        monkeypatch.setattr(quadrature, "_plan", counted)
+        monkeypatch.setattr(quadrature, "_runs", unpriced)
+        synthesize_impulse(scene, component, lag, spec)
+        assert len(plans) == 1
+        monkeypatch.setattr(quadrature, "_runs", runs)
+        synthesize_impulse(scene, component, [lag, SpatialLag(2.0)], spec)
+        assert len(plans) == 3
+
+    def test_unsorted_lags_land_in_their_places(self):
+        """A call's lags are sorted for its runs and returned in the order
+        given: the reversed call is the call reversed."""
+        scenes, component = _RUN_SCENES["los_57.5GHz"]
+        lags = [SpatialLag(0.001 * k * k) for k in range(40)]
+        spec = _required_nodes(scenes[0], component, lags)
+        forward = synthesize_impulse(scenes[0], component, lags, spec)
+        assert len(quadrature._runs(scenes, component,
+                                    np.array([lag.x for lag in lags]), spec)) > 1
+        backward = synthesize_impulse(scenes[0], component, lags[::-1], spec)
+        assert np.array_equal(forward, backward[::-1])
 
 
 # J0 to 30 digits at the double arguments, from tests/reference/make_j0_reference.py
