@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .materials import VACUUM, Medium, material_by_name
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, _count_problem
 from .spectrum import SceneConfig, SceneError
 
 SPACING_RULES = ("rayleigh_D", "rayleigh_De", "snr_dependent_D", "snr_dependent_De")
@@ -77,8 +77,8 @@ class ExperimentConfig:
             problems.append(
                 f"range_m must satisfy 0 < range_m <= d1_m, got {self.range_m!r}"
             )
-        if self.antennas < 1:
-            problems.append(f"antennas must be >= 1, got {self.antennas}")
+        if problem := _count_problem("antennas", self.antennas, 1):
+            problems.append(problem)
         if not self.materials:
             problems.append("materials must be non-empty")
         spelled: dict[str, str] = {}  # catalog name -> the entry that named it first
@@ -113,8 +113,8 @@ class ExperimentConfig:
                 f"normalization must be one of {NORMALIZATIONS}, "
                 f"got {self.normalization!r}"
             )
-        if self.n_alpha is not None and self.n_alpha < 2:
-            problems.append(f"n_alpha must be >= 2, got {self.n_alpha}")
+        if self.n_alpha is not None and (problem := _count_problem("n_alpha", self.n_alpha, 2)):
+            problems.append(problem)
         if not problems:
             # Scene guards (surface clearance) depend on the wavelength, so
             # they can only run once the scalar fields are sane.

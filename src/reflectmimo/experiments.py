@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .capacity import _waterfill_rows, dof_bound
+from .capacity import DofBound, _waterfill_rows, dof_bound
 from .closedform import los_impulse, los_power
-from .config import ConfigError, ExperimentConfig, config_to_text
+from .config import SPACING_RULES, ConfigError, ExperimentConfig, config_to_text
 from .materials import PERFECT_CONDUCTOR, VACUUM, Material, Medium, material_by_name
 from .materials import fresnel_reflection, fresnel_transmission
 from .mimo import (
@@ -29,9 +29,9 @@ from .mimo import (
     ChannelMatrix,
     EigenSpectrum,
     _assemble,
+    _spacing_for_streams,
     eigen_spectrum,
     spacing_rayleigh,
-    spacing_snr,
 )
 from .quadrature import QuadratureSpec, SpatialLag, estimate_nodes, synthesize_impulse
 from .spectrum import FieldComponent, SceneConfig, oscillation_span
@@ -143,31 +143,26 @@ class _Context:
         self.node_counts[label] = max(spec.n_alpha, self.node_counts.get(label, 0))
 
 
-def _spacing_of(context: _Context, rule: str, snr_linear: float | None) -> float:
+def _spacing_of(context: _Context, rule: str, bound: DofBound | None) -> float:
+    """The spacing of ``rule``; an SNR-dependent rule takes the stream
+    count of the flat-spectrum ``bound`` at its SNR."""
     cfg = context.config
-    if rule == "rayleigh_D":
-        return spacing_rayleigh(context.wavelength, cfg.range_m, cfg.antennas)
-    if rule == "rayleigh_De":
-        return spacing_rayleigh(context.wavelength, cfg.equivalent_range_m, cfg.antennas)
-    if snr_linear is None:
-        raise ConfigError(
-            [f"spacing rule {rule!r} is SNR-dependent and needs an SNR sweep"]
-        )
-    if rule == "snr_dependent_D":
-        return spacing_snr(context.wavelength, cfg.range_m, cfg.antennas, snr_linear)
-    if rule == "snr_dependent_De":
-        return spacing_snr(
-            context.wavelength, cfg.equivalent_range_m, cfg.antennas, snr_linear,
-        )
-    raise ConfigError([f"unknown spacing rule {rule!r}"])
+    if rule not in SPACING_RULES:
+        raise ConfigError([f"unknown spacing rule {rule!r}"])
+    distance = cfg.equivalent_range_m if rule.endswith("_De") else cfg.range_m
+    if rule.startswith("rayleigh"):
+        return spacing_rayleigh(context.wavelength, distance, cfg.antennas)
+    if bound is None:
+        raise ConfigError([f"spacing rule {rule!r} is SNR-dependent and needs an SNR sweep"])
+    return _spacing_for_streams(context.wavelength, distance, cfg.antennas, bound.rho_star)
 
 
 def _walk(context: _Context, los_rule: str, reflected_rule: str,
-          snrs: Sequence[float | None]) -> list[tuple[str, str, list[float]]]:
+          bounds: Sequence[DofBound | None]) -> list[tuple[str, str, list[float]]]:
     """A table's groups in row order, each with its spacing rule and its
-    spacings at ``snrs``: the direct channel under ``los_rule``, then each
-    material under ``reflected_rule`` or the configured override.  It is
-    all worked out, and checked, before anything is built.  The direct
+    spacings at the SNRs of ``bounds``: the direct channel under ``los_rule``,
+    then each material under ``reflected_rule`` or the configured override.
+    It is all worked out, and checked, before anything is built.  The direct
     channel goes first as the table's reference rows; the materials' scale
     builds no direct channel, so the order changes no value or node count."""
     cfg = context.config
@@ -176,7 +171,8 @@ def _walk(context: _Context, los_rule: str, reflected_rule: str,
     if blank and cfg.normalization == "SelfSum":
         raise ConfigError([f"material {blank[0]!r} reflects nothing, so its channel "
                            f"is zero and normalization = SelfSum cannot scale it"])
-    spacings = {r: [_spacing_of(context, r, snr) for snr in snrs] for r in (los_rule, rule)}
+    spacings = {r: [_spacing_of(context, r, bound) for bound in bounds]
+                for r in (los_rule, rule)}
     return [("los", los_rule, spacings[los_rule]),
             *((name, rule, spacings[rule]) for name in cfg.materials)]
 
@@ -193,17 +189,19 @@ def _eigen_table(context: _Context, los_rule: str, reflected_rule: str) -> Resul
 
 def _capacity_table(context: _Context, los_rule: str, reflected_rule: str) -> ResultTable:
     """Capacity over the SNR grid, each group's grid waterfilled in one
-    call."""
+    call; each SNR's flat-spectrum bound, taken once, gives the SNR-matched
+    spacings and the upper-bound row."""
     cfg = context.config
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_grid_db]
+    bounds = [dof_bound(cfg.antennas, snr) for snr in snrs]
     rows: list[tuple] = []
-    for name, rule, spacings in _walk(context, los_rule, reflected_rule, snrs):
+    for name, rule, spacings in _walk(context, los_rule, reflected_rule, bounds):
         spectra = context.spectra(name, rule, spacings)
         capacities = _waterfill_rows(np.stack([s.values for s in spectra]), np.array(snrs))[0]
         rows.extend((name, rule, snr_db, float(capacity))
                     for snr_db, capacity in zip(cfg.snr_grid_db, capacities))
-    for snr_db, snr in zip(cfg.snr_grid_db, snrs):
-        rows.append(("upper_bound", los_rule, snr_db, dof_bound(cfg.antennas, snr).bound))
+    rows.extend(("upper_bound", los_rule, snr_db, bound.bound)
+                for snr_db, bound in zip(cfg.snr_grid_db, bounds))
     return ResultTable("capacity", _CAPACITY_COLUMNS, tuple(rows))
 
 

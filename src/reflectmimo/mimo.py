@@ -13,14 +13,14 @@ several surface materials on one geometry share one Bessel matrix
 SNR-matched spacings of a capacity table, go to one synthesis: their
 distinct samples come from one stable sort of picometre keys, each key
 evaluated at the smallest sample it merges, and the synthesis cuts their
-lags into runs by cost (:func:`quadrature._runs`).  No layout is planned
-here; a matrix records its layout's oscillation budget.
+lags into runs by cost (:func:`quadrature._runs`).  The oscillation budget
+of each lag comes from :func:`quadrature._lag_budgets`; a matrix records
+the largest over its own entries, and no layout is planned here.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -30,11 +30,10 @@ from .capacity import optimal_stream_count
 from .quadrature import (
     QuadratureSpec,
     SpatialLag,
-    UnderResolvedWarning,
+    _count_problem,
+    _lag_budgets,
     _material_batch,
     _nodes_used,
-    _on_planes,
-    _plane_budget,
     synthesize_impulse,
 )
 from .spectrum import FieldComponent, SceneConfig
@@ -57,9 +56,8 @@ class ArrayLayout:
     axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            msg = f"count must be >= 1, got {self.count}"
-            raise ValueError(msg)
+        if problem := _count_problem("count", self.count, 1):
+            raise ValueError(problem)
         if not 0.0 < self.spacing < math.inf:
             msg = f"spacing must be positive and finite, got {self.spacing!r}"
             raise ValueError(msg)
@@ -201,42 +199,29 @@ def _union(members: list[_Samples]) -> tuple[_Samples, list[np.ndarray]]:
     return union, [union.index_of[at + m.index_of] for at, m in zip(offsets, members)]
 
 
-def _budget(scenes: list[SceneConfig], component: FieldComponent, samples: _Samples) -> int:
-    """The oscillation budget of a layout's samples: the largest over the
-    scenes and the pairs of planes, each pair at its largest lag, its last
-    row, as the rows are sorted by planes, then lag."""
-    planes = samples.keys[:, :2]
-    ends = ([] if planes[0].tolist() == planes[-1].tolist()
-            else np.flatnonzero(np.any(planes[1:] != planes[:-1], axis=1)).tolist())
-    return max(_plane_budget(_on_planes(scene, (r_z, s_z)), component, rho).n_alpha
-               for r_z, s_z, rho in samples.rows[[*ends, -1]].tolist() for scene in scenes)
-
-
 def _assemble(scenes: Sequence[SceneConfig], layouts: Sequence[tuple[ArrayLayout, ArrayLayout]],
               component: FieldComponent,
               spec: QuadratureSpec | None) -> list[list[ChannelMatrix]]:
     """The channel matrix of every scene for every (tx, rx) layout pair,
     one list of scenes per layout, in the order given, from one synthesis
     of their distinct samples at ``spec``, or, when None, with each run of
-    lags at its own budget.  Each matrix records ``spec``, or its own
-    layout's budget."""
+    lags at its own budget; an under-resolved ``spec`` gets the synthesis's
+    one warning.  Each matrix records ``spec``, or the largest budget
+    :func:`quadrature._lag_budgets` gives its entries' lags."""
     scenes = _material_batch(scenes)
     samples = [_samples(tx, rx) for tx, rx in layouts]
     union, positions = _union(samples)
     lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z)
             for r_z, s_z, rho in union.rows.tolist()]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnderResolvedWarning)
-        values = synthesize_impulse(scenes, component, lags, spec)
+    needs = np.array(_lag_budgets(scenes, component, lags))
+    values = synthesize_impulse(scenes, component, lags, spec)
     if not np.all(np.isfinite(values)):
         raise RuntimeError("channel matrix contains non-finite entries")
     matrices: list[list[ChannelMatrix]] = []
-    unmet = 0
     for (tx, rx), member, at in zip(layouts, samples, positions):
-        needed = _budget(scenes, component, member)
+        needed = int(needs[at].max())
         used = spec or QuadratureSpec(needed)
         under_resolved = _nodes_used(used.n_alpha) < needed
-        unmet = max(unmet, needed if under_resolved else 0)
         matrices.append([
             ChannelMatrix(
                 entries=row[at].reshape(rx.count, tx.count), tx=tx, rx=rx,
@@ -245,10 +230,6 @@ def _assemble(scenes: Sequence[SceneConfig], layouts: Sequence[tuple[ArrayLayout
             )
             for scene, row in zip(scenes, values)
         ])
-    if unmet:
-        warnings.warn(f"matrix assembled with node counts below the oscillation budget "
-                      f"(requested n_alpha={spec.n_alpha}, needed {unmet})",
-                      UnderResolvedWarning, stacklevel=3)
     return matrices
 
 
@@ -334,5 +315,9 @@ def spacing_rayleigh(wavelength: float, distance: float, count: int) -> float:
 
 def spacing_snr(wavelength: float, distance: float, count: int, snr: float) -> float:
     """Spacing matched to the capacity-optimal stream count at this SNR."""
-    rho = optimal_stream_count(count, snr)
-    return math.sqrt(rho / count) * spacing_rayleigh(wavelength, distance, count)
+    return _spacing_for_streams(wavelength, distance, count, optimal_stream_count(count, snr))
+
+
+def _spacing_for_streams(wavelength: float, distance: float, count: int, streams: int) -> float:
+    """Spacing matched to ``streams`` of the ``count`` streams."""
+    return math.sqrt(streams / count) * spacing_rayleigh(wavelength, distance, count)

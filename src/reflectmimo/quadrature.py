@@ -73,6 +73,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import operator
 import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -125,9 +126,19 @@ class QuadratureSpec:
     n_alpha: int
 
     def __post_init__(self) -> None:
-        if self.n_alpha < 2:
-            msg = f"n_alpha must be >= 2, got {self.n_alpha}"
-            raise ValueError(msg)
+        if problem := _count_problem("n_alpha", self.n_alpha, 2):
+            raise ValueError(problem)
+        if type(self.n_alpha) is not int:  # a numpy integer, kept as a Python int
+            object.__setattr__(self, "n_alpha", operator.index(self.n_alpha))
+
+
+def _count_problem(name: str, value: object, least: int) -> str | None:
+    """Why ``value`` is no integer count of at least ``least``, or None:
+    an int or a numpy integer (``operator.index``), but not a bool."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not hasattr(type(value), "__index__")):
+        return f"{name} must be an integer, got {value!r}"
+    return f"{name} must be >= {least}, got {value}" if value < least else None
 
 
 @dataclass(frozen=True)
@@ -210,16 +221,16 @@ def estimate_nodes(scene: SceneConfig, max_lag: float, dz_total: float) -> Quadr
     The polar-angle phase sweeps about kappa1 (dz_total + max_lag) radians,
     oversampled at ``OVERSAMPLING`` nodes per period.
     """
+    return QuadratureSpec(n_alpha=_node_budget(scene.medium.kappa1, dz_total, max_lag))
+
+
+def _node_budget(kappa1: float, dz_total: float, max_lag: float) -> int:
+    """The node count of :func:`estimate_nodes`."""
     if not 0.0 <= max_lag < math.inf:
-        msg = f"max_lag must be finite and >= 0, got {max_lag!r}"
-        raise ValueError(msg)
+        raise ValueError(f"max_lag must be finite and >= 0, got {max_lag!r}")
     if not 0.0 <= dz_total < math.inf:
-        msg = f"dz_total must be finite and >= 0, got {dz_total!r}"
-        raise ValueError(msg)
-    kappa1 = scene.medium.kappa1
-    budget_alpha = OVERSAMPLING * kappa1 * (dz_total + max_lag) / (2.0 * math.pi)
-    n_alpha = max(2, int(math.ceil(budget_alpha - 1e-9)))
-    return QuadratureSpec(n_alpha=n_alpha)
+        raise ValueError(f"dz_total must be finite and >= 0, got {dz_total!r}")
+    return max(2, math.ceil(OVERSAMPLING * kappa1 * (dz_total + max_lag) / (2.0 * math.pi) - 1e-9))
 
 
 def _planes_of(scene: SceneConfig, lag: SpatialLag) -> tuple[float, float]:
@@ -244,23 +255,28 @@ def _on_planes(scene: SceneConfig, planes: tuple[float, float]) -> SceneConfig:
     return dataclasses.replace(scene, receiver_z=planes[0], source_z=planes[1])
 
 
-def _plane_budget(scene: SceneConfig, component: FieldComponent,
-                  max_lag: float) -> QuadratureSpec:
-    """Oscillation budget on the scene's own planes, after validating them."""
-    spectrum.validate_component(scene, component)
-    return estimate_nodes(scene, max_lag, spectrum.oscillation_span(scene, component))
+def _budgets(scenes: list[SceneConfig], component: FieldComponent,
+             rho: np.ndarray) -> list[int]:
+    """Each lag's oscillation budget on the scenes' shared planes, over
+    every scene, after validating each scene once."""
+    for scene in scenes:
+        spectrum.validate_component(scene, component)
+    span = max(spectrum.oscillation_span(scene, component) for scene in scenes)
+    kappa1 = scenes[0].medium.kappa1
+    return [_node_budget(kappa1, span, lag) for lag in rho.tolist()]
 
 
-def _required_nodes(scene: SceneConfig, component: FieldComponent,
-                    lags: list[SpatialLag]) -> QuadratureSpec:
-    """Node count resolving every lag: the largest oscillation budget over
-    their pairs of planes."""
-    budgets = [
-        _plane_budget(_on_planes(scene, planes), component,
-                      max(lags[i].transverse for i in indices))
-        for planes, indices in _plane_groups(scene, lags).items()
-    ]
-    return QuadratureSpec(n_alpha=max(b.n_alpha for b in budgets))
+def _lag_budgets(scenes: list[SceneConfig], component: FieldComponent,
+                 lags: list[SpatialLag]) -> list[int]:
+    """Each lag's oscillation budget on its own pair of planes, over every
+    scene (:func:`_budgets`), in the order of the lags."""
+    needs = [0] * len(lags)
+    for planes, indices in _plane_groups(scenes[0], lags).items():
+        budgets = _budgets([_on_planes(s, planes) for s in scenes], component,
+                           np.array([lags[i].transverse for i in indices]))
+        for i, need in zip(indices, budgets):
+            needs[i] = need
+    return needs
 
 
 def _material_batch(scene: SceneConfig | Sequence[SceneConfig]) -> list[SceneConfig]:
@@ -663,26 +679,25 @@ def _leg_j0(rho: np.ndarray, krho: np.ndarray) -> np.ndarray:
     return values
 
 
-_Plan = tuple[int, list[tuple[FieldComponent, _Path | _LagPath]]]  # budget, each part's path
+_Plan = list[tuple[FieldComponent, _Path | _LagPath]]  # each part's path
 
 
-def _plan(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray,
+def _plan(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray, need: int,
           spec: QuadratureSpec | None = None, *, bend: bool = True,
           per_lag: bool = True) -> _Plan:
-    """The oscillation budget of the lags ``rho`` on the scenes' shared
-    planes, over every scene, and each part of ``component`` with the path
-    :func:`_path` picks for them at ``spec``, or at that budget when None."""
-    largest = float(rho.max())
-    need = max(_plane_budget(scene, component, largest).n_alpha for scene in scenes)
+    """Each part of ``component`` with the path :func:`_path` picks for the
+    lags ``rho`` on the scenes' shared planes, whose oscillation budget is
+    ``need`` (:func:`_budgets`), at ``spec``, or at that budget when None."""
     budgets = _part_specs(scenes, component, QuadratureSpec(need))
     specs = budgets if spec is None else _part_specs(scenes, component, spec)
-    return need, [(part, _path(scenes, part, part_spec, budget.n_alpha, rho, bend=bend,
-                               per_lag=per_lag))
-                  for (part, part_spec), (_, budget) in zip(specs, budgets)]
+    return [(part, _path(scenes, part, part_spec, budget.n_alpha, rho, bend=bend,
+                         per_lag=per_lag))
+            for (part, part_spec), (_, budget) in zip(specs, budgets)]
 
 
 def _runs(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray,
-          spec: QuadratureSpec | None, *, bend: bool = True) -> list[tuple[int, _Plan]]:
+          needs: list[int], spec: QuadratureSpec | None, *,
+          bend: bool = True) -> list[tuple[int, _Plan]]:
     """Cut the ascending lags ``rho`` into runs, each on the shared paths
     :func:`_plan` picks for its largest lag, at the least price: a run's
     lags times the summed cost of its paths, plus ``_RUN_COST``.  A path
@@ -690,14 +705,15 @@ def _runs(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray,
     the first are, then the middle of two planned lags wherever the lags
     between them, priced at the lower of their two rates, would save more
     than a run costs.  A dynamic program over the planned lags (Bellman,
-    Comm. ACM 4(6), 1961) picks the cuts.  Returns each run's stop and
-    plan, in order."""
+    Comm. ACM 4(6), 1961) picks the cuts.  ``needs`` holds each lag's
+    budget.  Returns each run's stop and plan, in order."""
     plans: dict[int, tuple[_Plan, int]] = {}  # a planned lag's plan and rate
 
     def rate(i: int) -> int:
         if i not in plans:
-            plan = _plan(scenes, component, rho[i:i + 1], spec, bend=bend, per_lag=False)
-            plans[i] = plan, sum(path.cost for _, path in plan[1])
+            plan = _plan(scenes, component, rho[i:i + 1], needs[i], spec, bend=bend,
+                         per_lag=False)
+            plans[i] = plan, sum(path.cost for _, path in plan)
         return plans[i][1]
 
     spans = [(0, rho.size - 1)]
@@ -717,8 +733,8 @@ def _runs(scenes: list[SceneConfig], component: FieldComponent, rho: np.ndarray,
     return runs
 
 
-def _sums(scenes: list[SceneConfig], paths: list[tuple[FieldComponent, _Path | _LagPath]],
-          rho: np.ndarray, lags: list[SpatialLag]) -> np.ndarray:
+def _sums(scenes: list[SceneConfig], paths: _Plan, rho: np.ndarray,
+          lags: list[SpatialLag]) -> np.ndarray:
     """The (lag x scene) sum over the parts of the lags ``rho`` of one run
     on its paths: a single lag's own (:func:`_lag_sum`) or the shared one,
     block by block (:func:`_shared_sums`)."""
@@ -734,38 +750,27 @@ def _sums(scenes: list[SceneConfig], paths: list[tuple[FieldComponent, _Path | _
 
 def _synthesize_on_planes(scenes: list[SceneConfig], component: FieldComponent,
                           lags: list[SpatialLag], spec: QuadratureSpec | None, *,
-                          bend: bool = True, per_lag: bool = True) -> np.ndarray:
+                          bend: bool = True, per_lag: bool = True) -> tuple[np.ndarray, int]:
     """Every lag of every scene on the scenes' shared planes, as a
-    (scene x lag) array.  A single lag is one run, on the paths
-    :func:`_path` picks for it, its own or the shared one.  Several lags
-    are sorted and cut into runs on shared paths (:func:`_runs`), each
-    synthesized on the plan that priced it.  Each run is sized at
-    ``spec``, or at its own budget when None.  ``bend=False`` forces the
-    straight paths; ``per_lag=False`` keeps the shared ones."""
+    (scene x lag) array, and the largest of the lags' oscillation budgets.
+    A single lag is one run, on the paths :func:`_path` picks for it, its
+    own or the shared one.  Several lags are sorted and cut into runs on
+    shared paths (:func:`_runs`), each synthesized on the plan that priced
+    it.  Each run is sized at ``spec``, or at its own budget when None.
+    ``bend=False`` forces the straight paths; ``per_lag=False`` keeps the
+    shared ones."""
     rho = np.array([lag.transverse for lag in lags])
-    order = None
+    needs = _budgets(scenes, component, rho)
     if rho.size == 1:
-        runs = [(1, _plan(scenes, component, rho, spec, bend=bend, per_lag=per_lag))]
-    else:
-        if np.any(rho[1:] < rho[:-1]):
-            order = np.argsort(rho, kind="stable")
-            rho = rho[order]
-        runs = _runs(scenes, component, rho, spec, bend=bend)
-    needed = runs[-1][1][0]
-    if spec is not None and _nodes_used(spec.n_alpha) < needed:
-        warnings.warn(f"node count n_alpha={_nodes_used(spec.n_alpha)} below the oscillation "
-                      f"budget n_alpha={needed}", UnderResolvedWarning, stacklevel=3)
-    if len(runs) == 1:
-        values = _sums(scenes, runs[0][1][1], rho, lags).T
-    else:
-        starts = [0, *(stop for stop, _ in runs)]
-        values = np.concatenate([_sums(scenes, paths, rho[start:stop], lags)
-                                 for start, (stop, (_, paths)) in zip(starts, runs)]).T
-    if order is None:
-        return values
-    unsorted = np.empty_like(values)
-    unsorted[:, order] = values
-    return unsorted
+        paths = _plan(scenes, component, rho, needs[0], spec, bend=bend, per_lag=per_lag)
+        return _sums(scenes, paths, rho, lags).T, needs[0]
+    order = np.argsort(rho, kind="stable")
+    runs = _runs(scenes, component, rho[order], [needs[i] for i in order], spec, bend=bend)
+    values = np.empty((len(scenes), rho.size), dtype=complex)
+    for start, (stop, paths) in zip([0, *(stop for stop, _ in runs)], runs):
+        at = order[start:stop]
+        values[:, at] = _sums(scenes, paths, rho[at], lags).T
+    return values, max(needs)
 
 
 def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: FieldComponent,
@@ -811,17 +816,23 @@ def synthesize_impulse(scene: SceneConfig | Sequence[SceneConfig], component: Fi
         budget, and chosen at the count given, so past the budget a call
         may switch to it; its start and saddle path get n_alpha // budget
         panels each, per part.  Counts below the oscillation budget of any
-        lag trigger :class:`UnderResolvedWarning` but still evaluate.
-        None sizes each run at the budget of its own largest lag.
+        lag still evaluate, with one :class:`UnderResolvedWarning` per call
+        that names the largest budget.  None sizes each run at the budget
+        of its own largest lag.
     """
     scenes = _material_batch(scene)
     lags = [lag] if isinstance(lag, SpatialLag) else list(lag)
     values = np.empty((len(scenes), len(lags)), dtype=complex)
+    needed = 0
     for planes, indices in _plane_groups(scenes[0], lags).items():
-        values[:, indices] = _synthesize_on_planes(
+        values[:, indices], need = _synthesize_on_planes(
             [_on_planes(s, planes) for s in scenes], component,
             [lags[i] for i in indices], spec,
         )
+        needed = max(needed, need)
+    if spec is not None and _nodes_used(spec.n_alpha) < needed:
+        warnings.warn(f"node count n_alpha={_nodes_used(spec.n_alpha)} below the oscillation "
+                      f"budget n_alpha={needed}", UnderResolvedWarning, stacklevel=2)
     if isinstance(lag, SpatialLag):
         values = values[:, 0]
     if isinstance(scene, SceneConfig):
@@ -845,8 +856,8 @@ def convergence_study(scene: SceneConfig, component: FieldComponent,
     ``converged=False``).  The starting count is always evaluated, so the
     trace has at least one row even under a tiny ``max_nodes`` cap.
     """
-    budget = _required_nodes(scene, component, [lag])
-    n_alpha = _nodes_used(max(2, budget.n_alpha // 4))
+    (budget,) = _lag_budgets([scene], component, [lag])
+    n_alpha = _nodes_used(max(2, budget // 4))
     rows: list[ConvergenceRow] = []
     previous: complex | None = None
     converged = False

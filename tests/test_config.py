@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
 from reflectmimo import (
@@ -11,6 +13,7 @@ from reflectmimo import (
     config_to_text,
     load_config,
     parse_config,
+    run_named,
 )
 from reflectmimo.config import MAX_SNR_POINTS
 
@@ -133,6 +136,21 @@ class TestValidation:
         with pytest.raises(ConfigError) as excinfo:
             config.validate()
         assert len(excinfo.value.violations) >= 3
+
+    @pytest.mark.parametrize(("field", "value"), [
+        ("n_alpha", math.nan), ("n_alpha", 3000.5), ("antennas", 2.5), ("antennas", True),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        """A NaN ``n_alpha`` used to validate and run, and 2.5 antennas to
+        validate, then raise ``TypeError``."""
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ExperimentConfig(**{field: value}).validate()
+
+    def test_numpy_integer_counts_run(self):
+        config = ExperimentConfig(antennas=np.int64(2), n_alpha=np.int64(100_000))
+        config.validate()
+        provenance = run_named("fig2", config).provenance
+        assert set(json.loads(json.dumps(provenance["node_counts"])).values()) == {100_000}
 
     def test_unknown_material(self):
         with pytest.raises(ConfigError, match="unknown material"):

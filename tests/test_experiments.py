@@ -19,8 +19,9 @@ from reflectmimo import (
     material_by_name,
     parse_config,
     run_named,
+    spacing_snr,
 )
-from reflectmimo import experiments, quadrature
+from reflectmimo import capacity, experiments, quadrature
 
 SMALL = ExperimentConfig(
     d1_m=1.0,
@@ -276,6 +277,36 @@ def test_one_eigensolve_per_channel(monkeypatch, normalization):
     assert len(set(calls)) == len(calls)
 
 
+@pytest.mark.parametrize("name", ["fig3", "fig5"])
+def test_one_flat_spectrum_bound_per_snr(monkeypatch, name):
+    """The SNR-matched spacings of both rules and the upper-bound rows
+    share one bound per SNR: 26 calls on the default grid, not 78."""
+    calls: list[tuple[int, float]] = []
+
+    def counted(count, snr):
+        calls.append((count, snr))
+        return dof_bound(count, snr)
+
+    monkeypatch.setattr(experiments, "dof_bound", counted)
+    monkeypatch.setattr(capacity, "dof_bound", counted)
+    config = ExperimentConfig()
+    run_named(name, config)
+    assert calls == [(config.antennas, 10.0 ** (db / 10.0)) for db in config.snr_grid_db]
+
+
+@pytest.mark.parametrize("rule", ["snr_dependent_D", "snr_dependent_De"])
+def test_snr_rules_give_the_spacings_of_spacing_snr(rule):
+    """A table's SNR-matched spacing, taken from its bound, is the public
+    ``spacing_snr`` to the bit."""
+    config = ExperimentConfig()
+    context = experiments._Context(config)
+    distance = config.equivalent_range_m if rule.endswith("_De") else config.range_m
+    for snr_db in config.snr_grid_db:
+        snr = 10.0 ** (snr_db / 10.0)
+        assert (experiments._spacing_of(context, rule, dof_bound(config.antennas, snr))
+                == spacing_snr(context.wavelength, distance, config.antennas, snr))
+
+
 @pytest.mark.parametrize("frequency_ghz", [57.5, 300.0])
 def test_node_counts_are_each_labels_own_largest_need(frequency_ghz):
     """Shared syntheses leave the provenance node counts as one build per
@@ -283,9 +314,10 @@ def test_node_counts_are_each_labels_own_largest_need(frequency_ghz):
     spacing: each label records the largest count its channels need."""
     config = ExperimentConfig(frequency_ghz=frequency_ghz)
     context = experiments._Context(config)
-    snrs = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
-    los = [experiments._spacing_of(context, "snr_dependent_D", snr) for snr in snrs]
-    reflected = [experiments._spacing_of(context, "snr_dependent_De", snr) for snr in snrs]
+    bounds = [experiments.dof_bound(config.antennas, 10.0 ** (snr_db / 10.0))
+              for snr_db in config.snr_grid_db]
+    los = [experiments._spacing_of(context, "snr_dependent_D", bound) for bound in bounds]
+    reflected = [experiments._spacing_of(context, "snr_dependent_De", bound) for bound in bounds]
     assert set(los) & set(reflected)  # the case where the rules share a spacing
     n = config.antennas
 
@@ -379,8 +411,9 @@ def test_one_los_power_per_reflected_spacing(monkeypatch, name, rule, spacings):
     config = ExperimentConfig()
     shared, unshared = experiments._Context(config), experiments._Context(config)
     unshared._scales = _Unshared()
-    snrs = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db] if name == "fig5" else [None]
-    assert len({experiments._spacing_of(shared, rule, snr) for snr in snrs}) == spacings
+    bounds = ([experiments.dof_bound(config.antennas, 10.0 ** (snr_db / 10.0))
+               for snr_db in config.snr_grid_db] if name == "fig5" else [None])
+    assert len({experiments._spacing_of(shared, rule, bound) for bound in bounds}) == spacings
     per_channel = experiments._RUNNERS[name](unshared)
     power, calls = experiments.los_power, []
 

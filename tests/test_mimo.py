@@ -101,6 +101,14 @@ class TestArrayLayout:
         with pytest.raises(ValueError, match=field):
             ArrayLayout(**{"count": 2, "spacing": 1.0, **fields})
 
+    @pytest.mark.parametrize("count", [2.5, np.nan, True])
+    def test_count_must_be_an_integer(self, count):
+        """2.5 antennas used to give 3 positions, then fail at the reshape
+        of the channel matrix; a numpy integer is a count."""
+        with pytest.raises(ValueError, match="count must be an integer"):
+            ArrayLayout(count=count, spacing=1.0)
+        assert ArrayLayout(count=np.int32(3), spacing=1.0).positions.shape == (3, 3)
+
 
 class TestChannelAssembly:
     def test_parallel_arrays_give_toeplitz_entries(self, pc_reflection_channel):
@@ -474,8 +482,9 @@ def _sweep(count, rule, group):
     the group's scenes and component."""
     config = ExperimentConfig(antennas=count)
     context = experiments._Context(config)
-    snrs = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
-    spacings = sorted({experiments._spacing_of(context, rule, snr) for snr in snrs})
+    bounds = [experiments.dof_bound(count, 10.0 ** (snr_db / 10.0))
+              for snr_db in config.snr_grid_db]
+    spacings = sorted({experiments._spacing_of(context, rule, bound) for bound in bounds})
     layouts = [(ArrayLayout.along_x(count, spacing, 0.0),
                 ArrayLayout.along_x(count, spacing, config.range_m)) for spacing in spacings]
     if group == "los":
@@ -715,6 +724,40 @@ class TestReciprocity:
                                                  gap, count, spacing, offset):
         assert _reciprocity_gap(material, source_z, receiver_z, gap, count, spacing,
                                 offset) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        material=st.sampled_from([PERFECT_CONDUCTOR, CONCRETE]),
+        source_z=st.floats(-1.0, -0.05),
+        receiver_z=st.floats(0.05, 1.0),
+        gap=st.floats(0.0, 1.0),
+        rho=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+        n_alpha=st.sampled_from([None, 64, 4096, 100_000]),
+    )
+    def test_swapped_planes_budget_and_plan_alike(self, material, source_z, receiver_z, gap,
+                                                  rho, n_alpha):
+        """The upgoing pair of planes and the swapped, downgoing one give
+        every lag the same budget, and the same path to each part, the
+        direct wave and the image: lag by lag, its own path included, and
+        shared by all the lags."""
+        medium = Medium(57.5e9, material)
+        up = SceneConfig(medium=medium, surface_z=receiver_z + 11.0 * medium.wavelength + gap,
+                         source_z=source_z, receiver_z=receiver_z)
+        down = dataclasses.replace(up, source_z=receiver_z, receiver_z=source_z)
+        pairs = [([up], FieldComponent.LOS_PLUS_REFLECTION),
+                 ([down], FieldComponent.DOWNGOING_LOS_PLUS_REFLECTION)]
+        rho = np.sort(np.array(rho))
+        spec = None if n_alpha is None else QuadratureSpec(n_alpha)
+        needs, swapped = (quadrature._budgets(scenes, component, rho)
+                          for scenes, component in pairs)
+        assert needs == swapped
+        for lags, need, per_lag in [*((rho[i:i + 1], needs[i], True) for i in range(rho.size)),
+                                    (rho, needs[-1], False)]:
+            forward, backward = (quadrature._plan(scenes, component, lags, need, spec,
+                                                  per_lag=per_lag) for scenes, component in pairs)
+            assert [part for part, _ in forward] == [FieldComponent.LOS_ONLY,
+                                                     FieldComponent.REFLECTION_ONLY]
+            assert forward == backward
 
     def test_image_length_is_the_same_from_either_plane(self):
         """2 d1 - (r_z + s_z) rounds alike whichever plane is the source:

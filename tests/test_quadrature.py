@@ -59,7 +59,6 @@ from reflectmimo.quadrature import (
     _nodes_used,
     _part_specs,
     _path,
-    _required_nodes,
     _rule,
     _segment,
     _synthesize_on_planes,
@@ -71,6 +70,20 @@ _ORACLE_BLOCK = 1 << 14  # nodes per block of the rules fed to the trapezoid ora
 
 def _auto_spec(scene, component, lag):
     return estimate_nodes(scene, lag.transverse, oscillation_span(scene, component))
+
+
+def _required_nodes(scene, component, lags):
+    """The node count resolving every lag: the largest :func:`estimate_nodes`
+    over the lags, each on its own pair of planes."""
+    return QuadratureSpec(max(_auto_spec(_on_planes(scene, lag), component, lag).n_alpha
+                              for lag in lags))
+
+
+def _on_planes(scene, lag):
+    """The scene on the lag's planes."""
+    return dataclasses.replace(
+        scene, receiver_z=scene.receiver_z if lag.receiver_z is None else lag.receiver_z,
+        source_z=scene.source_z if lag.source_z is None else lag.source_z)
 
 
 def _shared_rules(scene, component, spec, max_rho):
@@ -128,6 +141,16 @@ class TestSpecAndLag:
         QuadratureSpec(n_alpha=2)
         with pytest.raises(ValueError, match="n_alpha"):
             QuadratureSpec(n_alpha=1)
+
+    @pytest.mark.parametrize("n_alpha", [math.nan, 5000.5, True, "64"])
+    def test_spec_count_must_be_an_integer(self, n_alpha):
+        """A NaN count passed the ``< 2`` check and synthesized a wrong
+        value; a float or a bool is no node count.  A numpy integer is one,
+        kept as a Python int."""
+        with pytest.raises(ValueError, match="n_alpha must be an integer"):
+            QuadratureSpec(n_alpha=n_alpha)
+        spec = QuadratureSpec(n_alpha=np.int64(4096))
+        assert spec == QuadratureSpec(4096) and type(spec.n_alpha) is int
 
     def test_lag_transverse(self):
         assert SpatialLag(3.0, 4.0).transverse == pytest.approx(5.0)
@@ -291,15 +314,19 @@ class TestLagBatches:
         assert np.max(np.abs(batch - scalar)) <= 1e-12 * np.max(np.abs(scalar))
         assert batch[0] == batch[-1]
 
-    def test_required_nodes_is_the_largest_plane_budget(self, scene):
+    def test_each_lag_is_budgeted_on_its_own_planes(self, scene):
+        """Every lag's oscillation budget is taken on its own pair of
+        planes, in the order of the lags."""
         component = FieldComponent.REFLECTION_ONLY
         lags = [SpatialLag(0.4), SpatialLag(0.1, receiver_z=0.2), SpatialLag(0.0)]
         lower = SceneConfig(medium=scene.medium, surface_z=1.2, source_z=0.0,
                             receiver_z=0.2)
         budgets = [_auto_spec(scene, component, SpatialLag(0.4)),
-                   _auto_spec(lower, component, SpatialLag(0.1))]
-        needed = _required_nodes(scene, component, lags)
-        assert needed.n_alpha == max(b.n_alpha for b in budgets)
+                   _auto_spec(lower, component, SpatialLag(0.1)),
+                   _auto_spec(scene, component, SpatialLag(0.0))]
+        needs = quadrature._lag_budgets([scene], component, lags)
+        assert needs == [b.n_alpha for b in budgets]
+        assert _required_nodes(scene, component, lags).n_alpha == max(needs)
 
     def test_single_lag_returns_a_complex(self, scene):
         lag = SpatialLag(0.1)
@@ -341,6 +368,19 @@ class TestWarningsAndOverrides:
                 scene, FieldComponent.LOS_ONLY, SpatialLag(0.0),
                 QuadratureSpec(n_alpha=64),
             )
+
+    def test_one_warning_per_call_names_the_largest_budget(self, vacuum_medium):
+        """A call over three pairs of planes warns once, at the largest of
+        their budgets, not once per pair."""
+        scene = SceneConfig(medium=vacuum_medium, surface_z=3.0, source_z=0.0, receiver_z=1.0)
+        lags = [SpatialLag(0.1), SpatialLag(0.2, receiver_z=2.0), SpatialLag(0.3, receiver_z=1.5)]
+        needed = _required_nodes(scene, FieldComponent.LOS_ONLY, lags).n_alpha
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            synthesize_impulse(scene, FieldComponent.LOS_ONLY, lags, QuadratureSpec(n_alpha=64))
+        (warning,) = [w for w in caught if issubclass(w.category, UnderResolvedWarning)]
+        assert str(warning.message).endswith(f"budget n_alpha={needed}")
+        assert warning.filename == __file__
 
     def test_adequate_spec_is_silent(self, vacuum_medium):
         scene = _los_scene(vacuum_medium)
@@ -706,8 +746,8 @@ class TestBentPath:
         assert not any(_path([scene], part, part_spec, part_spec.n_alpha, np.array([1.0]),
                              per_lag=False).straight
                        for part, part_spec in _part_specs([scene], component, spec))
-        bent = _synthesize_on_planes([scene], component, lags, spec)[0]
-        straight = _synthesize_on_planes([scene], component, lags, spec, bend=False)[0]
+        bent = _synthesize_on_planes([scene], component, lags, spec)[0][0]
+        straight = _synthesize_on_planes([scene], component, lags, spec, bend=False)[0][0]
         if component is FieldComponent.TRANSMISSION and material.is_conductor:
             assert np.all(bent == 0.0) and np.all(straight == 0.0)
             return
@@ -896,7 +936,7 @@ _RUN_SCENES = {
 
 
 def _rate(plan):
-    return sum(path.cost for _, path in plan[1])
+    return sum(path.cost for _, path in plan)
 
 
 class TestRuns:
@@ -913,14 +953,15 @@ class TestRuns:
         scenes, component = _RUN_SCENES[case]
         rho = np.sort(np.array(rho))
         spec = None if n_alpha is None else QuadratureSpec(n_alpha)
-        runs = quadrature._runs(scenes, component, rho, spec)
+        needs = quadrature._budgets(scenes, component, rho)
+        runs = quadrature._runs(scenes, component, rho, needs, spec)
         stops = [stop for stop, _ in runs]
         assert stops == sorted(set(stops)) and stops[0] > 0 and stops[-1] == rho.size
         price = 0
         for start, (stop, plan) in zip([0, *stops], runs):
-            assert plan == quadrature._plan(scenes, component, rho[stop - 1:stop], spec,
-                                            per_lag=False)
-            assert not any(isinstance(path, quadrature._LagPath) for _, path in plan[1])
+            assert plan == quadrature._plan(scenes, component, rho[stop - 1:stop],
+                                            needs[stop - 1], spec, per_lag=False)
+            assert not any(isinstance(path, quadrature._LagPath) for _, path in plan)
             price += (stop - start) * _rate(plan) + quadrature._RUN_COST
         assert price <= rho.size * _rate(runs[-1][1]) + quadrature._RUN_COST
 
@@ -958,8 +999,9 @@ class TestRuns:
         lags = [SpatialLag(0.001 * k * k) for k in range(40)]
         spec = _required_nodes(scenes[0], component, lags)
         forward = synthesize_impulse(scenes[0], component, lags, spec)
-        assert len(quadrature._runs(scenes, component,
-                                    np.array([lag.x for lag in lags]), spec)) > 1
+        rho = np.array([lag.x for lag in lags])
+        assert len(quadrature._runs(scenes, component, rho,
+                                    quadrature._budgets(scenes, component, rho), spec)) > 1
         backward = synthesize_impulse(scenes[0], component, lags[::-1], spec)
         assert np.array_equal(forward, backward[::-1])
 
@@ -1230,7 +1272,7 @@ class TestPerLagPath:
         lags = _count_lag_sums(monkeypatch)
         value = synthesize_impulse(concrete, component, lag, spec)
         assert lags["lags"] == 1
-        shared = _synthesize_on_planes([concrete], component, [lag], spec, per_lag=False)[0, 0]
+        shared = _synthesize_on_planes([concrete], component, [lag], spec, per_lag=False)[0][0, 0]
         assert lags["lags"] == 1
         assert abs(value - shared) <= 1e-11 * abs(shared)
 
@@ -1254,7 +1296,8 @@ class TestPerLagPath:
         lags = _count_lag_sums(monkeypatch)
         value = synthesize_impulse(scene, component, lag, spec)
         assert lags["lags"] == 0
-        assert value == _synthesize_on_planes([scene], component, [lag], spec, per_lag=False)[0, 0]
+        assert value == _synthesize_on_planes([scene], component, [lag], spec,
+                                               per_lag=False)[0][0, 0]
 
     def test_dielectric_grid_matches_the_shared_path(self, monkeypatch):
         """Over three frequencies, the catalog dielectrics and n = 1.01,
@@ -1274,7 +1317,7 @@ class TestPerLagPath:
                         spec = _auto_spec(scene, component, lag)
                         value = synthesize_impulse(scene, component, lag, spec)
                         shared = _synthesize_on_planes([scene], component, [lag], spec,
-                                                       per_lag=False)[0, 0]
+                                                       per_lag=False)[0][0, 0]
                         assert abs(value - shared) <= 1e-11 * abs(shared), (
                             frequency, material.name, span, rho)
                         calls += 1
