@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import _count_problem
+
 
 @dataclass(frozen=True, eq=False)
 class CapacityResult:
@@ -37,6 +39,8 @@ def _spectrum_values(spectrum: object) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         msg = f"expected a 1-D eigenvalue array, got shape {arr.shape}"
         raise ValueError(msg)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("eigenvalues must be finite")
     if np.any(arr < -1e-12 * max(arr.max(initial=0.0), 1.0)):
         raise ValueError("eigenvalues must be nonnegative")
     return np.maximum(arr, 0.0)
@@ -94,9 +98,8 @@ def dof_bound(count: int, snr: float) -> DofBound:
     Ties go to the larger stream count so the matched antenna spacing is
     well defined at crossover SNRs.
     """
-    if count < 1:
-        msg = f"count must be >= 1, got {count}"
-        raise ValueError(msg)
+    if problem := _count_problem("count", count, 1):
+        raise ValueError(problem)
     if not 0.0 < snr < math.inf:
         msg = f"snr must be finite and > 0, got {snr!r}"
         raise ValueError(msg)

@@ -231,7 +231,10 @@ def config_to_text(config: ExperimentConfig) -> str:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load a config from flat text, or recover one from emitted JSON
     results (the provenance block echoes the exact config text)."""
-    content = Path(path).read_text(encoding="utf-8")
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError([f"cannot read config file {str(path)!r}: {exc.strerror}"]) from exc
     stripped = content.lstrip()
     if stripped.startswith("{"):
         payload = json.loads(content)

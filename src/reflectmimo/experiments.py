@@ -1,8 +1,8 @@
 """Named experiments over the reflected-channel model.
 
 Each experiment produces ordered tables of plain rows, ready for CSV or
-JSON emission.  A spectrum or capacity table walks its groups in a fixed
-order: the direct channel, then each material.  The direct channel's
+JSON emission.  A spectrum or capacity table walks its two groups in a
+fixed order: the direct channel, then the materials.  The direct channel's
 spectrum sums to N^2.  By default the reflected spectra share its scale,
 so the material-dependent power loss stays visible.  Identical configs
 yield identical tables.
@@ -26,7 +26,6 @@ from .mimo import (
     RELATIVE,
     SELF_SUM,
     ArrayLayout,
-    ChannelMatrix,
     EigenSpectrum,
     _assemble,
     _spacing_for_streams,
@@ -64,13 +63,25 @@ class ResultSet:
         raise KeyError(msg)
 
 
+@dataclass(frozen=True)
+class _Group:
+    """The channels of a table that one assembly builds: a row label and a
+    scene each, their component, rule and spacings, and whether their
+    spectra take the direct channel's scale."""
+
+    names: tuple[str, ...]
+    component: FieldComponent
+    scenes: list[SceneConfig]
+    rule: str
+    spacings: list[float]
+    relative: bool
+
+
 class _Context:
-    """Per-run channel cache.  Channels are keyed by group and spacing,
-    so an SNR sweep builds each spacing once.  All materials and all the
-    spacings asked for together share one synthesis, which cuts their lags
-    into runs by cost (:func:`mimo._assemble`).
-    :meth:`spectra` turns one group's channels into spectra on the scale
-    the configuration asks for."""
+    """One run's configuration and the largest node count of each label.
+    A table is walked by group (:func:`_walk`); :meth:`spectra` builds,
+    scales and eigensolves a whole group in one call, so no channel or
+    scale outlives it."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         config.validate()
@@ -78,65 +89,35 @@ class _Context:
         self.vacuum_medium = Medium(config.frequency_hz, VACUUM)
         self.wavelength = self.vacuum_medium.wavelength
         self.node_counts: dict[str, int] = {}
-        self._channels: dict[tuple[str, int], ChannelMatrix] = {}
-        self._scales: dict[int, float] = {}
 
     def scene(self, material: Material) -> SceneConfig:
-        return SceneConfig(
-            medium=Medium(self.config.frequency_hz, material),
-            surface_z=self.config.d1_m,
-            source_z=0.0,
-            receiver_z=self.config.range_m,
-        )
+        cfg = self.config
+        return SceneConfig(medium=Medium(cfg.frequency_hz, material), surface_z=cfg.d1_m,
+                           source_z=0.0, receiver_z=cfg.range_m)
 
-    def channels(self, material_name: str, spacings: Sequence[float]) -> list[ChannelMatrix]:
-        """The channels at ``spacings``.  Those not cached yet are built in
-        one assembly: the direct channel for ``"los"``, otherwise every
-        configured material at once."""
-        keys = [round(spacing / 1e-15) for spacing in spacings]
-        missing = {key: spacing for key, spacing in zip(keys, spacings)
-                   if (material_name, key) not in self._channels}
-        if missing:
-            n = self.config.antennas
-            layouts = [(ArrayLayout.along_x(n, spacing, 0.0),
-                        ArrayLayout.along_x(n, spacing, self.config.range_m))
-                       for spacing in missing.values()]
-            if material_name == "los":
-                names, component = ["los"], FieldComponent.LOS_ONLY
-                scenes = [self.scene(VACUUM)]
-            else:
-                names = list(self.config.materials)
-                component = FieldComponent.REFLECTION_ONLY
-                scenes = [self.scene(material_by_name(name)) for name in names]
-            built = _assemble(scenes, layouts, component, self.config.quadrature)
-            for key, per_scene in zip(missing, built):
-                for name, channel in zip(names, per_scene):
-                    self._channels[(name, key)] = channel
-        return [self._channels[(material_name, key)] for key in keys]
-
-    def spectra(self, name: str, rule: str, spacings: Sequence[float]) -> list[EigenSpectrum]:
-        """The spectra of group ``name`` at ``spacings``, each distinct
-        channel eigensolved once, with its largest node count recorded
-        under ``name@rule``.  The direct channel sums to N^2; a material
-        does too under ``SelfSum``, and otherwise takes the scale
-        N^2 / ||H_LOS||_F^2 of the direct channel between its own arrays,
-        in closed form (:func:`closedform.los_power`), once per spacing."""
-        channels = self.channels(name, spacings)
-        for channel in channels:
-            self.record_nodes(f"{name}@{rule}", channel.spec)
-        relative = name != "los" and self.config.normalization == "RelativeToLOS"
-        solved: dict[int, EigenSpectrum] = {}
-        for channel in channels:
-            key = round(channel.tx.spacing / 1e-15)
-            if relative and key not in self._scales:
-                self._scales[key] = channel.entries.size / los_power(
-                    self.vacuum_medium, channel.tx, channel.rx)
-            if id(channel) not in solved:
-                solved[id(channel)] = eigen_spectrum(
-                    channel, RELATIVE if relative else SELF_SUM,
-                    reference_scale=self._scales[key] if relative else None,
-                )
-        return [solved[id(channel)] for channel in channels]
+    def spectra(self, group: _Group) -> list[list[EigenSpectrum]]:
+        """Each name's spectra at the group's spacings, in their order.  The
+        distinct spacings share one synthesis (:func:`mimo._assemble`), each
+        scene's channel at each is eigensolved once, and each name records
+        its largest node count under ``name@rule``.  The direct channel sums
+        to N^2; a material does too under ``SelfSum``, and otherwise takes the
+        scale N^2 / ||H_LOS||_F^2 of the direct channel between its own
+        arrays, in closed form (:func:`closedform.los_power`), once per spacing."""
+        n = self.config.antennas
+        keys = [round(spacing / 1e-15) for spacing in group.spacings]
+        distinct = dict(zip(keys, group.spacings))
+        layouts = [(ArrayLayout.along_x(n, spacing, 0.0),
+                    ArrayLayout.along_x(n, spacing, self.config.range_m))
+                   for spacing in distinct.values()]
+        built = _assemble(group.scenes, layouts, group.component, self.config.quadrature)
+        solved: dict[int, list[EigenSpectrum]] = {}
+        for key, (tx, rx), channels in zip(distinct, layouts, built):
+            scale = n * n / los_power(self.vacuum_medium, tx, rx) if group.relative else None
+            solved[key] = [eigen_spectrum(channel, RELATIVE if group.relative else SELF_SUM,
+                                          reference_scale=scale) for channel in channels]
+            for name, channel in zip(group.names, channels):
+                self.record_nodes(f"{name}@{group.rule}", channel.spec)
+        return [[solved[key][at] for key in keys] for at in range(len(group.names))]
 
     def record_nodes(self, label: str, spec: QuadratureSpec) -> None:
         """Keep the largest ``n_alpha`` used under ``label``."""
@@ -158,48 +139,51 @@ def _spacing_of(context: _Context, rule: str, bound: DofBound | None) -> float:
 
 
 def _walk(context: _Context, los_rule: str, reflected_rule: str,
-          bounds: Sequence[DofBound | None]) -> list[tuple[str, str, list[float]]]:
-    """A table's groups in row order, each with its spacing rule and its
-    spacings at the SNRs of ``bounds``: the direct channel under ``los_rule``,
-    then each material under ``reflected_rule`` or the configured override.
-    It is all worked out, and checked, before anything is built.  The direct
-    channel goes first as the table's reference rows; the materials' scale
-    builds no direct channel, so the order changes no value or node count."""
+          bounds: Sequence[DofBound | None]) -> list[_Group]:
+    """A table's two groups in row order, each with its spacings at the
+    SNRs of ``bounds``, worked out and checked before anything is built:
+    the direct channel ``"los"`` under ``los_rule`` as the reference rows,
+    then the materials under ``reflected_rule`` or the configured override,
+    on the direct channel's scale under ``RelativeToLOS`` (built from no
+    direct channel, so the order changes no value or node count)."""
     cfg = context.config
     rule = reflected_rule if cfg.spacing_rule == "default" else cfg.spacing_rule
-    blank = [name for name in cfg.materials if material_by_name(name).is_homogeneous]
+    materials = [material_by_name(name) for name in cfg.materials]
+    blank = [name for name, material in zip(cfg.materials, materials) if material.is_homogeneous]
     if blank and cfg.normalization == "SelfSum":
         raise ConfigError([f"material {blank[0]!r} reflects nothing, so its channel "
                            f"is zero and normalization = SelfSum cannot scale it"])
-    spacings = {r: [_spacing_of(context, r, bound) for bound in bounds]
-                for r in (los_rule, rule)}
-    return [("los", los_rule, spacings[los_rule]),
-            *((name, rule, spacings[rule]) for name in cfg.materials)]
+    spacings = {r: [_spacing_of(context, r, bound) for bound in bounds] for r in (los_rule, rule)}
+    return [_Group(("los",), FieldComponent.LOS_ONLY, [context.scene(VACUUM)], los_rule,
+                   spacings[los_rule], False),
+            _Group(cfg.materials, FieldComponent.REFLECTION_ONLY,
+                   [context.scene(material) for material in materials], rule, spacings[rule],
+                   cfg.normalization == "RelativeToLOS")]
 
 
 def _eigen_table(context: _Context, los_rule: str, reflected_rule: str) -> ResultTable:
     rows: list[tuple] = []
-    for name, rule, spacings in _walk(context, los_rule, reflected_rule, [None]):
-        (spectrum,) = context.spectra(name, rule, spacings)
-        rows.extend((name, rule, index, float(value), float(db))
-                    for index, (value, db) in enumerate(zip(spectrum.values, spectrum.db),
-                                                        start=1))
+    for group in _walk(context, los_rule, reflected_rule, [None]):
+        for name, (spectrum,) in zip(group.names, context.spectra(group)):
+            rows.extend((name, group.rule, index, float(value), float(db))
+                        for index, (value, db) in enumerate(zip(spectrum.values, spectrum.db),
+                                                            start=1))
     return ResultTable("eigenvalues", _EIGEN_COLUMNS, tuple(rows))
 
 
 def _capacity_table(context: _Context, los_rule: str, reflected_rule: str) -> ResultTable:
-    """Capacity over the SNR grid, each group's grid waterfilled in one
+    """Capacity over the SNR grid, each name's grid waterfilled in one
     call; each SNR's flat-spectrum bound, taken once, gives the SNR-matched
     spacings and the upper-bound row."""
     cfg = context.config
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in cfg.snr_grid_db]
     bounds = [dof_bound(cfg.antennas, snr) for snr in snrs]
     rows: list[tuple] = []
-    for name, rule, spacings in _walk(context, los_rule, reflected_rule, bounds):
-        spectra = context.spectra(name, rule, spacings)
-        capacities = _waterfill_rows(np.stack([s.values for s in spectra]), np.array(snrs))[0]
-        rows.extend((name, rule, snr_db, float(capacity))
-                    for snr_db, capacity in zip(cfg.snr_grid_db, capacities))
+    for group in _walk(context, los_rule, reflected_rule, bounds):
+        for name, spectra in zip(group.names, context.spectra(group)):
+            capacities = _waterfill_rows(np.stack([s.values for s in spectra]), np.array(snrs))[0]
+            rows.extend((name, group.rule, snr_db, float(capacity))
+                        for snr_db, capacity in zip(cfg.snr_grid_db, capacities))
     rows.extend(("upper_bound", los_rule, snr_db, bound.bound)
                 for snr_db, bound in zip(cfg.snr_grid_db, bounds))
     return ResultTable("capacity", _CAPACITY_COLUMNS, tuple(rows))

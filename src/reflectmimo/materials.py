@@ -193,18 +193,7 @@ def fresnel_reflection(medium: Medium, kx, ky):
     exactly 0 for a homogeneous far side.  Raises ValueError outside the
     propagating disk.
     """
-    scalar = np.isscalar(kx) and np.isscalar(ky)
-    rho_sq = _transverse_sq(medium, kx, ky)
-    mat = medium.material
-    if mat.is_conductor:
-        out = np.full_like(rho_sq, -1.0)
-    elif mat.is_homogeneous:
-        out = np.zeros_like(rho_sq)
-    else:
-        k1z = np.sqrt(np.maximum(medium.kappa1 ** 2 - rho_sq, 0.0))
-        k2z = np.sqrt(np.maximum(medium.kappa2 ** 2 - rho_sq, 0.0))
-        out = reflection_from_kz(mat, k1z, k2z)
-    return float(out) if scalar else out
+    return _fresnel(medium, kx, ky, reflection_from_kz, 0.0)
 
 
 def fresnel_transmission(medium: Medium, kx, ky):
@@ -213,18 +202,18 @@ def fresnel_transmission(medium: Medium, kx, ky):
     Satisfies 1 + R = T everywhere on the disk; 0 for the perfect
     conductor, 1 for a homogeneous far side.
     """
-    scalar = np.isscalar(kx) and np.isscalar(ky)
-    rho_sq = _transverse_sq(medium, kx, ky)
-    mat = medium.material
-    if mat.is_conductor:
-        out = np.zeros_like(rho_sq)
-    elif mat.is_homogeneous:
-        out = np.ones_like(rho_sq)
-    else:
-        k1z = np.sqrt(np.maximum(medium.kappa1 ** 2 - rho_sq, 0.0))
-        k2z = np.sqrt(np.maximum(medium.kappa2 ** 2 - rho_sq, 0.0))
-        out = transmission_from_kz(mat, k1z, k2z)
-    return float(out) if scalar else out
+    return _fresnel(medium, kx, ky, transmission_from_kz, 1.0)
+
+
+def _fresnel(medium: Medium, kx, ky, from_kz, homogeneous: float):
+    """``from_kz`` at the :func:`longitudinal_wavenumbers` of the in-disk
+    (kx, ky), or ``homogeneous`` on a homogeneous far side; a float for
+    scalar inputs, which are passed as arrays to keep numpy's arithmetic."""
+    k1z, k2z = longitudinal_wavenumbers(medium, np.asarray(kx, dtype=float),
+                                        np.asarray(ky, dtype=float))
+    out = (np.full_like(k1z, homogeneous) if medium.material.is_homogeneous
+           else from_kz(medium.material, k1z, k2z))
+    return float(out) if np.isscalar(kx) and np.isscalar(ky) else out
 
 
 def far_side_kz(medium: Medium, k1z):

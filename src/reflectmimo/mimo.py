@@ -292,8 +292,9 @@ def eigen_spectrum(channel: ChannelMatrix | np.ndarray,
             raise ValueError("cannot self-sum normalize a zero channel")
         scale = entries.size / total
     elif normalization == RELATIVE:
-        if reference_scale is None or not (reference_scale > 0.0):
-            msg = f"relative normalization needs a positive reference_scale, got {reference_scale!r}"
+        if reference_scale is None or not 0.0 < reference_scale < math.inf:
+            msg = ("relative normalization needs a positive, finite reference_scale, "
+                   f"got {reference_scale!r}")
             raise ValueError(msg)
         scale = float(reference_scale)
     else:

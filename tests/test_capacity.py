@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflectmimo import dof_bound, optimal_stream_count, waterfill
+from reflectmimo import dof_bound, optimal_stream_count, spacing_snr, waterfill
 from reflectmimo.capacity import _waterfill_rows
 
 
@@ -91,6 +91,9 @@ class TestWaterfill:
             waterfill([1.0, -0.5], 1.0)
         with pytest.raises(ValueError, match="1-D"):
             waterfill(np.eye(2), 1.0)
+        for bad in (math.nan, math.inf, -math.inf):  # no NaN or infinite capacity
+            with pytest.raises(ValueError, match="finite"):
+                waterfill([bad, 1.0], 1.0)
 
 
 def _spectrum_rows(count):
@@ -186,3 +189,16 @@ class TestDofBound:
                 dof_bound(8, snr)
             with pytest.raises(ValueError, match="snr"):
                 optimal_stream_count(8, snr)
+
+    @pytest.mark.parametrize("count", [2.5, True, math.nan, "8"])
+    def test_non_integer_counts_refused_by_name(self, count):
+        """A count must be an integer: 2.5 no longer fails in ``range`` and
+        ``True`` is no longer one antenna.  The stream count and the matched
+        spacing inherit the check."""
+        for call in (lambda: dof_bound(count, 1.0), lambda: optimal_stream_count(count, 1.0),
+                     lambda: spacing_snr(0.005, 10.0, count, 1.0)):
+            with pytest.raises(ValueError, match="count must be an integer"):
+                call()
+
+    def test_numpy_integer_count_accepted(self):
+        assert dof_bound(np.int64(8), 10.0) == dof_bound(8, 10.0)

@@ -71,6 +71,16 @@ class TestRun:
         assert "invalid configuration" in err
         assert "antennas" in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        """A config path that names no file is an invalid configuration
+        naming the path, not a traceback."""
+        cfg = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+        assert main(["run", "fig2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and repr(str(cfg)) in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_repeated_material_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("materials = concrete,concrete\n")

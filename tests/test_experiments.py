@@ -335,6 +335,37 @@ def test_node_counts_are_each_labels_own_largest_need(frequency_ghz):
     assert run_named("fig5", config).provenance["node_counts"] == expected
 
 
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+def test_one_assembly_and_eigensolve_per_group_and_spacing(monkeypatch, name):
+    """A table has two groups, the direct channel and the materials.  Each
+    is built in one assembly over its distinct spacings, and each scene's
+    channel at each distinct spacing is eigensolved once."""
+    config = ExperimentConfig()
+    bounds = [dof_bound(config.antennas, 10.0 ** (db / 10.0)) for db in config.snr_grid_db]
+    rules = {"fig2": ("rayleigh_D", "rayleigh_D"), "fig3": ("snr_dependent_D",) * 2,
+             "fig4": ("rayleigh_D", "rayleigh_De"),
+             "fig5": ("snr_dependent_D", "snr_dependent_De")}[name]
+    groups = experiments._walk(experiments._Context(config), *rules,
+                               bounds if name in ("fig3", "fig5") else [None])
+    expected = [(len(g.scenes), len({round(d / 1e-15) for d in g.spacings})) for g in groups]
+    built, solves = [], []
+    assemble, solve = experiments._assemble, experiments.eigen_spectrum
+
+    def counted_assemble(scenes, layouts, *args):
+        built.append((len(scenes), len(layouts)))
+        return assemble(scenes, layouts, *args)
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_assemble", counted_assemble)
+    monkeypatch.setattr(experiments, "eigen_spectrum", counted_solve)
+    run_named(name, config)
+    assert built == expected == [(1, expected[0][1]), (len(config.materials), expected[1][1])]
+    assert len(solves) == sum(scenes * spacings for scenes, spacings in expected)
+
+
 def _unbuilt(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a channel was built")
@@ -380,25 +411,21 @@ def test_relative_scale_keeps_vacuum_at_zero():
 def test_relative_scale_is_the_synthesized_direct_channels(config):
     """The closed-form relative scale at fig4's reflected spacing equals
     N^2 / ||H||_F^2 of the direct channel synthesized between the same
-    arrays."""
+    arrays, for each material of the reflected group."""
     context = experiments._Context(config)
-    spacing = experiments._spacing_of(context, "rayleigh_De", None)
-    (spectrum,) = context.spectra("concrete", "rayleigh_De", [spacing])
+    _, group = experiments._walk(context, "rayleigh_D", "rayleigh_De", [None])
+    (spacing,) = group.spacings
+    assert spacing == experiments._spacing_of(context, "rayleigh_De", None)
+    spectra = context.spectra(group)
     n = config.antennas
     los = build_channel_matrix(
         context.scene(VACUUM), ArrayLayout.along_x(n, spacing, 0.0),
         ArrayLayout.along_x(n, spacing, config.range_m), FieldComponent.LOS_ONLY,
     ).entries
     synthesized = los.size / np.vdot(los, los).real
-    assert abs(spectrum.scale - synthesized) <= 1e-12 * synthesized
-
-
-class _Unshared(dict):
-    """A relative-scale cache that never holds a spacing, so every channel
-    takes its own scale."""
-
-    def __contains__(self, key):
-        return False
+    assert len(spectra) == len(config.materials)
+    for (spectrum,) in spectra:
+        assert abs(spectrum.scale - synthesized) <= 1e-12 * synthesized
 
 
 @pytest.mark.parametrize("name, rule, spacings", [
@@ -406,21 +433,29 @@ class _Unshared(dict):
 ])
 def test_one_los_power_per_reflected_spacing(monkeypatch, name, rule, spacings):
     """Every material at one spacing shares that spacing's relative scale:
-    ||H_LOS||_F^2 is taken once per distinct reflected spacing, and the
-    RelativeToLOS table is the one a scale taken per channel gives."""
+    ||H_LOS||_F^2 is taken once per distinct reflected spacing, and each
+    material's scale is N^2 / ||H_LOS||_F^2 between its own arrays."""
     config = ExperimentConfig()
-    shared, unshared = experiments._Context(config), experiments._Context(config)
-    unshared._scales = _Unshared()
+    context = experiments._Context(config)
     bounds = ([experiments.dof_bound(config.antennas, 10.0 ** (snr_db / 10.0))
                for snr_db in config.snr_grid_db] if name == "fig5" else [None])
-    assert len({experiments._spacing_of(shared, rule, bound) for bound in bounds}) == spacings
-    per_channel = experiments._RUNNERS[name](unshared)
-    power, calls = experiments.los_power, []
+    assert len({experiments._spacing_of(context, rule, bound) for bound in bounds}) == spacings
+    power, solve, calls, scaled = experiments.los_power, experiments.eigen_spectrum, [], []
 
     def counted(*args):
         calls.append(args)
         return power(*args)
 
+    def solved(channel, normalization, **kwargs):
+        spectrum = solve(channel, normalization, **kwargs)
+        if channel.component is FieldComponent.REFLECTION_ONLY:
+            scaled.append((channel, spectrum.scale))
+        return spectrum
+
     monkeypatch.setattr(experiments, "los_power", counted)
-    assert experiments._RUNNERS[name](shared) == per_channel
+    monkeypatch.setattr(experiments, "eigen_spectrum", solved)
+    experiments._RUNNERS[name](context)
     assert len(calls) == spacings
+    assert len(scaled) == spacings * len(config.materials)
+    for channel, scale in scaled:
+        assert scale == channel.entries.size / power(context.vacuum_medium, channel.tx, channel.rx)

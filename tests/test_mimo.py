@@ -633,8 +633,9 @@ class TestEigenSpectrum:
         h = np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="reference_scale"):
             eigen_spectrum(h, RELATIVE)
-        with pytest.raises(ValueError, match="reference_scale"):
-            eigen_spectrum(h, RELATIVE, reference_scale=0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive, finite reference_scale"):
+                eigen_spectrum(h, RELATIVE, reference_scale=bad)
 
     def test_unknown_normalization(self):
         with pytest.raises(ValueError, match="normalization"):
