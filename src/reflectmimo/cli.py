@@ -7,7 +7,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, _read_config
 from .experiments import EXPERIMENT_NAMES, run_named, validation_scene
 from .materials import Medium, material_by_name, material_catalog
 from .output import emit, write_convergence_csv
@@ -57,14 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        config = load_config(args.config)
-        config_text = Path(args.config).read_text(encoding="utf-8")
-        if config_text.lstrip().startswith("{"):
-            config_text = None  # JSON input: echo the canonical text instead
-    else:
-        config = ExperimentConfig()
-        config_text = None
+    config, config_text = (_read_config(args.config) if args.config is not None
+                           else (ExperimentConfig(), None))
     results = run_named(args.name, config, config_text=config_text)
     for path in emit(results, args.fmt, args.out):
         print(path)
@@ -118,17 +112,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "materials":
             return _cmd_materials_list()
         return _cmd_converge(args)
-    except ConfigError as exc:
-        print("error: invalid configuration", file=sys.stderr)
+    except (ConfigError, SceneError) as exc:
+        headline = ("invalid configuration" if isinstance(exc, ConfigError)
+                    else "scene constraints violated")
+        print(f"error: {headline}", file=sys.stderr)
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
-    except SceneError as exc:
-        print("error: scene constraints violated", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

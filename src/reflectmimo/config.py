@@ -166,11 +166,23 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 
-_INT_KEYS = ("antennas", "n_alpha")
-_FLOAT_KEYS = ("frequency_ghz", "d1_m", "range_m")
-_KNOWN_KEYS = _INT_KEYS + _FLOAT_KEYS + (
-    "materials", "snr_grid_db", "spacing_rule", "normalization",
-)
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+# Each key's parser of its file text and writer of its stored value, in the
+# order config_to_text writes them.
+_KEYS = {
+    "frequency_ghz": (float, repr),
+    "d1_m": (float, repr),
+    "range_m": (float, repr),
+    "antennas": (int, str),
+    "materials": (_parse_names, ",".join),
+    "snr_grid_db": (_parse_snr_grid, lambda grid: ",".join(map(repr, grid))),
+    "spacing_rule": (str, str),
+    "normalization": (str, str),
+    "n_alpha": (int, str),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -185,22 +197,11 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(f"line {lineno}: expected key = value, got {raw.strip()!r}")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
         try:
-            if key in _INT_KEYS:
-                fields[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                fields[key] = float(value)
-            elif key == "materials":
-                fields[key] = tuple(
-                    part.strip() for part in value.split(",") if part.strip()
-                )
-            elif key == "snr_grid_db":
-                fields[key] = _parse_snr_grid(value)
-            else:
-                fields[key] = value
+            fields[key] = _KEYS[key][0](value)
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
     if problems:
@@ -211,36 +212,38 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def config_to_text(config: ExperimentConfig) -> str:
-    """Canonical text form; ``parse_config`` of the result reproduces
-    ``config`` exactly."""
-    lines = [
-        f"frequency_ghz = {config.frequency_ghz!r}",
-        f"d1_m = {config.d1_m!r}",
-        f"range_m = {config.range_m!r}",
-        f"antennas = {config.antennas}",
-        f"materials = {','.join(config.materials)}",
-        f"snr_grid_db = {','.join(repr(db) for db in config.snr_grid_db)}",
-        f"spacing_rule = {config.spacing_rule}",
-        f"normalization = {config.normalization}",
-    ]
-    if config.n_alpha is not None:
-        lines.append(f"n_alpha = {config.n_alpha}")
-    return "\n".join(lines) + "\n"
+    """Canonical text form, one line per set key; ``parse_config`` of the
+    result reproduces ``config`` exactly."""
+    return "".join(f"{key} = {write(value)}\n" for key, (_, write) in _KEYS.items()
+                   if (value := getattr(config, key)) is not None)
+
+
+def _read_config(path: str | Path) -> tuple[ExperimentConfig, str | None]:
+    """The config in a file, and the text a run echoes for it: the file's
+    own text for a flat config, or ``None`` for emitted JSON results, whose
+    provenance block holds the exact config text (echoed canonically)."""
+    name = repr(str(path))
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError([f"cannot read config file {name}: {exc.strerror}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config file {name} is not UTF-8 text: {exc.reason}"]) from exc
+    if not content.lstrip().startswith("{"):
+        return parse_config(content), content
+    try:
+        text = json.loads(content)["provenance"]["config_text"]
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"config file {name} is not valid JSON: {exc}"]) from exc
+    except (KeyError, TypeError) as exc:
+        raise ConfigError([f"JSON config file {name} lacks provenance.config_text"]) from exc
+    if not isinstance(text, str):
+        raise ConfigError([f"JSON config file {name} has a provenance.config_text "
+                           f"that is not text but {type(text).__name__}"])
+    return parse_config(text), None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load a config from flat text, or recover one from emitted JSON
-    results (the provenance block echoes the exact config text)."""
-    try:
-        content = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError([f"cannot read config file {str(path)!r}: {exc.strerror}"]) from exc
-    stripped = content.lstrip()
-    if stripped.startswith("{"):
-        payload = json.loads(content)
-        try:
-            text = payload["provenance"]["config_text"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(["JSON input lacks provenance.config_text"]) from exc
-        return parse_config(text)
-    return parse_config(content)
+    results."""
+    return _read_config(path)[0]

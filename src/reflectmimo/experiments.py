@@ -104,20 +104,20 @@ class _Context:
         scale N^2 / ||H_LOS||_F^2 of the direct channel between its own
         arrays, in closed form (:func:`closedform.los_power`), once per spacing."""
         n = self.config.antennas
-        keys = [round(spacing / 1e-15) for spacing in group.spacings]
-        distinct = dict(zip(keys, group.spacings))
+        distinct = list(dict.fromkeys(group.spacings))
         layouts = [(ArrayLayout.along_x(n, spacing, 0.0),
                     ArrayLayout.along_x(n, spacing, self.config.range_m))
-                   for spacing in distinct.values()]
+                   for spacing in distinct]
         built = _assemble(group.scenes, layouts, group.component, self.config.quadrature)
-        solved: dict[int, list[EigenSpectrum]] = {}
-        for key, (tx, rx), channels in zip(distinct, layouts, built):
+        solved: dict[float, list[EigenSpectrum]] = {}
+        for spacing, (tx, rx), channels in zip(distinct, layouts, built):
             scale = n * n / los_power(self.vacuum_medium, tx, rx) if group.relative else None
-            solved[key] = [eigen_spectrum(channel, RELATIVE if group.relative else SELF_SUM,
-                                          reference_scale=scale) for channel in channels]
+            solved[spacing] = [eigen_spectrum(channel, RELATIVE if group.relative else SELF_SUM,
+                                              reference_scale=scale) for channel in channels]
             for name, channel in zip(group.names, channels):
                 self.record_nodes(f"{name}@{group.rule}", channel.spec)
-        return [[solved[key][at] for key in keys] for at in range(len(group.names))]
+        return [[solved[spacing][at] for spacing in group.spacings]
+                for at in range(len(group.names))]
 
     def record_nodes(self, label: str, spec: QuadratureSpec) -> None:
         """Keep the largest ``n_alpha`` used under ``label``."""

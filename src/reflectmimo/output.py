@@ -14,8 +14,6 @@ from .experiments import ResultSet, ResultTable
 from .mimo import ChannelMatrix
 from .quadrature import ConvergenceStudy
 
-_CONVERGENCE_COLUMNS = ("n_alpha", "re", "im", "delta")
-
 
 def _cell(value: object) -> str:
     if isinstance(value, bool):
@@ -56,6 +54,9 @@ def results_to_json(results: ResultSet) -> dict:
 
 def emit(results: ResultSet, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write a result set as one CSV per table or a single JSON file."""
+    if fmt not in ("csv", "json"):
+        msg = f"format must be 'csv' or 'json', got {fmt!r}"
+        raise ValueError(msg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
@@ -63,37 +64,23 @@ def emit(results: ResultSet, fmt: str, out_dir: str | Path) -> list[Path]:
             write_table_csv(table, out_dir / f"{results.experiment}_{table.name}.csv")
             for table in results.tables
         ]
-    if fmt == "json":
-        path = out_dir / f"{results.experiment}.json"
-        payload = json.dumps(results_to_json(results), indent=2)
-        path.write_text(payload + "\n", encoding="utf-8", newline="\n")
-        return [path]
-    msg = f"format must be 'csv' or 'json', got {fmt!r}"
-    raise ValueError(msg)
+    path = out_dir / f"{results.experiment}.json"
+    payload = json.dumps(results_to_json(results), indent=2)
+    path.write_text(payload + "\n", encoding="utf-8", newline="\n")
+    return [path]
 
 
 def write_convergence_csv(study: ConvergenceStudy, path: str | Path) -> Path:
-    path = Path(path)
-    lines = [",".join(_CONVERGENCE_COLUMNS)]
-    for row in study.rows:
-        delta = "" if row.delta is None else repr(row.delta)
-        lines.append(
-            f"{row.n_alpha},{row.value.real!r},{row.value.imag!r},{delta}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    rows = tuple((row.n_alpha, row.value.real, row.value.imag,
+                  "" if row.delta is None else row.delta) for row in study.rows)
+    table = ResultTable("convergence", ("n_alpha", "re", "im", "delta"), rows)
+    return write_table_csv(table, path)
 
 
 def write_channel_matrix_csv(channel: ChannelMatrix, path: str | Path) -> Path:
-    path = Path(path)
-    lines = ["row,col,re,im"]
-    rows, cols = channel.entries.shape
-    for m in range(rows):
-        for n in range(cols):
-            value = complex(channel.entries[m, n])
-            lines.append(f"{m},{n},{value.real!r},{value.imag!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    rows = tuple((m, n, value.real, value.imag)
+                 for m, entries in enumerate(channel.entries) for n, value in enumerate(entries))
+    return write_table_csv(ResultTable("channel", ("row", "col", "re", "im"), rows), path)
 
 
 def channel_matrix_to_json(channel: ChannelMatrix) -> dict:

@@ -1,9 +1,12 @@
 """In-process tests of the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
+import reflectmimo.config
+import reflectmimo.output
 from reflectmimo.cli import main
 
 SMALL_CONFIG = """\
@@ -71,15 +74,61 @@ class TestRun:
         assert "invalid configuration" in err
         assert "antennas" in err
 
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
-        """A config path that names no file is an invalid configuration
+        """A config path that names no text file is an invalid configuration
         naming the path, not a traceback."""
-        cfg = tmp_path / "absent.txt" if kind == "missing" else tmp_path
+        cfg = {"missing": tmp_path / "absent.txt", "directory": tmp_path,
+               "undecodable": tmp_path / "latin.txt"}[kind]
+        if kind == "undecodable":
+            cfg.write_bytes(b"antennas = 4\xff\n")
         assert main(["run", "fig2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "invalid configuration" in err and repr(str(cfg)) in err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("content", ['{"provenance": {"config_text": 5}}',
+                                         '{"provenance": '], ids=["number", "malformed"])
+    def test_unusable_json_config_exits_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "a.json"
+        cfg.write_text(content)
+        assert main(["run", "fig2", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and repr(str(cfg)) in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_config_parsed_and_emitted_once(self, tmp_path, capsys, monkeypatch):
+        """A run calls the parser and the writer once each through names a
+        wrapper can replace, as a profiler that rebinds every module's
+        reference to a function does."""
+        calls = {"parse_config": 0, "emit": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            for key, namespace in list(sys.modules.items()):
+                if key.startswith("reflectmimo") and getattr(namespace, name, None) is original:
+                    monkeypatch.setattr(namespace, name, wrapper)
+
+        counted(reflectmimo.config, "parse_config")
+        counted(reflectmimo.output, "emit")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        assert main(["run", "fig2", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert calls == {"parse_config": 1, "emit": 1}
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "some.json"
+        out.write_text("")
+        assert main(["run", "fresnel_sweep", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert out.read_text() == "" and list(tmp_path.iterdir()) == [out]
 
     def test_repeated_material_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -158,6 +207,14 @@ class TestConverge:
         assert main(["converge", *args, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "some.json"
+        out.write_text("")
+        assert main(["converge", "--dz", "0.3", "--lag", "0.05", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert out.read_text() == "" and list(tmp_path.iterdir()) == [out]
 
     def test_unknown_material_exits_2(self, capsys):
         code = main(["converge", "--dz", "0.3", "--lag", "0", "--material", "kryptonite"])

@@ -64,6 +64,26 @@ class TestRoundTrip:
         config = ExperimentConfig()
         assert config_to_text(config) == config_to_text(config)
 
+    def test_text_of_every_key(self):
+        """The provenance echoes this text, so its key order and number
+        forms are part of every emitted result."""
+        config = ExperimentConfig(
+            frequency_ghz=140.0, d1_m=2.5, range_m=0.1 + 0.2, antennas=16,
+            materials=("concrete", "floor_board"), snr_grid_db=(-3.5, 0.0, 1e-7),
+            spacing_rule="rayleigh_De", normalization="SelfSum", n_alpha=4096,
+        )
+        assert config_to_text(config) == (
+            "frequency_ghz = 140.0\n"
+            "d1_m = 2.5\n"
+            "range_m = 0.30000000000000004\n"
+            "antennas = 16\n"
+            "materials = concrete,floor_board\n"
+            "snr_grid_db = -3.5,0.0,1e-07\n"
+            "spacing_rule = rayleigh_De\n"
+            "normalization = SelfSum\n"
+            "n_alpha = 4096\n"
+        )
+
 
 class TestParsing:
     def test_comments_and_blanks(self):
@@ -208,6 +228,20 @@ class TestLoadConfig:
         path.write_text(json.dumps({"tables": {}}))
         with pytest.raises(ConfigError, match="provenance"):
             load_config(path)
+
+    @pytest.mark.parametrize("content", [
+        '{"provenance": {"config_text": 5}}',
+        '{"provenance": {"config_text": null}}',
+        '{"provenance": ["config_text"]}',
+        '{"provenance": ',
+    ], ids=["number", "null", "list", "malformed"])
+    def test_unusable_json_names_the_path(self, tmp_path, content):
+        path = tmp_path / "results.json"
+        path.write_text(content)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        (violation,) = excinfo.value.violations
+        assert repr(str(path)) in violation
 
     def test_dataclass_is_frozen(self):
         config = ExperimentConfig()

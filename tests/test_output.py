@@ -6,6 +6,8 @@ import pytest
 
 from reflectmimo import (
     ArrayLayout,
+    ConvergenceRow,
+    ConvergenceStudy,
     FieldComponent,
     ResultTable,
     SceneConfig,
@@ -15,6 +17,7 @@ from reflectmimo import (
     results_to_json,
     run_named,
     write_channel_matrix_csv,
+    write_convergence_csv,
     write_table_csv,
 )
 from reflectmimo.config import ExperimentConfig
@@ -97,7 +100,19 @@ class TestResultEmission:
     def test_unknown_format(self, tmp_path):
         results = run_named("fresnel_sweep", SMALL)
         with pytest.raises(ValueError, match="format"):
-            emit(results, "parquet", tmp_path)
+            emit(results, "parquet", tmp_path / "new")
+        assert not (tmp_path / "new").exists()
+
+
+class TestConvergenceCsv:
+    def test_rows_and_blank_first_delta(self, tmp_path):
+        study = ConvergenceStudy(rows=[ConvergenceRow(64, 0.1 + 2j, None),
+                                       ConvergenceRow(128, -3.5 + 1e-20j, 0.25)],
+                                 converged=True)
+        path = write_convergence_csv(study, tmp_path / "c.csv")
+        assert path.read_text() == (
+            "n_alpha,re,im,delta\n64,0.1,2.0,\n128,-3.5,1e-20,0.25\n"
+        )
 
 
 class TestChannelSerialization:
@@ -109,6 +124,14 @@ class TestChannelSerialization:
         first = lines[1].split(",")
         assert (first[0], first[1]) == ("0", "0")
         assert float(first[2]) == tiny_channel.entries[0, 0].real
+
+    def test_matrix_csv_lists_every_entry_row_major(self, tmp_path, tiny_channel):
+        path = write_channel_matrix_csv(tiny_channel, tmp_path / "h.csv")
+        entries = tiny_channel.entries
+        assert path.read_text().splitlines()[1:] == [
+            f"{m},{n},{float(entries[m, n].real)!r},{float(entries[m, n].imag)!r}"
+            for m in range(entries.shape[0]) for n in range(entries.shape[1])
+        ]
 
     def test_matrix_json(self, tiny_channel):
         payload = channel_matrix_to_json(tiny_channel)
