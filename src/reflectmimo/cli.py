@@ -4,6 +4,8 @@ and quadrature convergence traces."""
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -56,7 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unusable_out(out: Path) -> None:
+    """Raise, before any work, the error that creating the output directory
+    ``out`` would raise: its nearest existing ancestor, itself included,
+    must be a directory."""
+    existing = out
+    while not existing.exists():
+        existing = existing.parent
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    _refuse_unusable_out(args.out)
     config, config_text = (_read_config(args.config) if args.config is not None
                            else (ExperimentConfig(), None))
     results = run_named(args.name, config, config_text=config_text)
@@ -80,6 +95,7 @@ def _cmd_materials_list() -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
+    _refuse_unusable_out(args.out)
     if not 0.0 < args.dz < float("inf"):
         raise ConfigError([f"--dz must be positive and finite, got {args.dz!r}"])
     if not 0.0 <= args.lag < float("inf"):

@@ -58,9 +58,16 @@ several lags it is taken from Hankel's expansion J0(x) = sqrt(2 / (pi x))
 (P cos chi - Q sin chi), chi = x - pi/4, wherever |x| >= 18, where 28 terms
 of P and Q fall below 2^-53 of J0's envelope: x^-n = rho^-n k^-n, so P and
 Q of the whole block are two real matrix products, and cos chi and sin chi
-come from one complex exponential.  Nearer arguments, and blocks of fewer
-than four lags (every single-lag call), whose matrix would cost more than
-it saves, go element by element through scipy's ``jv`` (AMOS).
+come from one complex exponential.  Nearer arguments come from the Taylor
+series about the leg's real start k0: J0(rho k) = sum_m J0^(m)(rho k0)
+(rho (k - k0))^m / m!, whose powers separate in lag and node the same way.
+Its coefficients are a trapezoid sum of J0's integral representation, one
+complex exponential per lag and quadrature node times a cached basis, so no
+special function is taken per element.  A lag of 0 is exactly 1.  Blocks
+of fewer than four lags (every single-lag call) and blocks of fewer than
+96 near elements, whose matrices would cost more than they save, and rows
+whose nodes spread too far along the real axis for the series, go element
+by element through scipy's ``jv`` (AMOS).
 
 The surface material enters only through the Fresnel coefficient inside the
 spectral coefficients: scenes that differ only in their material share the
@@ -94,9 +101,11 @@ _TAIL_CUTOFF = 36.0  # e^{-36} ~ 2e-16: truncation point of the decaying tail
 _BESSEL_BLOCK_SCALARS = 1 << 17  # Bessel factors per (node block x lags) matrix
 _CACHED_PANELS = 128  # longest rule, in panels, kept for reuse across calls
 _LEG_PHASE = 52.0  # kappa1 R sin^2(a0 - specular angle): a leg of about one panel
-# One complex-argument jv(0, .) or Hankel costs about 15 real j0.  The bent leg's matrix
-# (_leg_j0) now costs about half that per element in blocks of several lags; the price
-# stays at 15 on purpose, as re-pricing moves path choices and needs its own measurement.
+# One complex-argument jv(0, .) or Hankel costs about 15 real j0.  In blocks of several lags
+# the bent leg's matrix (_leg_j0) costs about half that per far element, and 2-3 real j0 per
+# near element: 46-71 ns against jv's ~750 ns in fig5's blocks at N = 16 and 64 (one BLAS
+# thread, 2-core Xeon).  The price stays at 15 on purpose, as re-pricing moves path choices
+# and needs its own measurement.
 _COMPLEX_BESSEL_COST = 15
 _LEG_GROWTH = 600.0  # largest |Im(k_rho rho)| on the leg; complex jv overflows near 700
 _PANEL_DECAY = 12.0  # a panel on [0, 36] resolves e^{-rate u} up to about this rate
@@ -107,6 +116,10 @@ _HANKEL_NEAR = 40.0  # hankel1e loses |x| 2^-53 up to ~10 below the real axis; t
 _HANKEL_FAR = 18.0  # |x| from which Hankel's expansion of J0 meets 2^-53 in _HANKEL_TERMS terms
 _HANKEL_TERMS = 28
 _HANKEL_LAGS = 4  # fewest lags whose Hankel Bessel matrix costs less than jv's (64-node leg)
+_TAYLOR_SPREAD = 1.0  # largest rho (max Re k - min Re k) of a leg row summed by Taylor's series
+# Fewest near elements whose Taylor matrix costs less than jv's: on a 64-node leg (one BLAS
+# thread, 2-core Xeon) the series costs ~54 us a block plus ~1.5 us a row, jv ~0.57 us an element.
+_TAYLOR_NEAR = 96
 # Fixed cost of a run (_runs) in real J0: the intercept of its time against its lag count,
 # over its time per lag per unit of its paths' cost.  For the fig3/fig5 spacings (57.5-300
 # GHz, N = 16-64, one BLAS thread, 2-core Xeon) 2,500-6,300 for the direct channel and
@@ -640,6 +653,54 @@ def _hankel_series() -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=64)
+def _taylor_basis(quarter: int, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid rule J0^(m)(x0) = (1/P) sum_p Re[e^{i x0 sin theta_p}
+    (i sin theta_p)^m] on P = 4 ``quarter`` nodes theta_p = 2 pi p / P
+    (DLMF 10.9.1), folded onto the quarter circle, where the four nodes of
+    each |sin theta_p| share one term: the sines s_q = sin(pi q / (2Q)), q
+    <= Q, and the real (2(Q + 1) x ``terms``) matrix taking the interleaved
+    cos and sin of x0 s_q to J0^(m)(x0) / m!."""
+    sin = np.sin(0.5 * math.pi / quarter * np.arange(quarter + 1))
+    weights = np.full(quarter + 1, 1.0 / quarter)
+    weights[[0, -1]] = 0.5 / quarter
+    signs = [(-1.0) ** (m // 2) / math.factorial(m) for m in range(terms)]  # Re or Im of i^m, / m!
+    powers = weights[:, None] * sin[:, None] ** np.arange(terms) * signs
+    basis = np.zeros((2 * quarter + 2, terms))
+    basis[0::2, 0::2], basis[1::2, 1::2] = powers[:, 0::2], -powers[:, 1::2]
+    return sin, basis
+
+
+def _taylor_j0(rho: np.ndarray, krho: np.ndarray, center: float, scale: float,
+               reach: float) -> np.ndarray:
+    """J0(rho_j krho_i) for lags rho > 0 as a (lag x node) array, from the
+    Taylor series about the real point x0 = rho ``center``: sum_m
+    [J0^(m)(x0) (rho s)^m / m!] [((k - center) / s)^m], one real and one
+    complex matrix product, with s = ``scale``, a power of 2 past every |k -
+    center|, so the node quotients are exact.  It holds to round-off where
+    rho |k - center| <= ``reach``: past e reach + 24 terms the remainder
+    falls below e^-24 of J0^(m) <= 1.  The trapezoid rule for J0^(m)
+    (:func:`_taylor_basis`) is exact up to aliasing of order J_{P - m}(x0),
+    negligible with P past x0 + 24 + m, so no special function is taken per
+    element.  x0 is carried exactly, as rho center rounded plus its
+    rounding, which ``center`` of at most 24 bits makes a sum of two exact
+    products (Veltkamp's split of rho): rounded alone, it would shift a whole
+    row by up to 2e-15 times J1 at x0 ~ 18."""
+    terms = math.ceil(math.e * reach) + 24
+    sin, basis = _taylor_basis(math.ceil((rho.max() * center + terms + 24.0) / 4.0), terms)
+    head = 134217729.0 * rho  # 2^27 + 1: rho = head + tail, each of at most 27 bits (Veltkamp)
+    head -= head - rho
+    x0 = rho * center
+    rounding = (head * center - x0) + (rho - head) * center  # rho center - x0, exactly
+    turn = np.exp(1j * np.multiply.outer(x0, sin))  # e^{i x0 sin theta_q}
+    turn += 1j * np.multiply.outer(rounding, sin) * turn
+    node_powers = np.empty((terms, krho.size), dtype=complex)
+    node_powers[0] = 1.0
+    node_powers[1:] = (krho - center) / scale
+    lag_factors = (turn.view(float) @ basis) * (rho * scale)[:, None] ** np.arange(terms)
+    return (lag_factors @ np.cumprod(node_powers, axis=0).view(float)).view(complex)
+
+
 def _leg_j0(rho: np.ndarray, krho: np.ndarray) -> np.ndarray:
     """J0(rho_j krho_i) for lags rho >= 0 and the complex leg wavenumbers
     ``krho``, as a (lag x node) array.  Where |x| = rho |k| >=
@@ -650,9 +711,17 @@ def _leg_j0(rho: np.ndarray, krho: np.ndarray) -> np.ndarray:
     real matrix products; the lag powers stay below 18^-n and only rows
     with a far element take them.  cos chi and sin chi come from one
     complex exponential, e^{i x}, rotated by the constant e^{-i pi/4}.
-    Nearer elements, and every element of a block of fewer than
-    ``_HANKEL_LAGS`` lags, whose matrix would cost more than ``jv`` does
-    (every single-lag call), go through ``jv``."""
+
+    A row with rho = 0 is exactly 1.  The other rows' near elements take
+    the Taylor series about the leg's real start k0, the midpoint of the
+    nodes' Re k (:func:`_taylor_j0`), whose powers separate in lag and node
+    too.  Its terms grow like e^{rho |k - k0|} where J0 grows like e^{|Im
+    x|}, so a row whose real spread rho (max Re k - min Re k) passes
+    ``_TAYLOR_SPREAD``, or whose lag factors, up to e^{rho max |k - k0|},
+    could pass e^``_LEG_GROWTH``, keeps ``jv`` (AMOS) for its near elements.
+    So do the near elements of a block holding fewer than ``_TAYLOR_NEAR``,
+    and every element of a block of fewer than ``_HANKEL_LAGS`` lags (every
+    single-lag call), whose matrices would cost more than ``jv`` does."""
     x = rho[:, None] * krho
     if rho.size < _HANKEL_LAGS:
         return jv(0, x)
@@ -672,10 +741,28 @@ def _leg_j0(rho: np.ndarray, krho: np.ndarray) -> np.ndarray:
             for part in (slice(0, None, 2), slice(1, None, 2)))
     turn = np.exp(1j * x[rows]) * cmath.exp(-0.25j * math.pi)  # e^{i chi}
     back = 1.0 / turn
-    values = np.empty_like(x)
+    values = np.ones_like(x)
     values[rows] = 0.5 * (p * (turn + back) + 1j * q * (turn - back))
     near = ~far
-    values[near] = jv(0, x[near])
+    near[rho == 0.0] = False
+    if np.count_nonzero(near) >= _TAYLOR_NEAR:
+        real = krho.real
+        low, high = real.min(), real.max()
+        center = float(np.float32(0.5 * (low + high)))  # 24 bits, for _taylor_j0's exact rho center
+        offset = np.abs(krho - center)
+        scale = 2.0 ** math.frexp(offset.max())[1]  # a power of 2 past every offset: exact quotients
+        spread = float(high - low)
+        # the largest rho with rho spread <= _TAYLOR_SPREAD and rho scale <= _LEG_GROWTH
+        limit = min(_TAYLOR_SPREAD / spread if spread else math.inf, _LEG_GROWTH / scale)
+        rows = np.flatnonzero(near.any(axis=1) & (rho <= limit))
+        if rows.size:
+            inside = near[rows]
+            reach = (rho[rows, None] * offset)[inside].max()
+            values[rows] = np.where(inside, _taylor_j0(rho[rows], krho, center, scale, reach),
+                                    values[rows])
+            near[rows] = False
+    if near.any():
+        values[near] = jv(0, x[near])
     return values
 
 

@@ -5,9 +5,26 @@ import sys
 
 import pytest
 
+import reflectmimo.cli
 import reflectmimo.config
 import reflectmimo.output
 from reflectmimo.cli import main
+
+def _refuse_work(monkeypatch):
+    """Make the experiment runner and the convergence study fail if called."""
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr(reflectmimo.cli, "run_named", never)
+    monkeypatch.setattr(reflectmimo.cli, "convergence_study", never)
+
+
+def _unusable_out(tmp_path, below):
+    """An existing empty file, or a path under it when ``below``."""
+    existing = tmp_path / "some.json"
+    existing.write_text("")
+    return existing, (existing / "sub" / "dir" if below else existing)
+
 
 SMALL_CONFIG = """\
 # desk-scale run
@@ -130,6 +147,15 @@ class TestRun:
         assert str(out) in err and "Traceback" not in err
         assert out.read_text() == "" and list(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_refused_before_computing(self, tmp_path, capsys, monkeypatch, below):
+        existing, out = _unusable_out(tmp_path, below)
+        _refuse_work(monkeypatch)
+        assert main(["run", "fig5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{out}'" in err and "Traceback" not in err
+        assert existing.read_text() == "" and list(tmp_path.iterdir()) == [existing]
+
     def test_repeated_material_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("materials = concrete,concrete\n")
@@ -215,6 +241,15 @@ class TestConverge:
         err = capsys.readouterr().err
         assert str(out) in err and "Traceback" not in err
         assert out.read_text() == "" and list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_refused_before_computing(self, tmp_path, capsys, monkeypatch, below):
+        existing, out = _unusable_out(tmp_path, below)
+        _refuse_work(monkeypatch)
+        assert main(["converge", "--dz", "0.3", "--lag", "0.05", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{out}'" in err and "Traceback" not in err
+        assert existing.read_text() == "" and list(tmp_path.iterdir()) == [existing]
 
     def test_unknown_material_exits_2(self, capsys):
         code = main(["converge", "--dz", "0.3", "--lag", "0", "--material", "kryptonite"])

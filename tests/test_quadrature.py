@@ -52,6 +52,8 @@ from reflectmimo.quadrature import (
     _HANKEL_LAGS,
     _PANEL,
     _TAIL_CUTOFF,
+    _TAYLOR_NEAR,
+    _TAYLOR_SPREAD,
     _coefficients,
     _lag_path,
     _leg,
@@ -1006,7 +1008,8 @@ class TestRuns:
         assert np.array_equal(forward, backward[::-1])
 
 
-# J0 to 30 digits at the double arguments, from tests/reference/make_j0_reference.py
+# J0 to 30 digits at the double arguments, from tests/reference/make_j0_reference.py: far
+# arguments, near ones on vertical legs descending from real starts, and scattered near ones
 _J0_REFERENCE = [  # (Re x, Im x, Re J0(x), Im J0(x))
     (18.0, 0.0, -0.013355805721984110885, 0.0),
     (12.75, -12.75, 31786.274345549477556, -6913.7535703456302068),
@@ -1031,10 +1034,62 @@ _J0_REFERENCE = [  # (Re x, Im x, Re J0(x), Im J0(x))
     (9981.0, -600.0, -1.2463945410415502941e+258, 8.4404131707761926698e+257),
 ]
 
+_J0_NEAR_LEGS = [  # (Re x, Im x, Re J0(x), Im J0(x))
+    (0.5, 0.0, 0.93846980724081290423, 0.0),
+    (0.5, -0.25, 0.95271009715390977309, 0.061039853225906519842),
+    (0.5, -1.0, 1.1798566304030780178, 0.27372678559101118964),
+    (0.5, -2.5, 3.0093290589948938294, 1.2170101400023570198),
+    (0.5, -4.0, 10.213878037796994403, 4.7117175217431879671),
+    (0.5, -6.0, 60.239060213633741362, 29.567965458714092053),
+    (0.5, -9.0, 973.5247483631558246, 496.20455105009494908),
+    (0.5, -12.5, 27133.45864309146374, 14111.304174601277371),
+    (0.5, -15.0, 300702.26831375837678, 157713.10716911703029),
+    (0.5, -17.9, 4988660.3431791629156, 2634232.0908699614631),
+    (3.0, 0.0, -0.26005195490193343762, 0.0),
+    (3.0, -0.25, -0.27176328356257763233, 0.085226712965998483289),
+    (3.0, -1.0, -0.46049214388225845912, 0.36956500001486357806),
+    (3.0, -2.5, -2.0602020743919042608, 1.4162305214291371914),
+    (3.0, -4.0, -8.8121437936979055484, 4.59843789974303514),
+    (3.0, -6.0, -58.652901352809750454, 23.639609922996465252),
+    (3.0, -9.0, -1013.6225408159325323, 321.48609281438185829),
+    (3.0, -12.5, -29124.597353467666149, 7804.8586586458166675),
+    (3.0, -15.0, -326417.62955456176738, 80574.698117784076957),
+    (7.25, 0.0, 0.29199692419177899751, 0.0),
+    (7.25, -0.25, 0.30086820332525580145, 0.01742318268361286876),
+    (7.25, -1.0, 0.44431260199317612224, 0.08741289453010392652),
+    (7.25, -2.5, 1.6784860200203656403, 0.57365983192855071628),
+    (7.25, -4.0, 6.9619281498695779035, 3.1042563371892408511),
+    (7.25, -6.0, 46.008749116630478409, 26.106778805060241479),
+    (7.25, -9.0, 780.26571537589989771, 557.59609009076105065),
+    (7.25, -12.5, 21714.857462827872476, 18267.882851491263968),
+    (7.25, -15.0, 237962.97369550236426, 216517.02396380863516),
+    (12.0, 0.0, 0.047689310796833536624, 0.0),
+    (12.0, -0.25, 0.049775063375640197219, -0.056426910988067273556),
+    (12.0, -1.0, 0.084446056796024424833, -0.26125743015233745181),
+    (12.0, -2.5, 0.42730617806983552244, -1.3142646753921786745),
+    (12.0, -4.0, 2.2227384099735764148, -5.7230670655388316273),
+    (12.0, -6.0, 18.879131908622668855, -39.868659333586056306),
+    (12.0, -9.0, 426.80259499511031469, -722.0650390741693511),
+    (12.0, -12.5, 14951.257389796754869, -21088.910269400957325),
+    (17.5, 0.0, -0.10311039822868592217, 0.0),
+    (17.5, -0.25, -0.106054409484041272, -0.041294525719280390485),
+    (17.5, -1.0, -0.15358320611980645736, -0.19292279023577471782),
+    (17.5, -2.5, -0.55954743430886558802, -1.0088739604202087488),
+    (17.5, -4.0, -2.2803535594315039754, -4.6145520371740739837),
+]
+_J0_SCATTERED = [  # (Re x, Im x, Re J0(x), Im J0(x))
+    (17.99, 0.0, -0.015235577728903903308, 0.0),
+    (12.7, -12.7, 29928.706617596695786, -8096.1889732503312535),
+    (1.0, -17.9, 3179354.5105573889642, 4656106.5339904143539),
+    (2.0, 0.0, 0.22389077914123566805, 0.0),
+    (0.5, -0.1, 0.94074087477217640552, 0.024257035056653056529),
+]
+
 
 def _j0_envelope(x):
-    """sqrt(2 / (pi |x|)) cosh(Im x): the size of J0's two exponential halves."""
-    return np.sqrt(2.0 / (np.pi * np.abs(x))) * np.cosh(x.imag)
+    """sqrt(2 / (pi |x|)) cosh(Im x), |x| floored at 1: the size of J0's two
+    exponential halves."""
+    return np.sqrt(2.0 / (np.pi * np.maximum(np.abs(x), 1.0))) * np.cosh(x.imag)
 
 
 def _bent_leg_nodes(frequency, span, rho):
@@ -1062,7 +1117,8 @@ def _count_jv(monkeypatch):
 
 class TestLegBessel:
     """The bent leg's complex Bessel matrix: Hankel's expansion from |x| =
-    18 in blocks of several lags, ``jv`` below it and for fewer lags."""
+    18 and Taylor's series about the leg's real start below it, in blocks
+    of several lags; ``jv`` for fewer lags and past the spread guard."""
 
     def test_against_30_digit_values(self, monkeypatch):
         sizes = _count_jv(monkeypatch)
@@ -1072,10 +1128,26 @@ class TestLegBessel:
         assert sum(sizes) == 0
         assert np.all(np.abs(values - expected) <= 1e-15 * _j0_envelope(x))
 
-    def test_below_18_takes_jv(self):
-        x = np.array([17.99, 12.7 - 12.7j, 1.0 - 17.9j, 2.0, 0.5 - 0.1j])
-        assert np.all(np.abs(x) < 18.0)
-        assert np.array_equal(_leg_j0(np.ones(_HANKEL_LAGS), x)[0], jv(0, x))
+    def test_near_against_30_digit_values(self, monkeypatch):
+        """Each vertical leg x0 - i t, in as many rows as make it take the
+        series, is summed by Taylor's series with no ``jv``; the scattered
+        points spread past the guard.  Both within 4e-15 of J0's envelope,
+        the bound of the far elements."""
+        sizes = _count_jv(monkeypatch)
+        legs = {}
+        for re, im, value_re, value_im in _J0_NEAR_LEGS:
+            legs.setdefault(re, []).append((complex(re, im), complex(value_re, value_im)))
+        assert len(legs) == 5
+        for leg in legs.values():
+            x, expected = (np.array(column) for column in zip(*leg))
+            values = _leg_j0(np.ones(_TAYLOR_NEAR), x)
+            assert np.all(np.abs(values - expected) <= 4e-15 * _j0_envelope(x))
+        assert sum(sizes) == 0
+        x = np.array([complex(re, im) for re, im, _, _ in _J0_SCATTERED])
+        expected = np.array([complex(re, im) for _, _, re, im in _J0_SCATTERED])
+        assert np.all(np.abs(x) < _HANKEL_FAR)
+        values = _leg_j0(np.ones(_TAYLOR_NEAR), x)
+        assert np.all(np.abs(values - expected) <= 4e-15 * _j0_envelope(x))
 
     @settings(max_examples=40, deadline=None)
     @given(frequency=st.sampled_from([57.5e9, 140e9, 300e9]),
@@ -1083,16 +1155,74 @@ class TestLegBessel:
            rho=st.lists(st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(1e-3, 20.0)),
                         min_size=_HANKEL_LAGS, max_size=40))
     def test_matches_jv_on_leg_nodes(self, frequency, span, rho):
-        """Real leg nodes at 57.5, 140 and 300 GHz: far elements within 4e-15
-        of J0's envelope, near ones exactly ``jv``'s."""
+        """Real leg nodes at 57.5, 140 and 300 GHz: every element within
+        4e-15 of J0's envelope of ``jv``'s, and rows with rho = 0 exactly 1."""
         rho = np.array(rho)
         krho = _bent_leg_nodes(frequency, span, np.append(rho, 1e-3))
         x = rho[:, None] * krho
         values = _leg_j0(rho, krho)
-        reference = jv(0, x)
-        far = np.abs(x) >= _HANKEL_FAR
-        assert np.array_equal(values[~far], reference[~far])
-        assert np.all(np.abs(values - reference)[far] <= 4e-15 * _j0_envelope(x[far]))
+        assert np.all(np.abs(values - jv(0, x)) <= 4e-15 * _j0_envelope(x))
+        assert np.all(values[rho == 0.0] == 1.0)
+
+    @pytest.mark.parametrize(("experiment", "frequency_ghz", "series"),
+                             [("fig5", 57.5, True), ("fig4", 300.0, False)])
+    def test_experiment_blocks(self, monkeypatch, experiment, frequency_ghz, series):
+        """N = 16.  fig5 at 57.5 GHz: the blocks of several lags hold
+        thousands of near elements, all summed by the series, so none goes
+        to ``jv``.  fig4 at 300 GHz: a block holds one row of them, fewer
+        than pay for the series, so all go to ``jv``.  No block raises a
+        RuntimeWarning."""
+        near, handed = [], []
+        original = quadrature._leg_j0
+
+        def counting(rho, krho):
+            if rho.size < _HANKEL_LAGS:
+                return original(rho, krho)
+            x = rho[:, None] * krho
+            near.append(int(np.sum((np.abs(x) < _HANKEL_FAR) & (rho[:, None] > 0.0))))
+            handed.append(0)
+            values = original(rho, krho)
+            handed.append(None)  # closes the block
+            return values
+
+        def counted(order, x):
+            if handed and handed[-1] is not None:
+                handed[-1] += np.size(x)
+            return jv(order, x)
+
+        monkeypatch.setattr(quadrature, "_leg_j0", counting)
+        monkeypatch.setattr(quadrature, "jv", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_named(experiment, ExperimentConfig(frequency_ghz=frequency_ghz, antennas=16))
+        assert near and sum(near) > 0
+        if series:
+            assert sum(near) > 2000 and not any(handed[::2])
+        else:
+            assert handed[::2] == near and max(near) < _TAYLOR_NEAR
+
+    def test_zero_rows_are_exactly_one(self, monkeypatch):
+        rho = np.array([0.0, 0.01, 0.0, 0.02, 0.015, 5.0])
+        krho = _bent_leg_nodes(57.5e9, 10.0, rho)
+        assert np.count_nonzero(np.abs(rho[[1, 3, 4], None] * krho) < _HANKEL_FAR) >= _TAYLOR_NEAR
+        sizes = _count_jv(monkeypatch)
+        values = _leg_j0(rho, krho)
+        assert sum(sizes) == 0
+        assert np.all(values[[0, 2]] == 1.0 + 0.0j)
+        assert not np.any(np.signbit(values[[0, 2]].imag))
+
+    def test_past_the_spread_guard_takes_jv(self, monkeypatch):
+        """A block whose real spread times rho passes 1: its near elements
+        are ``jv``'s bit for bit, its far ones Hankel's."""
+        x = np.array([17.99, 12.7 - 12.7j, 1.0 - 17.9j, 2.0, 0.5 - 0.1j, 30.0 - 5.0j])
+        rho = np.ones(_TAYLOR_NEAR)
+        assert np.ptp(x.real) * rho.max() > _TAYLOR_SPREAD
+        sizes = _count_jv(monkeypatch)
+        values = _leg_j0(rho, x)
+        near = np.abs(x) < _HANKEL_FAR
+        assert sizes == [rho.size * int(near.sum())]
+        assert np.array_equal(values[:, near], np.broadcast_to(jv(0, x[near]), (rho.size, 5)))
+        assert abs(values[0, -1] - jv(0, x[-1])) <= 4e-15 * _j0_envelope(x[-1])
 
     @pytest.mark.parametrize("rho, far_rows", [
         ([0.0, 1e-12, 1e-6, 1e-3], [False] * 4),
