@@ -13,9 +13,10 @@ several surface materials on one geometry share one Bessel matrix
 SNR-matched spacings of a capacity table, go to one synthesis: their
 distinct samples come from one stable sort of picometre keys, each key
 evaluated at the smallest sample it merges, and the synthesis cuts their
-lags into runs by cost (:func:`quadrature._runs`).  The oscillation budget
-of each lag comes from :func:`quadrature._lag_budgets`; a matrix records
-the largest over its own entries, and no layout is planned here.
+lags into runs by cost (:func:`quadrature._runs`).  The sorted samples of
+each pair of planes are budgeted at once by :func:`quadrature._budgets`,
+the synthesis's own budget; a matrix records the largest over its own
+entries, and no layout is planned here.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .capacity import optimal_stream_count
 from .quadrature import (
     QuadratureSpec,
     SpatialLag,
+    _budgets,
     _count_problem,
-    _lag_budgets,
     _material_batch,
     _nodes_used,
+    _on_planes,
     synthesize_impulse,
 )
 from .spectrum import FieldComponent, SceneConfig
@@ -140,19 +142,8 @@ def build_channel_matrices(scenes: Sequence[SceneConfig], tx: ArrayLayout,
     return _assemble(scenes, [(tx, rx)], component, spec)[0]
 
 
-@dataclass(frozen=True, eq=False)
-class _Samples:
-    """The distinct (receiver_z, source_z, rho) sample rows of one or more
-    layout pairs, with their lattice keys and each entry's position among
-    them.  A key merges samples equal up to float noise; its row holds
-    their smallest coordinates, which no order of the entries changes."""
-
-    rows: np.ndarray
-    keys: np.ndarray
-    index_of: np.ndarray
-
-
-def _samples(tx: ArrayLayout, rx: ArrayLayout) -> _Samples:
+def _samples(tx: ArrayLayout, rx: ArrayLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sample rows of a layout pair and each entry's position (:func:`_distinct`)."""
     tx_pos = tx.positions
     rx_pos = rx.positions
     delta = rx_pos[:, None, :2] - tx_pos[None, :, :2]
@@ -166,14 +157,18 @@ def _samples(tx: ArrayLayout, rx: ArrayLayout) -> _Samples:
                      [i for i, layout in ((0, rx), (1, tx)) if layout.axis[2]] + [2])
 
 
-def _distinct(rows: np.ndarray, keyed: list[int]) -> _Samples:
+def _distinct(rows: np.ndarray, keyed: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct sample rows among ``rows`` by the picometre keys of
-    their ``keyed`` columns (the others are constant)."""
+    their ``keyed`` columns (the others are constant), sorted by those
+    keys, and each row's position among them.  A key merges samples equal
+    up to float noise; its row holds their smallest coordinates, which no
+    order of the entries changes."""
     first, index_of = _distinct_samples(_keys(rows[:, keyed], keyed))
     merged = rows[first]
     for i in keyed:
         np.minimum.at(merged[:, i], index_of, rows[:, i])
-    return _Samples(merged, _keys(merged, range(3)), index_of)
+    _keys(merged, range(3))  # a constant plane, too, must lie within the keys' reach
+    return merged, index_of
 
 
 def _keys(values: np.ndarray, columns: Sequence[int]) -> np.ndarray:
@@ -189,16 +184,6 @@ def _keys(values: np.ndarray, columns: Sequence[int]) -> np.ndarray:
     return scaled.astype(np.int64)
 
 
-def _union(members: list[_Samples]) -> tuple[_Samples, list[np.ndarray]]:
-    """The distinct sample rows of several layouts and each layout's
-    entries' positions among them; one layout is returned as it is."""
-    if len(members) == 1:
-        return members[0], [members[0].index_of]
-    union = _distinct(np.concatenate([m.rows for m in members]), [0, 1, 2])
-    offsets = np.cumsum([0] + [len(m.rows) for m in members])
-    return union, [union.index_of[at + m.index_of] for at, m in zip(offsets, members)]
-
-
 def _assemble(scenes: Sequence[SceneConfig], layouts: Sequence[tuple[ArrayLayout, ArrayLayout]],
               component: FieldComponent,
               spec: QuadratureSpec | None) -> list[list[ChannelMatrix]]:
@@ -206,19 +191,29 @@ def _assemble(scenes: Sequence[SceneConfig], layouts: Sequence[tuple[ArrayLayout
     one list of scenes per layout, in the order given, from one synthesis
     of their distinct samples at ``spec``, or, when None, with each run of
     lags at its own budget; an under-resolved ``spec`` gets the synthesis's
-    one warning.  Each matrix records ``spec``, or the largest budget
-    :func:`quadrature._lag_budgets` gives its entries' lags."""
+    one warning.  Several layouts merge their samples into one sorted table
+    (:func:`_distinct`).  Each run of its rows on one pair of planes is
+    budgeted at once (:func:`quadrature._budgets`), and each matrix records
+    ``spec``, or the largest budget of its entries."""
     scenes = _material_batch(scenes)
     samples = [_samples(tx, rx) for tx, rx in layouts]
-    union, positions = _union(samples)
-    lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z)
-            for r_z, s_z, rho in union.rows.tolist()]
-    needs = np.array(_lag_budgets(scenes, component, lags))
+    if len(samples) == 1:
+        rows, positions = samples[0][0], [samples[0][1]]
+    else:
+        rows, index_of = _distinct(np.concatenate([own for own, _ in samples]), [0, 1, 2])
+        offsets = np.cumsum([0] + [len(own) for own, _ in samples])
+        positions = [index_of[at + own_at] for at, (_, own_at) in zip(offsets, samples)]
+    planes = rows[:, :2]
+    cuts = [0, *(np.flatnonzero((planes[1:] != planes[:-1]).any(axis=1)) + 1).tolist(), len(rows)]
+    needs = np.concatenate([_budgets([_on_planes(s, tuple(planes[start].tolist())) for s in scenes],
+                                     component, rows[start:stop, 2])
+                            for start, stop in zip(cuts, cuts[1:])])
+    lags = [SpatialLag(x=rho, receiver_z=r_z, source_z=s_z) for r_z, s_z, rho in rows.tolist()]
     values = synthesize_impulse(scenes, component, lags, spec)
     if not np.all(np.isfinite(values)):
         raise RuntimeError("channel matrix contains non-finite entries")
     matrices: list[list[ChannelMatrix]] = []
-    for (tx, rx), member, at in zip(layouts, samples, positions):
+    for (tx, rx), (own, _), at in zip(layouts, samples, positions):
         needed = int(needs[at].max())
         used = spec or QuadratureSpec(needed)
         under_resolved = _nodes_used(used.n_alpha) < needed
@@ -226,7 +221,7 @@ def _assemble(scenes: Sequence[SceneConfig], layouts: Sequence[tuple[ArrayLayout
             ChannelMatrix(
                 entries=row[at].reshape(rx.count, tx.count), tx=tx, rx=rx,
                 component=component, scene=scene, spec=used,
-                under_resolved=under_resolved, distinct_evaluations=len(member.rows),
+                under_resolved=under_resolved, distinct_evaluations=len(own),
             )
             for scene, row in zip(scenes, values)
         ])

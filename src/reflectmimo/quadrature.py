@@ -237,13 +237,19 @@ def estimate_nodes(scene: SceneConfig, max_lag: float, dz_total: float) -> Quadr
     return QuadratureSpec(n_alpha=_node_budget(scene.medium.kappa1, dz_total, max_lag))
 
 
-def _node_budget(kappa1: float, dz_total: float, max_lag: float) -> int:
-    """The node count of :func:`estimate_nodes`."""
-    if not 0.0 <= max_lag < math.inf:
-        raise ValueError(f"max_lag must be finite and >= 0, got {max_lag!r}")
+def _node_budget(kappa1: float, dz_total: float, max_lag: float | np.ndarray) -> int | list[int]:
+    """The node count of :func:`estimate_nodes` for a lag or, as a list,
+    for each of an array of lags, from one array expression whose every
+    element rounds as the scalar formula does."""
+    lags = np.asarray(max_lag)
+    bad = ~((lags >= 0.0) & (lags < math.inf))
+    if bad.any():
+        raise ValueError(f"max_lag must be finite and >= 0, got {lags[bad].tolist()[0]!r}")
     if not 0.0 <= dz_total < math.inf:
         raise ValueError(f"dz_total must be finite and >= 0, got {dz_total!r}")
-    return max(2, math.ceil(OVERSAMPLING * kappa1 * (dz_total + max_lag) / (2.0 * math.pi) - 1e-9))
+    budget = np.maximum(2.0, np.ceil(OVERSAMPLING * kappa1 * (dz_total + lags) / (2.0 * math.pi)
+                                     - 1e-9))
+    return int(budget) if budget.ndim == 0 else [int(b) for b in budget.tolist()]
 
 
 def _planes_of(scene: SceneConfig, lag: SpatialLag) -> tuple[float, float]:
@@ -271,25 +277,12 @@ def _on_planes(scene: SceneConfig, planes: tuple[float, float]) -> SceneConfig:
 def _budgets(scenes: list[SceneConfig], component: FieldComponent,
              rho: np.ndarray) -> list[int]:
     """Each lag's oscillation budget on the scenes' shared planes, over
-    every scene, after validating each scene once."""
+    every scene, after validating each scene once; the synthesis and the
+    matrix assembly both budget a pair of planes here."""
     for scene in scenes:
         spectrum.validate_component(scene, component)
     span = max(spectrum.oscillation_span(scene, component) for scene in scenes)
-    kappa1 = scenes[0].medium.kappa1
-    return [_node_budget(kappa1, span, lag) for lag in rho.tolist()]
-
-
-def _lag_budgets(scenes: list[SceneConfig], component: FieldComponent,
-                 lags: list[SpatialLag]) -> list[int]:
-    """Each lag's oscillation budget on its own pair of planes, over every
-    scene (:func:`_budgets`), in the order of the lags."""
-    needs = [0] * len(lags)
-    for planes, indices in _plane_groups(scenes[0], lags).items():
-        budgets = _budgets([_on_planes(s, planes) for s in scenes], component,
-                           np.array([lags[i].transverse for i in indices]))
-        for i, need in zip(indices, budgets):
-            needs[i] = need
-    return needs
+    return _node_budget(scenes[0].medium.kappa1, span, rho)
 
 
 def _material_batch(scene: SceneConfig | Sequence[SceneConfig]) -> list[SceneConfig]:
@@ -688,10 +681,9 @@ def _taylor_j0(rho: np.ndarray, krho: np.ndarray, center: float, scale: float,
     row by up to 2e-15 times J1 at x0 ~ 18."""
     terms = math.ceil(math.e * reach) + 24
     sin, basis = _taylor_basis(math.ceil((rho.max() * center + terms + 24.0) / 4.0), terms)
-    head = 134217729.0 * rho  # 2^27 + 1: rho = head + tail, each of at most 27 bits (Veltkamp)
-    head -= head - rho
+    head, tail = spectrum._split(rho)
     x0 = rho * center
-    rounding = (head * center - x0) + (rho - head) * center  # rho center - x0, exactly
+    rounding = (head * center - x0) + tail * center  # rho center - x0, exactly
     turn = np.exp(1j * np.multiply.outer(x0, sin))  # e^{i x0 sin theta_q}
     turn += 1j * np.multiply.outer(rounding, sin) * turn
     node_powers = np.empty((terms, krho.size), dtype=complex)
@@ -932,19 +924,22 @@ def convergence_study(scene: SceneConfig, component: FieldComponent,
                       max_nodes: int = 1_500_000) -> ConvergenceStudy:
     """Double the disk-rule nodes until the value settles.
 
-    Starts a factor of four below the oscillation budget so the trace shows
-    the under-resolved regime, then the spectral collapse; a bent path can
-    be resolved already at the start.  Below the budget a doubling also
+    Starts a factor of four below the oscillation budget of the lag on its
+    own pair of planes (:func:`_budgets`), so the trace shows the
+    under-resolved regime, then the spectral collapse; a bent path can be
+    resolved already at the start.  Below the budget a doubling also
     raises the largest lag the count resolves, so the path may still
     change; past it the shared path stays and a doubling refines its real
     nodes, or the lag takes its own path where that has become cheaper.
     Stops once the successive relative change drops below ``rel_tol`` or
     the next doubling would exceed ``max_nodes`` (flagged via
-    ``converged=False``).  The starting count is always evaluated, so the
-    trace has at least one row even under a tiny ``max_nodes`` cap.
+    ``converged=False``).  The start is capped at ``max_nodes`` too, in
+    whole panels, at least one: the starting count is always evaluated, so
+    the trace has at least one row even under a tiny cap.
     """
-    (budget,) = _lag_budgets([scene], component, [lag])
-    n_alpha = _nodes_used(max(2, budget // 4))
+    (budget,) = _budgets([_on_planes(scene, _planes_of(scene, lag))], component,
+                         np.array([lag.transverse]))
+    n_alpha = _nodes_used(min(budget // 4, max_nodes))
     rows: list[ConvergenceRow] = []
     previous: complex | None = None
     converged = False

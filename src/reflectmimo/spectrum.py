@@ -138,8 +138,8 @@ def validate_component(scene: SceneConfig, component: FieldComponent) -> None:
         raise SceneError([msg])
 
 
-def _split(x: float) -> tuple[float, float]:
-    """Veltkamp split of a double into two halves of at most 26 bits."""
+def _split(x: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Veltkamp split of a double, or of each in an array, into halves of at most 26 bits."""
     c = 134217729.0 * x  # 2^27 + 1
     hi = c - (c - x)
     return hi, x - hi

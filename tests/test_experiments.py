@@ -265,9 +265,11 @@ def test_one_eigensolve_per_channel(monkeypatch, normalization):
     """An SNR sweep revisits each channel at many grid points; each
     channel is eigensolved once per normalization."""
     calls: list[tuple[int, str]] = []
+    channels = []  # held, so that no counted channel's address is reused
     solve = experiments.eigen_spectrum
 
     def counted(channel, normalization, **kwargs):
+        channels.append(channel)
         calls.append((id(channel), normalization))
         return solve(channel, normalization, **kwargs)
 

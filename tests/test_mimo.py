@@ -24,7 +24,9 @@ from reflectmimo import (
     build_channel_matrices,
     build_channel_matrix,
     eigen_spectrum,
+    estimate_nodes,
     material_by_name,
+    oscillation_span,
     raw_eigenvalues,
     spacing_rayleigh,
     run_named,
@@ -293,18 +295,17 @@ def _row_wise_unique(keys, samples):
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_layout_samples_match_the_row_wise_unique(tx_kind, rx_kind, counts, data):
-    """A layout's distinct rows, their keys and each entry's position among
-    them are ``np.unique`` of its lattice keys, by row, each row holding
-    its key's smallest coordinates: parallel, in-plane and out-of-plane
-    axes (several pairs of planes), unequal counts and single antennas."""
+    """A layout's distinct rows and each entry's position among them are
+    ``np.unique`` of its lattice keys, by row, each row holding its key's
+    smallest coordinates: parallel, in-plane and out-of-plane axes (several
+    pairs of planes), unequal counts and single antennas."""
     tx = data.draw(_array(tx_kind, counts, 0.0))
     rx = data.draw(_array(rx_kind, counts, RANGE))
     samples, keys = _lattice(tx, rx)
-    first, index_of, smallest = _row_wise_unique(keys, samples)
-    layout = mimo._samples(tx, rx)
-    assert np.array_equal(layout.rows, smallest)
-    assert np.array_equal(layout.keys, keys[first])
-    assert np.array_equal(layout.index_of, index_of)
+    _, index_of, smallest = _row_wise_unique(keys, samples)
+    rows, positions = mimo._samples(tx, rx)
+    assert np.array_equal(rows, smallest)
+    assert np.array_equal(positions, index_of)
 
 
 _ANY_ARRAY = st.sampled_from(["parallel", "in_plane", "out_of_plane"])
@@ -318,16 +319,25 @@ def test_union_on_one_pair_matches_the_row_wise_unique(layouts):
     """Layouts merge as ``np.unique`` of their lattice keys together, by
     row, on one pair of planes or on several, each row holding its key's
     smallest coordinates, and each layout's entries land on their own
-    samples."""
+    samples: the assembly hands the merged rows to its one synthesis, here
+    one that returns each lag's position."""
     lattices = [_lattice(tx, rx) for tx, rx in layouts]
     samples = np.concatenate([samples for samples, _ in lattices])
     _, index_of, smallest = _row_wise_unique(np.concatenate([keys for _, keys in lattices]),
                                              samples)
     starts = np.cumsum([0] + [len(keys) for _, keys in lattices])
-    union, positions = mimo._union([mimo._samples(tx, rx) for tx, rx in layouts])
-    assert np.array_equal(union.rows, smallest)
-    for at, end, position in zip(starts, starts[1:], positions):
-        assert np.array_equal(position, index_of[at:end])
+    synthesized = []
+
+    def positions(scenes, component, lags, spec):
+        synthesized.append([(lag.receiver_z, lag.source_z, lag.x) for lag in lags])
+        return np.arange(len(lags), dtype=complex)[None, :]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mimo, "synthesize_impulse", positions)
+        matrices = _assemble([_KEYED_SCENE], layouts, FieldComponent.REFLECTION_ONLY, None)
+    assert np.array_equal(synthesized, [smallest])
+    for at, end, (matrix,) in zip(starts, starts[1:], matrices):
+        assert np.array_equal(matrix.entries.ravel(), index_of[at:end])
 
 
 class TestMaterialBatch:
@@ -533,9 +543,17 @@ def test_batches_price_unions_by_arithmetic(monkeypatch, count, rule, group):
     its own, fewer lags are planned than the union holds, and the chosen
     runs synthesize on their pricing plans, planning nothing again."""
     layouts, scenes, component = _sweep(count, rule, group)
-    lags = len(mimo._union([mimo._samples(tx, rx) for tx, rx in layouts])[0].rows)
+    sizes = []
+    synthesize = mimo.synthesize_impulse
+
+    def counted(scenes, component, union, spec):
+        sizes.append(len(union))
+        return synthesize(scenes, component, union, spec)
+
+    monkeypatch.setattr(mimo, "synthesize_impulse", counted)
     planned = _counted_paths(monkeypatch)
     _assemble(scenes, layouts, component, None)
+    (lags,) = sizes
     assert len(set(planned)) == len(planned) < lags
 
 
@@ -547,6 +565,34 @@ def test_sweep_plans_each_layout_and_synthesis_once(monkeypatch):
     planned = _counted_paths(monkeypatch)
     run_named("fig5", ExperimentConfig(antennas=16))
     assert len(set(planned)) == len(planned) <= 18
+
+
+_TILTED = [
+    (ArrayLayout(3, 0.05, center=(0.01, 0.0, 0.0), axis=(0.6, 0.0, 0.8)),
+     ArrayLayout(4, 0.04, center=(0.02, 0.03, RANGE))),
+    (ArrayLayout(2, 0.07, center=(0.0, 0.0, 0.1), axis=(0.0, 0.6, 0.8)),
+     ArrayLayout(3, 0.05, center=(0.3, 0.0, RANGE), axis=(0.8, 0.0, 0.6))),
+]
+
+
+@pytest.mark.parametrize("component", [FieldComponent.REFLECTION_ONLY,
+                                       FieldComponent.LOS_PLUS_REFLECTION])
+def test_tilted_layouts_record_the_largest_budget_of_their_entries(component):
+    """A tilted or offset layout spans several pairs of planes.  Its matrix
+    records as its spec the largest :func:`estimate_nodes` of its entries,
+    each on its own planes, built alone or with other layouts."""
+    expected = []
+    for tx, rx in _TILTED:
+        scenes = [dataclasses.replace(_KEYED_SCENE, receiver_z=r[2], source_z=t[2])
+                  for r in rx.positions for t in tx.positions]
+        lags = [math.hypot(r[0] - t[0], r[1] - t[1])
+                for r in rx.positions for t in tx.positions]
+        assert len({(scene.receiver_z, scene.source_z) for scene in scenes}) > 1
+        expected.append(max(estimate_nodes(scene, lag, oscillation_span(scene, component)).n_alpha
+                            for scene, lag in zip(scenes, lags)))
+    alone = [build_channel_matrix(_KEYED_SCENE, tx, rx, component).spec for tx, rx in _TILTED]
+    together = [matrix.spec for (matrix,) in _assemble([_KEYED_SCENE], _TILTED, component, None)]
+    assert alone == together == [QuadratureSpec(need) for need in expected]
 
 
 def test_far_samples_name_the_coordinate_their_key_cannot_hold():
@@ -774,7 +820,7 @@ class TestReciprocity:
         differed by 4.2e-12."""
         tx = ArrayLayout(2, 0.03125, center=(0.0, 0.0, -1.0))
         rx = ArrayLayout(3, 0.046875, center=(3.8e-14, 0.0, 1.0))
-        forward, backward = mimo._samples(tx, rx), mimo._samples(rx, tx)
-        assert np.array_equal(forward.rows[:, 2], backward.rows[:, 2])
+        (forward, _), (backward, _) = mimo._samples(tx, rx), mimo._samples(rx, tx)
+        assert np.array_equal(forward[:, 2], backward[:, 2])
         assert _reciprocity_gap(PERFECT_CONDUCTOR, -1.0, 1.0, 0.0, 2, 0.03125,
                                 3.8e-14) <= 1e-12

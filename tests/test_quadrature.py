@@ -187,6 +187,28 @@ class TestEstimateNodes:
             with pytest.raises(ValueError, match="dz_total"):
                 estimate_nodes(scene, 0.0, bad)
 
+    def test_array_of_lags_rounds_as_the_scalar_formula(self, vacuum_medium):
+        """A pair of planes is budgeted in one array expression whose every
+        element equals the scalar formula, also at its ``- 1e-9`` rounding
+        edge, where the phase count lies within 1e-9 of a whole number."""
+        kappa1, span, rate = vacuum_medium.kappa1, 1.0, quadrature.OVERSAMPLING
+        counts = np.arange(3000.0, 3010.0)[:, None] + np.array([-2, -1, -0.5, 0, 0.5, 1, 2]) * 1e-9
+        lags = (counts * 2.0 * math.pi / (rate * kappa1) - span).ravel()
+        lags = np.concatenate([lags, np.nextafter(lags, 0.0), np.nextafter(lags, 9.0), [0.0]])
+        phases = [rate * kappa1 * (span + lag) / (2.0 * math.pi) for lag in lags.tolist()]
+        expected = [max(2, math.ceil(phase - 1e-9)) for phase in phases]
+        assert any(math.ceil(phase - 1e-9) != math.ceil(phase) for phase in phases)
+        assert quadrature._node_budget(kappa1, span, lags) == expected
+        assert [quadrature._node_budget(kappa1, span, lag) for lag in lags.tolist()] == expected
+        assert quadrature._node_budget(kappa1, 0.0, np.zeros(2)) == [2, 2]
+
+    @pytest.mark.parametrize("lags, named", [([0.1, math.nan, -1.0], "nan"),
+                                             ([0.1, 0.2, math.inf, math.nan], "inf"),
+                                             ([-0.5, math.inf], "-0.5")])
+    def test_array_names_its_first_bad_lag(self, vacuum_medium, lags, named):
+        with pytest.raises(ValueError, match=f"max_lag must be finite and >= 0, got {named}$"):
+            quadrature._node_budget(vacuum_medium.kappa1, 1.0, np.array(lags))
+
 
 class TestAgainstClosedForms:
     def test_los_on_axis(self, vacuum_medium):
@@ -318,7 +340,9 @@ class TestLagBatches:
 
     def test_each_lag_is_budgeted_on_its_own_planes(self, scene):
         """Every lag's oscillation budget is taken on its own pair of
-        planes, in the order of the lags."""
+        planes: the lower lag's, the largest, is the one a call's warning
+        names, and each lag's convergence study starts at a quarter of its
+        own budget, in whole panels."""
         component = FieldComponent.REFLECTION_ONLY
         lags = [SpatialLag(0.4), SpatialLag(0.1, receiver_z=0.2), SpatialLag(0.0)]
         lower = SceneConfig(medium=scene.medium, surface_z=1.2, source_z=0.0,
@@ -326,9 +350,15 @@ class TestLagBatches:
         budgets = [_auto_spec(scene, component, SpatialLag(0.4)),
                    _auto_spec(lower, component, SpatialLag(0.1)),
                    _auto_spec(scene, component, SpatialLag(0.0))]
-        needs = quadrature._lag_budgets([scene], component, lags)
-        assert needs == [b.n_alpha for b in budgets]
-        assert _required_nodes(scene, component, lags).n_alpha == max(needs)
+        needs = [b.n_alpha for b in budgets]
+        assert _required_nodes(scene, component, lags).n_alpha == max(needs) == needs[1]
+        with pytest.warns(UnderResolvedWarning, match=f"budget n_alpha={needs[1]}$"):
+            synthesize_impulse(scene, component, lags, QuadratureSpec(64))
+        for lag, need in zip(lags, needs):
+            start = _nodes_used(need // 4)
+            study = convergence_study(scene, component, lag, max_nodes=start)
+            assert [row.n_alpha for row in study.rows] == [start]
+        assert len({_nodes_used(need // 4) for need in needs}) == len(needs)
 
     def test_single_lag_returns_a_complex(self, scene):
         lag = SpatialLag(0.1)
@@ -466,6 +496,22 @@ class TestConvergenceStudy:
         assert study.rows[1].delta > 1e-6
         expected = los_impulse(free, (1.0, 0.0, 20.0), (0.0, 0.0, 0.0))
         assert abs(study.value - expected) <= 1e-9 * abs(expected)
+
+    def test_far_lag_starts_at_the_cap(self, vacuum_medium, monkeypatch):
+        """A 10 km lag's quarter budget, 2.9 million nodes at 57.5 GHz, lies
+        past a 100,000-node cap: the study starts at the cap, in whole
+        panels, and evaluates that one count, the straight path's disk of
+        100,032 nodes and its branch cut, sized by the lag alone."""
+        scene = _los_scene(vacuum_medium, dz=0.3)
+        counter = _count_nodes(monkeypatch)
+        study = convergence_study(scene, FieldComponent.LOS_ONLY, SpatialLag(1e4),
+                                  max_nodes=100_000)
+        assert [row.n_alpha for row in study.rows] == [100_032]
+        assert not study.converged
+        path = _path([scene], FieldComponent.LOS_ONLY, QuadratureSpec(100_032), 100_032,
+                     np.array([1e4]), per_lag=False)
+        assert path.straight
+        assert counter["nodes"] == 100_032 + _nodes_used(path.leg_nodes)
 
     def test_tiny_cap_still_evaluates_once(self, vacuum_medium):
         scene = _los_scene(vacuum_medium)
